@@ -6,11 +6,12 @@ gradient to per-parent gradients. ``backward`` walks that graph once in
 reverse topological order and accumulates gradients additively into the
 leaves (tensors created with ``requires_grad=True``).
 
-The op set is deliberately small: matmul, add (with row-vector bias
-broadcast), sub, mul, neg, scale, transpose, reshape, relu, tanh, log,
-softmax_rows, gather, row, concat, reduce_sum, reduce_mean,
-cosine_similarity, maximum_const, minimum, clip_const. Everything the
-networks in this package need composes from these.
+The op set is deliberately small: matmul, bmm (matmul over a leading
+batch axis), add (with row-vector bias broadcast), sub, mul, neg, scale,
+reshape, relu, tanh, exp, log, softmax_rows and log_softmax (both over the
+last axis), gather, concat, reduce_sum, reduce_mean, mean_pairwise_cosine,
+maximum_const, minimum, clip_const. Everything the networks in this package
+need composes from these, for one (n, .) matrix or a (T, n, .) stack.
 """
 
 from __future__ import annotations
@@ -153,13 +154,33 @@ def zero_grads(params: Sequence[Tensor]) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """2-D product. A 1-column product is a row-wise multiply-sum, so each of its
+    rows is bit-identical whatever the row count; BLAS matrix-vector is not."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul requires 2-D tensors with matching inner dims, got {a.shape} x {b.shape}")
 
     def bw(g: np.ndarray):
         return g @ b.data.T, a.data.T @ g
 
+    if b.shape[1] == 1:
+        return _result((a.data * b.data[:, 0]).sum(axis=1, keepdims=True), (a, b), bw)
     return _result(a.data @ b.data, (a, b), bw)
+
+
+def bmm(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
+    """Matrix product over a leading batch axis: (B, m, k) x (B, k, p) -> (B, m, p).
+
+    With ``transpose_b`` the second operand is given as (B, p, k).
+    """
+    bt = np.swapaxes(b.data, 1, 2) if transpose_b else b.data
+    if a.data.ndim != 3 or bt.ndim != 3 or a.shape[0] != bt.shape[0] or a.shape[2] != bt.shape[1]:
+        raise ShapeError(f"bmm requires (B, m, k) x (B, k, p) tensors, got {a.shape} x {bt.shape}")
+
+    def bw(g: np.ndarray):
+        gb = np.swapaxes(a.data, 1, 2) @ g
+        return g @ np.swapaxes(bt, 1, 2), (np.swapaxes(gb, 1, 2) if transpose_b else gb)
+
+    return _result(a.data @ bt, (a, b), bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -204,12 +225,6 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _result(a.data * s, (a,), lambda g: (g * s,))
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose requires a 2-D tensor, got shape {a.shape}")
-    return _result(a.data.T.copy(), (a,), lambda g: (g.T,))
-
-
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = a.data.reshape(shape)
     return _result(data.copy(), (a,), lambda g: (g.reshape(a.shape),))
@@ -233,6 +248,11 @@ def tanh(a: Tensor) -> Tensor:
     return _result(out, (a,), bw)
 
 
+def exp(a: Tensor) -> Tensor:
+    out = np.exp(a.data)
+    return _result(out, (a,), lambda g: (g * out,))
+
+
 def log(a: Tensor) -> Tensor:
     def bw(g: np.ndarray):
         return (g / a.data,)
@@ -241,16 +261,26 @@ def log(a: Tensor) -> Tensor:
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax with per-row max subtraction for stability."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"softmax_rows requires a 2-D tensor, got shape {a.shape}")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
+    """Softmax over the last axis (the rows of a matrix), max-shifted for stability."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g: np.ndarray):
-        dot = (g * out).sum(axis=1, keepdims=True)
+        dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
+
+    return _result(out, (a,), bw)
+
+
+def log_softmax(a: Tensor) -> Tensor:
+    """log(softmax) over the last axis in one step: finite even where the
+    probability underflows to 0."""
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+    def bw(g: np.ndarray):
+        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
 
     return _result(out, (a,), bw)
 
@@ -270,19 +300,6 @@ def gather(a: Tensor, cols: np.ndarray) -> Tensor:
         return (ga,)
 
     return _result(a.data[rows, cols], (a,), bw)
-
-
-def row(a: Tensor, i: int) -> Tensor:
-    """Extract row i of a matrix as a 1-D tensor."""
-    if a.data.ndim != 2:
-        raise ShapeError(f"row requires a 2-D tensor, got shape {a.shape}")
-
-    def bw(g: np.ndarray):
-        ga = np.zeros_like(a.data)
-        ga[i] = g
-        return (ga,)
-
-    return _result(a.data[i].copy(), (a,), bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -325,26 +342,30 @@ def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
     return _result(a.data.mean(axis=axis), (a,), bw)
 
 
-def cosine_similarity(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
-    """cos(a, b) with ``eps`` added to each norm so zero vectors stay finite."""
-    if a.data.ndim != 1 or a.shape != b.shape:
-        raise ShapeError(f"cosine_similarity requires equal-length 1-D tensors, got {a.shape} and {b.shape}")
-    na = float(np.linalg.norm(a.data))
-    nb = float(np.linalg.norm(b.data))
-    s = float(a.data @ b.data)
-    denom = (na + eps) * (nb + eps)
-    c = s / denom
-    # direction of the norm term; zero vector contributes no norm gradient
-    ua = a.data / na if na > 0 else np.zeros_like(a.data)
-    ub = b.data / nb if nb > 0 else np.zeros_like(b.data)
+def mean_pairwise_cosine(a: Tensor, eps: float = 1e-8) -> Tensor:
+    """Mean of cos(a[..., i, :], a[..., j, :]) over the row pairs i < j: (..., n, d) -> (...).
+
+    ``eps`` is added to each norm, so zero rows stay finite and give 0.
+    """
+    if a.data.ndim < 2 or a.shape[-2] < 2:
+        raise ShapeError(f"mean_pairwise_cosine requires (..., n >= 2, d) rows, got shape {a.shape}")
+    n = a.shape[-2]
+    upper = np.triu_indices(n, 1)
+    norm = np.linalg.norm(a.data, axis=-1, keepdims=True)
+    # direction of the norm term; a zero row contributes no norm gradient
+    unit = np.divide(a.data, norm, out=np.zeros_like(a.data), where=norm > 0)
+    scaled = a.data / (norm + eps)
+    cos = scaled @ np.swapaxes(scaled, -1, -2)
+    off_diag = 1.0 - np.eye(n)
 
     def bw(g: np.ndarray):
-        gf = float(g)
-        ga = gf * (b.data / denom - (s / (denom * (na + eps))) * ua)
-        gb = gf * (a.data / denom - (s / (denom * (nb + eps))) * ub)
-        return ga, gb
+        # d/da_i of the pair sum: (sum_{j != i} scaled_j - (sum_{j != i} cos_ij) unit_i) / (|a_i| + eps)
+        g = np.asarray(g)[..., None, None] / len(upper[0])
+        others = off_diag @ scaled
+        row_cos = (cos * off_diag).sum(axis=-1, keepdims=True)
+        return (g * (others - row_cos * unit) / (norm + eps),)
 
-    return _result(np.float64(c), (a, b), bw)
+    return _result(cos[..., upper[0], upper[1]].mean(axis=-1), (a,), bw)
 
 
 def maximum_const(a: Tensor, floor: float) -> Tensor:
@@ -377,14 +398,6 @@ def clip_const(a: Tensor, lo: float, hi: float) -> Tensor:
         return (g * inside,)
 
     return _result(np.clip(a.data, lo, hi), (a,), bw)
-
-
-def add_n(tensors: Sequence[Tensor]) -> Tensor:
-    """Sum a nonempty list of same-shape tensors."""
-    total = tensors[0]
-    for t in tensors[1:]:
-        total = add(total, t)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -94,53 +94,13 @@ class InactiveTeamPolicy:
         return np.full(n, NOOP_ACTION, dtype=np.int64), np.zeros(n)
 
 
-class TaacTeamPolicy:
-    """Actor-critic pair with attention; ablation flags carve out MAAC-style variants."""
-
-    def __init__(self, net_cfg: TaacNetConfig, rng: np.random.Generator,
-                 ablation: AblationConfig | None = None):
-        self.net_cfg = net_cfg
-        self.ablation = ablation or AblationConfig()
-        self.kind = "taac_ablation" if (self.ablation.actor_attention_off or
-                                        self.ablation.critic_V_fixed) else "taac"
-        self.actor = ActorNet(net_cfg, rng, attention_off=self.ablation.actor_attention_off)
-        self.critic = CriticNet(net_cfg, rng)
-
-    @property
-    def flags(self) -> dict:
-        return self.ablation.to_flags()
+class _SnapshotCodec:
+    """Architecture hash and snapshot save/load shared by the trainable policies,
+    which provide ``kind``, ``flags``, ``net_cfg`` and ``named_parameters``."""
 
     @property
     def config_hash(self) -> str:
         return architecture_hash(self.kind, self.flags, self.net_cfg)
-
-    def act(self, obs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        with ad.no_grad():
-            probs = self.actor.probs_np(obs)
-        return _sample_rows(probs, rng)
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        out = self.actor.named_parameters()
-        out.update(self.critic.named_parameters())
-        return out
-
-    def trainable_parameters(self) -> list[Tensor]:
-        """All parameters except critic value matrices when those are frozen."""
-        params = self.actor.parameters() + self.critic.parameters()
-        if self.ablation.critic_V_fixed:
-            frozen = {id(t) for t in self.critic.value_matrices()}
-            params = [p for p in params if id(p) not in frozen]
-        return params
-
-    def actor_parameters(self) -> list[Tensor]:
-        return self.actor.parameters()
-
-    def critic_parameters(self) -> list[Tensor]:
-        params = self.critic.parameters()
-        if self.ablation.critic_V_fixed:
-            frozen = {id(t) for t in self.critic.value_matrices()}
-            params = [p for p in params if id(p) not in frozen]
-        return params
 
     def to_snapshot(self, version: int) -> PolicySnapshot:
         return PolicySnapshot(
@@ -160,7 +120,44 @@ class TaacTeamPolicy:
         restore_params(self.named_parameters(), snapshot.params)
 
 
-class PpoTeamPolicy:
+class TaacTeamPolicy(_SnapshotCodec):
+    """Actor-critic pair with attention; ablation flags carve out MAAC-style variants."""
+
+    def __init__(self, net_cfg: TaacNetConfig, rng: np.random.Generator,
+                 ablation: AblationConfig | None = None):
+        self.net_cfg = net_cfg
+        self.ablation = ablation or AblationConfig()
+        self.kind = "taac_ablation" if (self.ablation.actor_attention_off or
+                                        self.ablation.critic_V_fixed) else "taac"
+        self.actor = ActorNet(net_cfg, rng, attention_off=self.ablation.actor_attention_off)
+        self.critic = CriticNet(net_cfg, rng)
+
+    @property
+    def flags(self) -> dict:
+        return self.ablation.to_flags()
+
+    def act(self, obs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+        with ad.no_grad():
+            probs = self.actor.probs_np(obs)
+        return _sample_rows(probs, rng)
+
+    def named_parameters(self) -> dict[str, Tensor]:
+        out = self.actor.named_parameters()
+        out.update(self.critic.named_parameters())
+        return out
+
+    def actor_parameters(self) -> list[Tensor]:
+        return self.actor.parameters()
+
+    def critic_parameters(self) -> list[Tensor]:
+        params = self.critic.parameters()
+        if self.ablation.critic_V_fixed:
+            frozen = {id(t) for t in self.critic.value_matrices()}
+            params = [p for p in params if id(p) not in frozen]
+        return params
+
+
+class PpoTeamPolicy(_SnapshotCodec):
     """Independent learner: one shared per-agent MLP policy, no inter-agent inputs."""
 
     kind = "ppo"
@@ -180,10 +177,6 @@ class PpoTeamPolicy:
     def flags(self) -> dict:
         return {}
 
-    @property
-    def config_hash(self) -> str:
-        return architecture_hash(self.kind, self.flags, self.net_cfg)
-
     def _scaled(self, obs: np.ndarray) -> np.ndarray:
         return np.asarray(obs, dtype=np.float64) / self.net_cfg.obs_scale
 
@@ -193,8 +186,9 @@ class PpoTeamPolicy:
         e = np.exp(shifted)
         return e / e.sum(axis=-1, keepdims=True)
 
-    def dist_forward(self, obs: np.ndarray) -> Tensor:
-        return ad.softmax_rows(self.policy_net.forward(Tensor(self._scaled(obs))))
+    def dist_forward(self, obs: np.ndarray, log_probs: bool = False) -> Tensor:
+        logits = self.policy_net.forward(Tensor(self._scaled(obs)))
+        return ad.log_softmax(logits) if log_probs else ad.softmax_rows(logits)
 
     def values_forward(self, obs: np.ndarray) -> Tensor:
         v = self.value_net.forward(Tensor(self._scaled(obs)))
@@ -212,23 +206,6 @@ class PpoTeamPolicy:
         out = self.policy_net.named_parameters("ppo.policy")
         out.update(self.value_net.named_parameters("ppo.value"))
         return out
-
-    def to_snapshot(self, version: int) -> PolicySnapshot:
-        return PolicySnapshot(
-            kind=self.kind,
-            flags=self.flags,
-            version=version,
-            config_hash=self.config_hash,
-            params=snapshot_params(self.named_parameters()),
-        )
-
-    def load_snapshot(self, snapshot: PolicySnapshot) -> None:
-        if snapshot.config_hash != self.config_hash:
-            raise ValueError(
-                f"snapshot architecture hash {snapshot.config_hash[:12]} does not match "
-                f"this policy's {self.config_hash[:12]}"
-            )
-        restore_params(self.named_parameters(), snapshot.params)
 
 
 def build_policy(kind: str, net_cfg: TaacNetConfig, rng: np.random.Generator,
@@ -328,8 +305,8 @@ def ppo_update(batch: PpoBatch, policy: PpoTeamPolicy, policy_opt, value_opt,
     targets = Tensor(batch.value_targets)
 
     for _ in range(hyper.epochs):
-        dists = policy.dist_forward(batch.obs)
-        logdists = ad.log(dists)
+        logdists = policy.dist_forward(batch.obs, log_probs=True)
+        dists = ad.exp(logdists)
         ratio = ad.mul(ad.gather(dists, batch.actions), inv_old_prob)
         unclipped = ad.mul(ratio, adv)
         clipped = ad.mul(ad.clip_const(ratio, 1.0 - eps, 1.0 + eps), adv)

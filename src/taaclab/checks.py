@@ -61,8 +61,8 @@ def case_actor_logprob(seed: int):
     adv = Tensor(rng.normal(size=3))
 
     def loss_fn():
-        dists, _ = actor.forward(obs)
-        logp = ad.gather(ad.log(dists), actions)
+        logdists, _ = actor.forward(obs, log_probs=True)
+        logp = ad.gather(logdists, actions)
         return ad.neg(ad.reduce_mean(ad.mul(logp, adv)))
 
     return loss_fn, actor.parameters(), lambda: _actor_min_preact(actor, obs)
@@ -102,11 +102,10 @@ def case_actor_objective(seed: int):
     adv = Tensor(rng.normal(size=3))
 
     def loss_fn():
-        dists, emb = actor.forward(obs)
-        logdists = ad.log(dists)
+        logdists, emb = actor.forward(obs, log_probs=True)
         logp = ad.gather(logdists, actions)
         pg = ad.neg(ad.reduce_mean(ad.mul(logp, adv)))
-        entropy = ad.neg(ad.reduce_mean(ad.reduce_sum(ad.mul(dists, logdists), axis=1)))
+        entropy = ad.neg(ad.reduce_mean(ad.reduce_sum(ad.mul(ad.exp(logdists), logdists), axis=1)))
         conf = conformity_loss(emb, scale_coef=0.05, floor=-2.0)
         return ad.add(ad.sub(pg, ad.scale(entropy, 0.01)), conf)
 
@@ -126,8 +125,8 @@ def case_ppo_surrogate(seed: int):
     inv_old = Tensor(1.0 / taken)
 
     def loss_fn():
-        dists = policy.dist_forward(obs)
-        logdists = ad.log(dists)
+        logdists = policy.dist_forward(obs, log_probs=True)
+        dists = ad.exp(logdists)
         ratio = ad.mul(ad.gather(dists, actions), inv_old)
         unclipped = ad.mul(ratio, adv)
         clipped = ad.mul(ad.clip_const(ratio, 0.8, 1.2), adv)

@@ -211,12 +211,8 @@ def _fixed_positions(cfg: EnvConfig) -> tuple[np.ndarray, np.ndarray]:
     return players, ball
 
 
-def reset(cfg: EnvConfig, mode: str, rng: Optional[np.random.Generator] = None,
-          opponent_active: bool = True) -> WorldState:
-    """Fresh game state. ``opponent_active`` is curriculum bookkeeping for the
-    caller (an inactive team is one whose policy always no-ops); spawning is
-    identical either way."""
-    del opponent_active
+def reset(cfg: EnvConfig, mode: str, rng: Optional[np.random.Generator] = None) -> WorldState:
+    """Fresh game state; an inactive opponent is a policy that always no-ops."""
     if mode not in SPAWN_MODES:
         raise ValueError(f"unknown spawn mode {mode!r}, expected one of {SPAWN_MODES}")
     if mode == "random_spawns":

@@ -19,7 +19,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -57,14 +57,16 @@ class NumericFailure(RuntimeError):
         self.dump_path = dump_path
 
 
-def check_finite_grads(params, context: str, dump_payload: Optional[dict] = None) -> None:
+def check_finite_grads(params, context: str, dump_payload: Optional[Callable[[], dict]] = None) -> None:
+    """Raise NumericFailure on a non-finite gradient; ``dump_payload`` builds
+    the batch document to dump and only runs when one is found."""
     for p in params:
         if p.grad is not None and not np.all(np.isfinite(p.grad)):
             path = None
             if dump_payload is not None:
                 fd, path = tempfile.mkstemp(prefix=f"{context}-batch-", suffix=".json")
                 with os.fdopen(fd, "w") as fh:
-                    json.dump(dump_payload, fh)
+                    json.dump(dump_payload(), fh)
             raise NumericFailure(f"non-finite gradient in {context}" +
                                  (f"; batch dumped to {path}" if path else ""), path)
 
@@ -108,10 +110,11 @@ def compute_returns(traj: Trajectory, gamma: float) -> np.ndarray:
 
 
 def _trajectory_payload(batch: list) -> dict:
-    """Compact JSON form of a batch, written next to a NaN abort."""
+    """JSON form of a batch, written next to a NaN abort; ``obs`` replays the forward pass."""
     return {
         "trajectories": [
             {
+                "obs": [tr.obs.tolist() for tr in traj.transitions],
                 "actions": [tr.actions.tolist() for tr in traj.transitions],
                 "rewards": [tr.rewards.tolist() for tr in traj.transitions],
                 "steps": [tr.t for tr in traj.transitions],
@@ -166,6 +169,19 @@ class Adam:
 # actor / critic updates
 
 
+def _stacked(batch: list, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Observations (T, n, obs_width), actions (T, n) and returns (T, n) of every
+    transition in a nonempty batch, in order; missing returns are computed."""
+    if not batch:
+        raise ValueError("an update needs a nonempty batch")
+    for traj in batch:
+        if traj.returns is None:
+            compute_returns(traj, gamma)
+    transitions = [tr for traj in batch for tr in traj.transitions]
+    return (np.stack([tr.obs for tr in transitions]), np.stack([tr.actions for tr in transitions]),
+            np.concatenate([traj.returns for traj in batch]))
+
+
 def actor_update(batch: list, policy: TaacTeamPolicy, opt: Adam, learner_cfg) -> dict:
     """One ascent step on the advantage-weighted log-likelihood.
 
@@ -174,16 +190,8 @@ def actor_update(batch: list, policy: TaacTeamPolicy, opt: Adam, learner_cfg) ->
     the conformity penalty on attended embeddings is added to the
     minimized objective. Reports the component values and mean advantage.
     """
-    if not batch:
-        raise ValueError("actor_update needs a nonempty batch")
+    obs_stack, act_stack, returns = _stacked(batch, learner_cfg.gamma)
     use_conformity = learner_cfg.conformity_enabled and policy.actor.attn is not None
-    for traj in batch:
-        if traj.returns is None:
-            compute_returns(traj, learner_cfg.gamma)
-    transitions = [tr for traj in batch for tr in traj.transitions]
-    returns = np.concatenate([traj.returns for traj in batch])       # (T, n)
-    obs_stack = np.stack([tr.obs for tr in transitions])             # (T, n, ow)
-    act_stack = np.stack([tr.actions for tr in transitions])         # (T, n)
     with ad.no_grad():
         probs_stack = policy.actor.probs_np(obs_stack)
         baselines = counterfactual_baselines_batch(obs_stack, act_stack,
@@ -193,30 +201,23 @@ def actor_update(batch: list, policy: TaacTeamPolicy, opt: Adam, learner_cfg) ->
         else:
             adv_stack = returns - baselines
 
-    pg_terms, conf_terms, ent_terms = [], [], []
-    n_agents = TEAM_SIZE
-    for t, tr in enumerate(transitions):
-        dists, emb = policy.actor.forward(tr.obs)
-        logdists = ad.log(dists)
-        logp = ad.gather(logdists, tr.actions)
-        pg_terms.append(ad.reduce_sum(ad.mul(logp, Tensor(adv_stack[t]))))
-        ent_terms.append(ad.scale(ad.neg(ad.reduce_sum(ad.mul(dists, logdists))), 1.0 / n_agents))
-        if use_conformity:
-            conf_terms.append(conformity_loss(emb, learner_cfg.conformity_scale,
-                                              learner_cfg.conformity_floor))
-    n_tr = len(pg_terms)
-    pg_loss = ad.neg(ad.scale(ad.add_n(pg_terms), 1.0 / n_tr))
-    entropy = ad.scale(ad.add_n(ent_terms), 1.0 / n_tr)
+    T = act_stack.shape[0]
+    logp_all, emb = policy.actor.forward(obs_stack, log_probs=True)  # (T, n, A), (T, n, e)
+    logp_rows = ad.reshape(logp_all, (-1, logp_all.shape[-1]))       # (T*n, A)
+    logp = ad.gather(logp_rows, act_stack.reshape(-1))
+    pg_loss = ad.neg(ad.scale(ad.reduce_sum(ad.mul(logp, Tensor(adv_stack.reshape(-1)))), 1.0 / T))
+    plogp = ad.mul(ad.exp(logp_rows), logp_rows)
+    entropy = ad.scale(ad.neg(ad.reduce_sum(plogp)), 1.0 / (TEAM_SIZE * T))
     objective = pg_loss
     if learner_cfg.entropy_coef:
         objective = ad.sub(objective, ad.scale(entropy, learner_cfg.entropy_coef))
     conformity = None
-    if conf_terms:
-        conformity = ad.scale(ad.add_n(conf_terms), 1.0 / n_tr)
+    if use_conformity:
+        conformity = conformity_loss(emb, learner_cfg.conformity_scale, learner_cfg.conformity_floor)
         objective = ad.add(objective, conformity)
     opt.zero_grad()
     ad.backward(objective)
-    check_finite_grads(opt.params, "actor_update", _trajectory_payload(batch))
+    check_finite_grads(opt.params, "actor_update", lambda: _trajectory_payload(batch))
     opt.step()
     return {
         "policy_loss": pg_loss.item(),
@@ -224,46 +225,33 @@ def actor_update(batch: list, policy: TaacTeamPolicy, opt: Adam, learner_cfg) ->
         "conformity": conformity.item() if conformity is not None else None,
         "entropy": entropy.item(),
         "mean_advantage": float(np.mean(adv_stack)),
-        "transitions": n_tr,
+        "transitions": T,
     }
 
 
 def critic_update(batch: list, policy: TaacTeamPolicy, opt: Adam, learner_cfg) -> dict:
     """Mean-squared-error regression of per-agent values onto their targets."""
-    if not batch:
-        raise ValueError("critic_update needs a nonempty batch")
-    terms = []
-    count = 0
-    for traj in batch:
-        if traj.returns is None:
-            compute_returns(traj, learner_cfg.gamma)
-        targets = _critic_targets(traj, policy, learner_cfg)
-        for t, tr in enumerate(traj.transitions):
-            q = policy.critic.forward(tr.obs, tr.actions)
-            err = ad.sub(q, Tensor(targets[t]))
-            terms.append(ad.reduce_sum(ad.mul(err, err)))
-            count += tr.actions.shape[0]
-    loss = ad.scale(ad.add_n(terms), 1.0 / count)
+    obs_stack, act_stack, _ = _stacked(batch, learner_cfg.gamma)
+    targets = np.concatenate([_critic_targets(traj, policy, learner_cfg) for traj in batch])
+    err = ad.sub(policy.critic.forward(obs_stack, act_stack), Tensor(targets))
+    loss = ad.scale(ad.reduce_sum(ad.mul(err, err)), 1.0 / targets.size)
     opt.zero_grad()
     ad.backward(loss)
-    check_finite_grads(opt.params, "critic_update", _trajectory_payload(batch))
+    check_finite_grads(opt.params, "critic_update", lambda: _trajectory_payload(batch))
     opt.step()
-    return {"critic_mse": loss.item(), "values": count}
+    return {"critic_mse": loss.item(), "values": targets.size}
 
 
 def _critic_targets(traj: Trajectory, policy: TaacTeamPolicy, learner_cfg) -> np.ndarray:
     if learner_cfg.critic_target == "mc":
         return traj.returns
-    # one-step bootstrapped target along the stored action sequence
-    T = len(traj.transitions)
-    targets = np.zeros_like(traj.returns)
-    with ad.no_grad():
-        for t, tr in enumerate(traj.transitions):
-            if t + 1 < T:
-                q_next = policy.critic.q_np(tr.next_obs, traj.transitions[t + 1].actions)
-                targets[t] = tr.rewards + learner_cfg.gamma * q_next
-            else:
-                targets[t] = tr.rewards
+    # one-step bootstrapped target along the stored action sequence, one stacked pass
+    trs = traj.transitions
+    targets = np.stack([tr.rewards for tr in trs])
+    if len(trs) > 1:
+        q_next = policy.critic.q_np(np.stack([tr.next_obs for tr in trs[:-1]]),
+                                    np.stack([tr.actions for tr in trs[1:]]))
+        targets[:-1] = targets[:-1] + learner_cfg.gamma * q_next
     return targets
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -74,14 +75,14 @@ class ActorNet:
             ("relu", "relu", "identity"), rng,
         )
 
-    def forward(self, obs: np.ndarray) -> tuple[Tensor, Tensor]:
-        """Returns (n x n_actions action distributions, n x out attended embeddings)."""
+    def forward(self, obs: np.ndarray, log_probs: bool = False) -> tuple[Tensor, Tensor]:
+        """Returns (action distributions, or their logs with ``log_probs``; attended
+        embeddings) for (n, obs) observations or a (T, n, obs) stack."""
         obs = np.asarray(obs, dtype=np.float64)
-        x = Tensor(obs / self.cfg.obs_scale)
-        m = self.embed.forward(x)
+        m = self.embed.forward(Tensor(obs / self.cfg.obs_scale))
         e = self.attn.forward(m)[0] if self.attn is not None else m
         logits = self.post.forward(e)
-        return ad.softmax_rows(logits), e
+        return (ad.log_softmax(logits) if log_probs else ad.softmax_rows(logits)), e
 
     def probs_np(self, obs: np.ndarray) -> np.ndarray:
         """Tape-free distributions for rollouts; supports stacked (..., n, obs) inputs."""
@@ -128,13 +129,13 @@ class CriticNet:
         return np.concatenate([obs, onehot], axis=-1)
 
     def forward(self, obs: np.ndarray, actions: np.ndarray) -> Tensor:
-        """Returns the n per-agent values for one joint (observations, actions)."""
+        """Returns the per-agent values, (n,) for one joint (observations, actions)
+        or (T, n) for a stack of them."""
         x = Tensor(self._inputs(obs, actions))
         m = self.embed.forward(x)
         e, _ = self.attn.forward(m)
-        h = ad.concat([m, e], axis=1)
-        q = self.post.forward(h)
-        return ad.reshape(q, (q.shape[0],))
+        q = self.post.forward(ad.concat([m, e], axis=-1))
+        return ad.reshape(q, q.shape[:-1])
 
     def q_np(self, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
         """Tape-free values; supports stacked (..., n, obs) / (..., n) inputs."""
@@ -197,31 +198,46 @@ def counterfactual_baseline(i: int, obs: np.ndarray, actions: np.ndarray,
 def counterfactual_baselines_batch(obs_stack: np.ndarray, act_stack: np.ndarray,
                                    probs_stack: np.ndarray, critic: CriticNet,
                                    chunk: int = 8192) -> np.ndarray:
-    """Baselines for a whole batch of transitions in chunked stacked passes.
+    """Baselines for a whole batch of transitions, computed from the critic's parts.
 
     ``obs_stack`` is (T, n, obs_width), ``act_stack`` (T, n), ``probs_stack``
     (T, n, A). Returns (T, n). Matches counterfactual_baselines applied per
-    transition.
+    transition. Each (agent, action) pair is embedded once. Substituting
+    agent i's action changes only agent i's key and value, and only agent
+    i's value is needed, so each substitution attends from one query row.
+    At most ``chunk`` substitutions (at least one transition) run per pass.
     """
     obs_stack = np.asarray(obs_stack, dtype=np.float64)
     act_stack = np.asarray(act_stack, dtype=np.int64)
     T, n = act_stack.shape
     A = critic.cfg.n_actions
-    # variants[t, i, a] = act_stack[t] with agent i's action replaced by a
-    variants = np.broadcast_to(act_stack[:, None, None, :], (T, n, A, n)).copy()
+    step = max(1, chunk // (n * A))
     idx = np.arange(n)
-    variants[:, idx, :, idx] = np.broadcast_to(np.arange(A), (T, n, A)).transpose(1, 0, 2)
-    variants = variants.reshape(T * n * A, n)
-    obs_big = np.broadcast_to(obs_stack[:, None, None, :, :], (T, n, A, n, obs_stack.shape[-1]))
-    obs_big = obs_big.reshape(T * n * A, n, obs_stack.shape[-1])
-    q_own = np.empty(T * n * A)
-    group_agent = np.repeat(np.tile(idx, T), A)  # owning agent per variant group
-    for start in range(0, T * n * A, chunk):
-        stop = min(start + chunk, T * n * A)
-        q = critic.q_np(obs_big[start:stop], variants[start:stop])
-        q_own[start:stop] = q[np.arange(stop - start), group_agent[start:stop]]
-    q_own = q_own.reshape(T, n, A)
-    return np.einsum("tia,tia->ti", probs_stack, q_own)
+    out = np.empty((T, n))
+    for start in range(0, T, step):
+        acts = act_stack[start:start + step]
+        x = critic._inputs(obs_stack[start:start + step], acts)  # checks the action ids
+        x = np.repeat(x[:, :, None], A, axis=2)                  # (t, n, A, in)
+        x[..., -A:] = np.eye(A)                                   # row a: one-hot of action a
+        m = critic.embed.forward_np(x)                            # (t, n, A, d)
+        t, taken = m.shape[0], acts[:, :, None, None]
+        heads = [m]
+        for head in critic.attn.heads:
+            q, k, v = ((m.reshape(-1, m.shape[-1]) @ w.data).reshape(t, n, A, -1)
+                       for w in (head.wq, head.wk, head.wv))
+            k_act = np.take_along_axis(k, taken, axis=2)[:, :, 0]  # keys of the taken actions
+            v_act = np.take_along_axis(v, taken, axis=2)[:, :, 0]
+            scores = (q.reshape(t, n * A, -1) @ np.swapaxes(k_act, 1, 2)).reshape(t, n, A, n)
+            scores[:, idx, :, idx] = (q * k).sum(axis=-1).transpose(1, 0, 2)
+            scores /= math.sqrt(k.shape[-1])
+            w = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            w /= w.sum(axis=-1, keepdims=True)
+            own = w[:, idx, :, idx].transpose(1, 0, 2)[..., None]  # weight on the substituted row
+            w[:, idx, :, idx] = 0.0
+            heads.append((w.reshape(t, n * A, n) @ v_act).reshape(v.shape) + own * v)
+        q_sub = critic.post.forward_np(np.concatenate(heads, axis=-1))[..., 0]  # (t, n, A)
+        out[start:start + step] = np.einsum("tia,tia->ti", probs_stack[start:start + step], q_sub)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +247,16 @@ def counterfactual_baselines_batch(obs_stack: np.ndarray, act_stack: np.ndarray,
 def conformity_loss(embeddings: Tensor, scale_coef: float, floor: float) -> Tensor:
     """scale_coef * max(mean pairwise cosine similarity of rows, floor).
 
-    High when the agents' attended embeddings align (low role diversity).
-    Gradients flow only while the mean similarity exceeds the floor.
+    ``embeddings`` is one (n, d) matrix or a (T, n, d) stack; a stack gives
+    the mean of the per-transition penalties. High when the agents'
+    attended embeddings align (low role diversity). Gradients flow only
+    while the mean similarity exceeds the floor.
     """
-    n = embeddings.shape[0]
+    n = embeddings.shape[-2] if embeddings.data.ndim >= 2 else 0
     if n < 2:
         raise ValueError(f"conformity loss needs at least 2 embeddings, got {n}")
-    rows = [ad.row(embeddings, i) for i in range(n)]
-    sims = [
-        ad.cosine_similarity(rows[i], rows[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
-    mean = ad.scale(ad.add_n(sims), 1.0 / len(sims))
-    return ad.scale(ad.maximum_const(mean, floor), scale_coef)
+    per_transition = ad.maximum_const(ad.mean_pairwise_cosine(embeddings), floor)
+    return ad.reduce_mean(ad.scale(per_transition, scale_coef))
 
 
 # ---------------------------------------------------------------------------

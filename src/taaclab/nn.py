@@ -17,13 +17,14 @@ from .autodiff import (
     ShapeError,
     Tensor,
     add,
+    bmm,
     concat,
     matmul,
     relu,
+    reshape,
     scale,
     softmax_rows,
     tanh,
-    transpose,
 )
 
 ACTIVATIONS = ("relu", "tanh", "identity")
@@ -83,11 +84,15 @@ class Mlp:
         return self.layers[-1].w.shape[1]
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 2 or x.shape[1] != self.in_width:
+        """Forward for (rows, in_width) or stacked (..., in_width) inputs."""
+        if x.data.ndim < 2 or x.shape[-1] != self.in_width:
             raise ShapeError(f"mlp input shape {x.shape} does not match first layer width {self.in_width}")
+        lead = x.shape[:-1]
+        if len(lead) > 1:
+            x = reshape(x, (-1, self.in_width))  # collapse to one GEMM per layer
         for layer in self.layers:
             x = _apply_activation(add(matmul(x, layer.w), layer.b), layer.activation)
-        return x
+        return reshape(x, lead + (x.shape[-1],)) if len(lead) > 1 else x
 
     def forward_np(self, x: np.ndarray, relu_preacts: list | None = None) -> np.ndarray:
         """Tape-free forward for stacked inputs (..., in_width).
@@ -129,22 +134,24 @@ class AttentionHead:
 
 
 def attention(m: Tensor, head: AttentionHead) -> tuple[Tensor, Tensor]:
-    """Scaled dot-product attention over the rows of ``m``.
+    """Scaled dot-product attention over the rows of ``m``: one (n, d_model)
+    matrix, or each matrix of a (T, n, d_model) stack.
 
     Returns ``(weights, out)`` where ``weights`` is the row-stochastic
     n x n matrix softmax(m Wq (m Wk)^T / sqrt(d_k)) and ``out`` is
-    ``weights @ (m Wv)``.
+    ``weights @ (m Wv)``, each with the leading axis of ``m`` if it has one.
     """
     d_model = head.wq.shape[0]
-    if m.data.ndim != 2 or m.shape[1] != d_model:
+    if m.data.ndim not in (2, 3) or m.shape[-1] != d_model:
         raise ShapeError(f"attention input shape {m.shape} does not match head width {d_model}")
-    q = matmul(m, head.wq)
-    k = matmul(m, head.wk)
-    v = matmul(m, head.wv)
+    n = m.shape[-2]
+    rows = reshape(m, (-1, d_model))  # one GEMM per projection over every row
+    q, k, v = (reshape(matmul(rows, w), (-1, n, w.shape[1])) for w in (head.wq, head.wk, head.wv))
     d_k = head.wk.shape[1]
-    scores = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d_k))
-    weights = softmax_rows(scores)
-    return weights, matmul(weights, v)
+    weights = softmax_rows(scale(bmm(q, k, transpose_b=True), 1.0 / math.sqrt(d_k)))
+    out = bmm(weights, v)
+    lead = m.shape[:-1]
+    return reshape(weights, lead + (n,)), reshape(out, lead + (out.shape[-1],))
 
 
 class MultiHeadAttention:
@@ -182,13 +189,14 @@ class MultiHeadAttention:
         return sum(h.wv.shape[1] for h in self.heads)
 
     def forward(self, m: Tensor) -> tuple[Tensor, list[Tensor]]:
-        """Returns (per-row concatenation of head outputs, per-head weights)."""
+        """Returns (per-row concatenation of head outputs, per-head weights)
+        for an (n, d_model) matrix or a (T, n, d_model) stack."""
         outs, weights = [], []
         for head in self.heads:
             w, o = attention(m, head)
             weights.append(w)
             outs.append(o)
-        return concat(outs, axis=1), weights
+        return concat(outs, axis=-1), weights
 
     def forward_np(self, m: np.ndarray) -> np.ndarray:
         """Tape-free forward for stacked inputs (..., n, d_model)."""
@@ -222,10 +230,6 @@ class MultiHeadAttention:
             out[f"{prefix}.{i}.wk"] = head.wk
             out[f"{prefix}.{i}.wv"] = head.wv
         return out
-
-
-def mlp_forward(net: Mlp, x: Tensor) -> Tensor:
-    return net.forward(x)
 
 
 # ---------------------------------------------------------------------------

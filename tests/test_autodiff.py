@@ -145,8 +145,9 @@ def test_gather_and_row():
     expected[0, 1] = expected[1, 3] = expected[2, 0] = 1.0
     np.testing.assert_array_equal(m.grad, expected)
 
-    r = ad.row(Tensor(np.arange(12.0).reshape(3, 4)), 2)
-    np.testing.assert_array_equal(r.data, [8.0, 9.0, 10.0, 11.0])
+    # rows of a (T, n, d) stack keep their values when flattened to (T*n, d)
+    r = ad.reshape(Tensor(np.arange(12.0).reshape(2, 2, 3)), (4, 3))
+    np.testing.assert_array_equal(r.data[2], [6.0, 7.0, 8.0])
 
 
 def test_concat_axis0_and_axis1():
@@ -170,20 +171,56 @@ def test_maximum_const_floor_blocks_gradient():
 
 
 def test_cosine_similarity_known_values():
-    a = Tensor(np.array([1.0, 0.0]))
-    b = Tensor(np.array([0.0, 1.0]))
-    assert abs(ad.cosine_similarity(a, b).item()) < 1e-7
-    c = ad.cosine_similarity(Tensor(np.array([2.0, 0.0])), Tensor(np.array([3.0, 0.0])))
+    # mean over one pair of rows is the pair's cosine
+    pair = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    assert abs(ad.mean_pairwise_cosine(pair).item()) < 1e-7
+    c = ad.mean_pairwise_cosine(Tensor(np.array([[2.0, 0.0], [3.0, 0.0]])))
     assert abs(c.item() - 1.0) < 1e-7
+    # per-stack means: rows (1,0), (0,1), (1,1)/sqrt2 have pair cosines 0, 1/sqrt2, 1/sqrt2
+    s = 1 / np.sqrt(2)
+    stack = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0], [s, s]],
+                             [[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]]))
+    np.testing.assert_allclose(ad.mean_pairwise_cosine(stack).data, [np.sqrt(2) / 3, 1.0], atol=1e-7)
 
 
 def test_cosine_similarity_zero_vector_is_finite():
-    a = Tensor(np.zeros(3), requires_grad=True)
-    b = Tensor(np.ones(3), requires_grad=True)
-    out = ad.cosine_similarity(a, b)
+    a = Tensor(np.stack([np.zeros(3), np.ones(3)]), requires_grad=True)
+    out = ad.mean_pairwise_cosine(a)
     assert out.item() == 0.0
     backward(out)
-    assert np.all(np.isfinite(a.grad)) and np.all(np.isfinite(b.grad))
+    assert np.all(np.isfinite(a.grad))
+
+
+def test_bmm_matches_per_matrix_products():
+    rng = np.random.default_rng(4)
+    a, b = rand(rng, 5, 3, 4), rand(rng, 5, 4, 2)
+    out = ad.bmm(Tensor(a), Tensor(b)).data
+    out_t = ad.bmm(Tensor(a), Tensor(np.swapaxes(b, 1, 2).copy()), transpose_b=True).data
+    for t in range(5):
+        np.testing.assert_allclose(out[t], a[t] @ b[t], atol=1e-12)
+        np.testing.assert_array_equal(out_t[t], out[t])
+    with pytest.raises(ShapeError):
+        ad.bmm(Tensor(a), Tensor(b), transpose_b=True)
+
+
+def test_log_softmax_extreme_logits_stay_finite():
+    x = Tensor(np.array([[800.0, 0.0, -5.0]]), requires_grad=True)
+    out = ad.log_softmax(x)
+    np.testing.assert_allclose(out.data, [[0.0, -800.0, -805.0]], atol=1e-9)
+    moderate = np.array([[1.0, 2.0, 3.0], [0.5, -0.5, 0.0]])
+    np.testing.assert_allclose(ad.log_softmax(Tensor(moderate)).data,
+                               np.log(ad.softmax_rows(Tensor(moderate)).data), atol=1e-12)
+    backward(ad.reduce_sum(ad.mul(ad.exp(out), out)))
+    assert np.all(np.isfinite(x.grad))
+
+
+def test_one_column_matmul_rows_do_not_depend_on_row_count():
+    rng = np.random.default_rng(6)
+    x, w = rand(rng, 12, 8), Tensor(rand(rng, 8, 1))
+    full = ad.matmul(Tensor(x), w).data
+    np.testing.assert_allclose(full, x @ w.data, atol=1e-12)
+    for i in range(0, 12, 3):
+        np.testing.assert_array_equal(ad.matmul(Tensor(x[i:i + 3]), w).data, full[i:i + 3])
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +236,10 @@ def _op_cases(rng):
     # keep relu/log/kinked inputs away from their singular points
     off = Tensor(rand(rng, 3, 4) + np.where(rand(rng, 3, 4) > 0, 1.0, -1.0), requires_grad=True)
     pos = Tensor(np.abs(rand(rng, 3, 4)) + 0.5, requires_grad=True)
-    v1 = Tensor(rand(rng, 5), requires_grad=True)
-    v2 = Tensor(rand(rng, 5), requires_grad=True)
+    pair = Tensor(rand(rng, 2, 5), requires_grad=True)
+    s3 = Tensor(rand(rng, 4, 3, 5), requires_grad=True)
+    s3b = Tensor(rand(rng, 4, 5, 2), requires_grad=True)
+    s3t = Tensor(rand(rng, 4, 2, 5), requires_grad=True)
     cols = np.array([1, 3, 0])
     return {
         "matmul": (lambda: ad.reduce_sum(ad.mul(ad.matmul(a32, b24), ad.matmul(a32, b24))), [a32, b24]),
@@ -210,20 +249,28 @@ def _op_cases(rng):
         "mul": (lambda: ad.reduce_sum(ad.mul(m, m2)), [m, m2]),
         "neg": (lambda: ad.reduce_sum(ad.mul(ad.neg(m), m2)), [m]),
         "scale": (lambda: ad.reduce_sum(ad.mul(ad.scale(m, 2.5), m2)), [m]),
-        "transpose": (lambda: ad.reduce_sum(ad.mul(ad.transpose(m), ad.transpose(m2))), [m]),
+        # "transpose", "row" and "cosine_similarity" name the ops these cases
+        # covered before the batched ops replaced them: the transposed operand
+        # of bmm, rows of one matrix in mean_pairwise_cosine, and a single pair
+        "transpose": (lambda: ad.reduce_sum(ad.tanh(ad.bmm(s3, s3t, transpose_b=True))), [s3, s3t]),
+        "bmm": (lambda: ad.reduce_sum(ad.tanh(ad.bmm(s3, s3b))), [s3, s3b]),
         "reshape": (lambda: ad.reduce_sum(ad.mul(ad.reshape(m, (4, 3)), ad.reshape(m2, (4, 3)))), [m]),
         "relu": (lambda: ad.reduce_sum(ad.mul(ad.relu(off), m2)), [off]),
         "tanh": (lambda: ad.reduce_sum(ad.tanh(m)), [m]),
         "log": (lambda: ad.reduce_sum(ad.log(pos)), [pos]),
         "softmax_rows": (lambda: ad.reduce_sum(ad.mul(ad.softmax_rows(m), m2)), [m]),
+        "softmax_last_axis": (lambda: ad.reduce_sum(ad.tanh(ad.softmax_rows(s3))), [s3]),
+        "log_softmax": (lambda: ad.reduce_sum(ad.mul(ad.log_softmax(s3), ad.tanh(s3))), [s3]),
+        "exp": (lambda: ad.reduce_sum(ad.mul(ad.exp(m), m2)), [m]),
         "gather": (lambda: ad.reduce_sum(ad.mul(ad.gather(m, cols), Tensor([1.0, -2.0, 0.5]))), [m]),
-        "row": (lambda: ad.reduce_sum(ad.mul(ad.row(m, 1), ad.row(m2, 2))), [m]),
+        "row": (lambda: ad.mean_pairwise_cosine(m), [m]),
         "concat": (lambda: ad.reduce_sum(ad.mul(ad.concat([m, m2], axis=1),
                                                 ad.concat([m2, m], axis=1))), [m, m2]),
         "reduce_sum_axis": (lambda: ad.reduce_sum(ad.tanh(ad.reduce_sum(m, axis=1))), [m]),
         "reduce_mean": (lambda: ad.reduce_mean(ad.mul(m, m)), [m]),
         "reduce_mean_axis": (lambda: ad.reduce_sum(ad.tanh(ad.reduce_mean(m, axis=0))), [m]),
-        "cosine_similarity": (lambda: ad.cosine_similarity(v1, v2), [v1, v2]),
+        "cosine_similarity": (lambda: ad.mean_pairwise_cosine(pair), [pair]),
+        "mean_pairwise_cosine": (lambda: ad.reduce_sum(ad.tanh(ad.mean_pairwise_cosine(s3))), [s3]),
         "maximum_const": (lambda: ad.reduce_sum(ad.maximum_const(off, 0.0)), [off]),
         "minimum": (lambda: ad.reduce_sum(ad.minimum(m, m2)), [m, m2]),
         "clip_const": (lambda: ad.reduce_sum(ad.mul(ad.clip_const(off, -0.9, 0.9), m2)), [off]),

@@ -219,7 +219,25 @@ def test_nan_gradient_aborts_update_and_dumps_batch():
     with open(err.value.dump_path) as fh:
         dump = json.load(fh)
     assert dump["trajectories"]
+    obs = np.asarray(dump["trajectories"][0]["obs"])
+    assert obs.shape == (len(traj), 3, 8)
+    np.testing.assert_array_equal(obs, np.stack([tr.obs for tr in traj.transitions]))
     os.unlink(err.value.dump_path)
+
+
+def test_finite_update_builds_no_dump(monkeypatch):
+    from taaclab import learner
+
+    def fail(batch):
+        raise AssertionError("dump payload built for a finite update")
+
+    monkeypatch.setattr(learner, "_trajectory_payload", fail)
+    rng = np.random.default_rng(10)
+    policy = _taac(10)
+    traj = make_traj(rng)
+    lrn = LearnerSettings()
+    critic_update([traj], policy, Adam(policy.critic_parameters(), 1e-3), lrn)
+    actor_update([traj], policy, Adam(policy.actor_parameters(), 1e-3), lrn)
 
 
 def test_coma_advantage_mode_runs():
