@@ -53,15 +53,13 @@ class TeamPolicy(Protocol):
 
 
 def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One inverse-CDF draw per row; ``rng.random(n)`` is the stream of n single draws."""
     n, k = probs.shape
-    actions = np.empty(n, dtype=np.int64)
-    logps = np.empty(n)
-    for i in range(n):
-        cdf = np.cumsum(probs[i])
-        a = int(np.searchsorted(cdf, rng.random(), side="right"))
-        a = min(a, k - 1)
-        actions[i] = a
-        logps[i] = math.log(max(probs[i, a], 1e-300))
+    u = rng.random(n)
+    # the count of cdf entries <= u is searchsorted(cdf, u, side="right")
+    actions = np.minimum((np.cumsum(probs, axis=1) <= u[:, None]).sum(axis=1), k - 1)
+    # math.log, not np.log: the two differ in the last bit for some inputs
+    logps = np.array([math.log(max(p, 1e-300)) for p in probs[np.arange(n), actions].tolist()])
     return actions, logps
 
 

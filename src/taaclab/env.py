@@ -22,8 +22,8 @@ N_ACTIONS = 18
 TEAM_SIZE = 3
 N_PLAYERS = 2 * TEAM_SIZE
 
-# movement index m in [0, 9): dx = m % 3 - 1, dy = m // 3 - 1
-_MOVES = [(m % 3 - 1, m // 3 - 1) for m in range(9)]
+# action id a: move (dx, dy) = (a % 3 - 1, a % 9 // 3 - 1), kick when a >= 9
+_MOVE_VECS = np.array([(a % 3 - 1, a % 9 // 3 - 1) for a in range(N_ACTIONS)], dtype=np.float64)
 NOOP_ACTION = 4  # (0, 0) without kick
 
 SPAWN_MODES = ("random_spawns", "fixed_formation")
@@ -129,8 +129,24 @@ def decode_action(action: int) -> tuple[np.ndarray, bool]:
     """Map an id in [0, 18) to (move vector with components in {-1,0,1}, kick)."""
     if not 0 <= action < N_ACTIONS:
         raise ValueError(f"action id {action} out of range [0, {N_ACTIONS})")
-    dx, dy = _MOVES[action % 9]
-    return np.array([float(dx), float(dy)]), action >= 9
+    return _MOVE_VECS[action].copy(), action >= 9
+
+
+# per action id: the move length (1 for the still moves) and unit move
+_MOVE_DIVISORS = np.hypot(_MOVE_VECS[:, 0], _MOVE_VECS[:, 1])
+_MOVE_DIVISORS[_MOVE_DIVISORS == 0.0] = 1.0
+_MOVE_UNITS = _MOVE_VECS / _MOVE_DIVISORS[:, None]
+
+
+def _action_ids(actions) -> np.ndarray:
+    """The six action ids as int64; raises on a wrong shape or an id outside [0, 18)."""
+    actions = np.asarray(actions, dtype=np.int64)
+    if actions.shape != (N_PLAYERS,):
+        raise ValueError(f"expected {N_PLAYERS} action ids, got shape {actions.shape}")
+    # explicit: a table lookup would wrap -1 to action 17 (as unsigned, -1 is huge)
+    if (actions.view(np.uint64) >= N_ACTIONS).any():
+        raise ValueError(f"action ids {actions.tolist()} out of range [0, {N_ACTIONS})")
+    return actions
 
 
 def encode_action(move: tuple[int, int], kick: bool) -> int:
@@ -146,43 +162,58 @@ def encode_action(move: tuple[int, int], kick: bool) -> int:
 OBS_WIDTH = 2 * (TEAM_SIZE - 1) + 2 * TEAM_SIZE + 2 + 2 + 2 + 2 + 4  # 22 for 3v3
 
 
+def _obs_gather() -> tuple[np.ndarray, np.ndarray]:
+    """Per-player indices such that observation = src[plus] - src[minus], where
+    src is 12 player coordinates, ball position (12), ball velocity (14), west
+    and east goal centers (16, 18), pitch width and length (20, 21), and 0."""
+    plus, minus = [], []
+    for p in range(N_PLAYERS):
+        team, x, y = team_of(p), 2 * p, 2 * p + 1
+        others = [j for j in team_players(team) if j != p] + list(team_players(1 - team))
+        goals = (18, 16) if team == 0 else (16, 18)  # opponent's, then own
+        plus.append([2 * j + k for j in others for k in (0, 1)] + [12, 13, 14, 15]
+                    + [g + k for g in goals for k in (0, 1)] + [20, 21, x, y])  # rays N, E, W, S
+        minus.append([x, y] * 6 + [22, 22] + [x, y] * 2 + [y, x, 22, 22])
+    return np.array(plus), np.array(minus)
+
+
+_OBS_PLUS, _OBS_MINUS = _obs_gather()
+
+
 def observe(state: WorldState, player: int, cfg: EnvConfig) -> np.ndarray:
     """Egocentric observation: relative teammate/opponent/ball/goal vectors,
     ball velocity, and N/E/W/S raycast distances to the boundary."""
     if not 0 <= player < N_PLAYERS:
         raise ValueError(f"player id {player} out of range")
-    p = state.player_pos[player]
-    team = team_of(player)
-    parts = []
-    for j in team_players(team):
-        if j != player:
-            parts.append(state.player_pos[j] - p)
-    for j in team_players(1 - team):
-        parts.append(state.player_pos[j] - p)
-    parts.append(state.ball_pos - p)
-    parts.append(state.ball_vel.copy())
-    parts.append(opponent_goal_center(team, cfg) - p)
-    parts.append(own_goal_center(team, cfg) - p)
-    rays = np.array([cfg.pitch_width - p[1], cfg.pitch_length - p[0], p[0], p[1]])  # N, E, W, S
-    parts.append(rays)
-    return np.concatenate(parts)
+    return observe_team(state, team_of(player), cfg)[player % TEAM_SIZE]
 
 
 def observe_team(state: WorldState, team: int, cfg: EnvConfig) -> np.ndarray:
-    return np.stack([observe(state, j, cfg) for j in team_players(team)])
+    """The three ``observe`` rows of one team, teammates in id order."""
+    if team not in (0, 1):
+        raise ValueError(f"team id {team} out of range")
+    L, W = cfg.pitch_length, cfg.pitch_width
+    src = np.concatenate((state.player_pos.ravel(), state.ball_pos, state.ball_vel,
+                          (0.0, W / 2.0, L, W / 2.0, W, L, 0.0)))
+    rows = slice(team * TEAM_SIZE, (team + 1) * TEAM_SIZE)
+    return src[_OBS_PLUS[rows]] - src[_OBS_MINUS[rows]]
 
 
 # ---------------------------------------------------------------------------
 # spawning
 
 
+_SPAWN_DRAWS = 10_000  # rejection draws per circle before a random spawn gives up
+
+
 def _sample_positions(cfg: EnvConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform non-overlapping player and ball positions inside the pitch."""
+    """Uniform non-overlapping player and ball positions inside the pitch;
+    ValueError if the circles already placed leave no room for the next."""
     rp, rb = cfg.player_radius, cfg.ball_radius
     placed: list[tuple[np.ndarray, float]] = []
 
     def place(radius: float) -> np.ndarray:
-        while True:
+        for _ in range(_SPAWN_DRAWS):
             pos = np.array([
                 rng.uniform(radius, cfg.pitch_length - radius),
                 rng.uniform(radius, cfg.pitch_width - radius),
@@ -190,6 +221,9 @@ def _sample_positions(cfg: EnvConfig, rng: np.random.Generator) -> tuple[np.ndar
             if all(np.linalg.norm(pos - q) > radius + r for q, r in placed):
                 placed.append((pos, radius))
                 return pos
+        raise ValueError(f"random spawn found no free spot in {_SPAWN_DRAWS} draws on a "
+                         f"{cfg.pitch_length} x {cfg.pitch_width} pitch (player_radius {rp}, "
+                         f"ball_radius {rb}); use a larger pitch or smaller radii")
 
     players = np.stack([place(rp) for _ in range(N_PLAYERS)])
     ball = place(rb)
@@ -247,10 +281,15 @@ def respawn(state: WorldState, cfg: EnvConfig, mode: str,
 # physics step
 
 
+_PLAYER_TEAM = np.arange(N_PLAYERS) // TEAM_SIZE
+_PAIR_I, _PAIR_J = np.triu_indices(N_PLAYERS, k=1)  # all 15 player pairs, i < j
+_MATES = _PAIR_I // TEAM_SIZE == _PAIR_J // TEAM_SIZE
+_MATE_I, _MATE_J = _PAIR_I[_MATES], _PAIR_J[_MATES]  # team 0's three pairs, then team 1's
+
+
 def _clamp_players(pos: np.ndarray, cfg: EnvConfig) -> None:
     r = cfg.player_radius
-    np.clip(pos[:, 0], r, cfg.pitch_length - r, out=pos[:, 0])
-    np.clip(pos[:, 1], r, cfg.pitch_width - r, out=pos[:, 1])
+    np.minimum(np.maximum(pos, r, out=pos), (cfg.pitch_length - r, cfg.pitch_width - r), out=pos)
 
 
 def _separate_players(pos: np.ndarray, cfg: EnvConfig) -> None:
@@ -340,29 +379,28 @@ def step(state: WorldState, actions: np.ndarray, cfg: EnvConfig) -> tuple[WorldS
     """
     if state.t >= cfg.steps_per_game:
         raise GameOverError(f"game already finished at step {state.t} (limit {cfg.steps_per_game})")
-    actions = np.asarray(actions, dtype=np.int64)
-    if actions.shape != (N_PLAYERS,):
-        raise ValueError(f"expected {N_PLAYERS} action ids, got shape {actions.shape}")
-
-    s = state.copy()
+    actions = _action_ids(actions)
     events = StepEvents()
 
     # movement
-    for i in range(N_PLAYERS):
-        move, kick = decode_action(int(actions[i]))
-        norm = float(np.hypot(move[0], move[1]))
-        vel = cfg.player_speed * move / norm if norm > 0 else np.zeros(2)
-        s.player_vel[i] = vel
-        s.player_pos[i] += vel
-        s.kicking[i] = kick
+    s = state.copy()
+    s.player_vel = cfg.player_speed * _MOVE_VECS[actions] / _MOVE_DIVISORS[actions, None]
+    s.player_pos += s.player_vel
+    s.kicking = actions >= 9
     _clamp_players(s.player_pos, cfg)
 
-    # player-player overlap
-    _separate_players(s.player_pos, cfg)
+    # player-player overlap: the order-dependent pass runs only if some pair overlaps
+    gap = s.player_pos[_PAIR_J] - s.player_pos[_PAIR_I]
+    if (np.hypot(gap[:, 0], gap[:, 1]) < 2.0 * cfg.player_radius).any():
+        _separate_players(s.player_pos, cfg)
 
-    # kicks and ball contact (fixed ascending player order)
+    # kicks and ball contact (fixed ascending player order), from the first
+    # player in contact; each contact moves the ball for the players after it
     contact = cfg.player_radius + cfg.ball_radius
-    for i in range(N_PLAYERS):
+    to_ball = s.ball_pos - s.player_pos
+    touching = np.hypot(to_ball[:, 0], to_ball[:, 1]) < contact
+    first = int(touching.argmax())
+    for i in range(first if touching[first] else N_PLAYERS, N_PLAYERS):
         d = s.ball_pos - s.player_pos[i]
         dist = float(np.hypot(d[0], d[1]))
         if dist >= contact:
@@ -396,6 +434,12 @@ def step(state: WorldState, actions: np.ndarray, cfg: EnvConfig) -> tuple[WorldS
 # rewards
 
 
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis of broadcastable stacks of 2-vectors, bit
+    for bit as ``a[i] @ b[i]`` (its root as ``np.linalg.norm``); ``x*x + y*y`` is not."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def reward_components(prev: WorldState, actions: np.ndarray, nxt: WorldState,
                       cfg: EnvConfig) -> np.ndarray:
     """Per-player (r_explore, r_ball, r_goal, r_dist) for one transition.
@@ -406,39 +450,30 @@ def reward_components(prev: WorldState, actions: np.ndarray, nxt: WorldState,
     team. r_goal: +/- goal_reward on the scoring step. r_dist: scaled mean
     pairwise teammate distance, capped at theta_max, same for the team.
     """
-    actions = np.asarray(actions, dtype=np.int64)
-    out = np.zeros((N_PLAYERS, 4))
+    actions = _action_ids(actions)
+    out = np.empty((N_PLAYERS, 4))
+
+    to_ball = prev.ball_pos - prev.player_pos
+    bn = np.hypot(to_ball[:, 0], to_ball[:, 1])
+    on_ball = bn <= 1e-12
+    out[:, 0] = cfg.theta_exp * rowdot(_MOVE_UNITS[actions], to_ball / np.where(on_ball, 1.0, bn)[:, None])
+    out[on_ball | (actions % 9 == NOOP_ACTION), 0] = 0.0
+
+    # per team: r_ball, r_goal, r_dist
+    team = np.empty((2, 3))
+    half_w = cfg.pitch_width / 2.0
+    g = np.array([[cfg.pitch_length, half_w], [0.0, half_w]]) - nxt.ball_pos
+    gn = np.hypot(g[:, 0], g[:, 1])
+    at_goal = gn <= 1e-12
+    team[:, 0] = cfg.theta_ball * rowdot(nxt.ball_vel[None, :], g / np.where(at_goal, 1.0, gn)[:, None])
+    team[at_goal, 0] = 0.0
     score_delta = nxt.scores - prev.scores
-
-    team_vals = []
-    for team in range(2):
-        g = opponent_goal_center(team, cfg) - nxt.ball_pos
-        gn = float(np.hypot(g[0], g[1]))
-        r_ball = cfg.theta_ball * float(nxt.ball_vel @ (g / gn)) if gn > 1e-12 else 0.0
-        idx = list(team_players(team))
-        dists = [
-            float(np.linalg.norm(nxt.player_pos[a] - nxt.player_pos[b]))
-            for k, a in enumerate(idx)
-            for b in idx[k + 1:]
-        ]
-        r_dist = cfg.theta_dist * min(float(np.mean(dists)), cfg.theta_max)
-        team_vals.append((r_ball, r_dist))
-
-    for i in range(N_PLAYERS):
-        team = team_of(i)
-        move, _ = decode_action(int(actions[i]))
-        mn = float(np.hypot(move[0], move[1]))
-        if mn > 0:
-            to_ball = prev.ball_pos - prev.player_pos[i]
-            bn = float(np.hypot(to_ball[0], to_ball[1]))
-            if bn > 1e-12:
-                out[i, 0] = cfg.theta_exp * float((move / mn) @ (to_ball / bn))
-        out[i, 1] = team_vals[team][0]
-        if score_delta[team] > 0:
-            out[i, 2] = cfg.goal_reward
-        elif score_delta[1 - team] > 0:
-            out[i, 2] = -cfg.goal_reward
-        out[i, 3] = team_vals[team][1]
+    team[:, 1] = np.where(score_delta > 0, cfg.goal_reward,
+                          np.where(score_delta[::-1] > 0, -cfg.goal_reward, 0.0))
+    d = nxt.player_pos[_MATE_I] - nxt.player_pos[_MATE_J]
+    dists = np.sqrt(rowdot(d, d)).reshape(2, -1)
+    team[:, 2] = cfg.theta_dist * np.minimum(dists.sum(axis=1) / dists.shape[1], cfg.theta_max)
+    out[:, 1:] = team[_PLAYER_TEAM]
     return out
 
 

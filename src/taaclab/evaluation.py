@@ -10,6 +10,7 @@ order so results are reproducible.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from .env import (
     observe_team,
     reset,
     respawn,
+    rowdot,
     step,
     team_players,
 )
@@ -71,18 +73,21 @@ class EloTable:
 # collaboration metrics
 
 
+def _pairs(items) -> np.ndarray:
+    """(first, second) index arrays of all unordered pairs, in loop order (np.triu_indices is slow)."""
+    return np.array(list(itertools.combinations(items, 2))).T
+
+
 def mean_pairwise_distance(points: np.ndarray) -> float:
     """Mean Euclidean distance over all unordered point pairs."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
-    dists = [
-        float(np.linalg.norm(points[i] - points[j]))
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
-    return float(np.mean(dists))
+    i, j = _pairs(range(n))
+    d = points[i] - points[j]
+    dists = np.sqrt(rowdot(d, d))
+    return float(dists.sum() / dists.size)
 
 
 def _frame_positions(frame: dict) -> np.ndarray:
@@ -96,17 +101,6 @@ def pairwise_distance(frame: dict, team: int) -> float:
     return mean_pairwise_distance(pos[idx])
 
 
-def _point_segment_distance(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    """Distance from point c to the segment [a, b]."""
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom < 1e-18:
-        return float(np.linalg.norm(c - a))
-    t = float((c - a) @ ab) / denom
-    t = min(1.0, max(0.0, t))
-    return float(np.linalg.norm(c - (a + t * ab)))
-
-
 def connectivity_from_positions(team_idx: Sequence[int], positions: np.ndarray,
                                 player_radius: float, d_min: float, d_max: float) -> float:
     """Fraction of teammate pairs joined by an unobstructed segment within [d_min, d_max].
@@ -114,25 +108,25 @@ def connectivity_from_positions(team_idx: Sequence[int], positions: np.ndarray,
     A pair connects when the segment between their centers stays clear of
     every other player's circle (either team) and the distance lies in band.
     """
-    team_idx = list(team_idx)
     n = len(team_idx)
     if n < 2:
         raise ValueError(f"connectivity needs at least 2 teammates, got {n}")
-    connected = 0
-    for ai in range(n):
-        for bi in range(ai + 1, n):
-            i, j = team_idx[ai], team_idx[bi]
-            d = float(np.linalg.norm(positions[i] - positions[j]))
-            if not d_min <= d <= d_max:
-                continue
-            blocked = any(
-                _point_segment_distance(positions[i], positions[j], positions[k]) < player_radius
-                for k in range(positions.shape[0])
-                if k not in (i, j)
-            )
-            if not blocked:
-                connected += 1
-    return connected / (n * (n - 1) / 2)
+    i, j = _pairs(team_idx)
+    a = positions[i]
+    ab = positions[j] - a
+    denom = rowdot(ab, ab)
+    dist = np.sqrt(denom)
+    in_band = (d_min <= dist) & (dist <= d_max)
+
+    # distance from each pair's segment (axis 0) to every player (axis 1)
+    ac = positions - a[:, None]
+    point = denom < 1e-18  # coincident pair: distance to the point
+    t = rowdot(ac, ab[:, None]) / np.where(point, 1.0, denom)[:, None]
+    off = positions - (a[:, None] + np.minimum(1.0, np.maximum(0.0, t))[..., None] * ab[:, None])
+    off[point] = ac[point]
+    others = np.arange(positions.shape[0])
+    near = (np.sqrt(rowdot(off, off)) < player_radius) & (others != i[:, None]) & (others != j[:, None])
+    return int(np.count_nonzero(in_band & ~near.any(axis=1))) / (n * (n - 1) / 2)
 
 
 def connectivity(frame: dict, team: int, d_min: float, d_max: float,

@@ -299,8 +299,9 @@ class PolicySnapshot:
 
 
 def save_snapshot(snapshot: PolicySnapshot, path) -> None:
+    text = json.dumps(snapshot.to_doc())  # one-shot encoding uses the C encoder; json.dump does not
     with open(path, "w") as fh:
-        json.dump(snapshot.to_doc(), fh)
+        fh.write(text)
 
 
 def load_snapshot(path) -> PolicySnapshot:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from taaclab.baselines import (
     build_policy,
     gae_advantages,
     policy_from_snapshot,
+    _sample_rows,
     ppo_update,
     random_action,
 )
@@ -24,6 +27,46 @@ from taaclab.nets import TaacNetConfig
 SMALL = TaacNetConfig(obs_width=8, n_actions=6, d_model=8, actor_heads=2, critic_heads=2,
                       embed_hidden=8, post_hidden=8, obs_scale=1.0)
 ENV_NET = TaacNetConfig()
+
+
+# ---------------------------------------------------------------------------
+# sampling
+
+
+def loop_sample_rows(probs, rng):
+    """The per-row reference for ``_sample_rows``."""
+    n, k = probs.shape
+    actions = np.empty(n, dtype=np.int64)
+    logps = np.empty(n)
+    for i in range(n):
+        cdf = np.cumsum(probs[i])
+        a = int(np.searchsorted(cdf, rng.random(), side="right"))
+        a = min(a, k - 1)
+        actions[i] = a
+        logps[i] = math.log(max(probs[i, a], 1e-300))
+    return actions, logps
+
+
+def test_sample_rows_matches_the_per_row_loop():
+    gen = np.random.default_rng(3)
+    batches = []
+    for _ in range(400):
+        n = int(gen.integers(1, 7))
+        logits = gen.normal(size=(n, N_ACTIONS)) * gen.choice([0.1, 1.0, 30.0, 800.0])
+        p = np.exp(logits - logits.max(axis=1, keepdims=True))
+        batches.append(p / p.sum(axis=1, keepdims=True))
+    one_hot = np.zeros((2, N_ACTIONS))
+    one_hot[0, 0] = one_hot[1, -1] = 1.0
+    short = np.full((40, N_ACTIONS), 0.9 / N_ACTIONS)  # rows summing below 1
+    batches += [one_hot, short]
+    rng_vec, rng_loop = np.random.default_rng(11), np.random.default_rng(11)
+    for probs in batches:
+        actions, logps = _sample_rows(probs, rng_vec)
+        ref_actions, ref_logps = loop_sample_rows(probs, rng_loop)
+        assert actions.dtype == ref_actions.dtype
+        assert np.array_equal(actions, ref_actions)
+        assert logps.tobytes() == ref_logps.tobytes()
+    assert rng_vec.random() == rng_loop.random()
 
 
 # ---------------------------------------------------------------------------

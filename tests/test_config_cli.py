@@ -139,6 +139,14 @@ def test_cli_bad_config_is_validation_error(tmp_path):
     assert main(["train", "--config", path]) == 2
 
 
+def test_cli_train_on_a_pitch_too_small_to_spawn_is_validation_error(tmp_path, capsys):
+    # six players of radius 1.5 cannot all fit: the centers lie in a 4 x 4 square
+    cfg_path = tiny_config(tmp_path, env={"pitch_length": 7.0, "pitch_width": 7.0,
+                                          "goal_width": 4.0, "steps_per_game": 40})
+    assert main(["train", "--config", cfg_path]) == 2
+    assert "no free spot" in capsys.readouterr().err
+
+
 def test_cli_train_league_eval_replay_pipeline(tmp_path, capsys):
     cfg_path = tiny_config(tmp_path)
     assert main(["train", "--config", cfg_path]) == 0

@@ -140,6 +140,12 @@ def test_thousand_random_resets_have_no_overlaps():
                 assert np.linalg.norm(pos[i] - pos[j]) > radii[i] + radii[j]
 
 
+def test_random_spawn_without_room_raises_instead_of_hanging():
+    cfg = EnvConfig(pitch_length=12, pitch_width=10, goal_width=4).validate()
+    with pytest.raises(ValueError, match=r"12 x 10 pitch \(player_radius 1.5, ball_radius 1.0\)"):
+        reset(cfg, "random_spawns", np.random.default_rng(114))
+
+
 def test_respawn_preserves_score_and_clock():
     rng = np.random.default_rng(8)
     s = reset(CFG, "random_spawns", rng)

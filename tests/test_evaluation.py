@@ -164,6 +164,69 @@ def test_connectivity_teammate_can_also_obstruct():
     assert value == pytest.approx(2 / 3)
 
 
+def loop_mean_pairwise_distance(points):
+    """The per-pair reference for ``mean_pairwise_distance``."""
+    n = points.shape[0]
+    dists = [
+        float(np.linalg.norm(points[i] - points[j]))
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    return float(np.mean(dists))
+
+
+def loop_point_segment_distance(a, b, c):
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom < 1e-18:
+        return float(np.linalg.norm(c - a))
+    t = float((c - a) @ ab) / denom
+    t = min(1.0, max(0.0, t))
+    return float(np.linalg.norm(c - (a + t * ab)))
+
+
+def loop_connectivity(team_idx, positions, player_radius, d_min, d_max):
+    """The per-pair, per-player reference for ``connectivity_from_positions``."""
+    n = len(team_idx)
+    connected = 0
+    for ai in range(n):
+        for bi in range(ai + 1, n):
+            i, j = team_idx[ai], team_idx[bi]
+            d = float(np.linalg.norm(positions[i] - positions[j]))
+            if not d_min <= d <= d_max:
+                continue
+            blocked = any(
+                loop_point_segment_distance(positions[i], positions[j], positions[k]) < player_radius
+                for k in range(positions.shape[0])
+                if k not in (i, j)
+            )
+            if not blocked:
+                connected += 1
+    return connected / (n * (n - 1) / 2)
+
+
+def test_vectorized_metrics_match_the_loops_bit_for_bit():
+    rng = np.random.default_rng(5)
+    cases = [rng.uniform(0, size, size=(6, 2)) for size in (100.0, 40.0, 12.0) for _ in range(150)]
+    # a teammate on the segment, a coincident pair, all six on one spot, and
+    # an opponent exactly one radius off the segment
+    cases.append(np.array([[0, 0], [20, 0], [10, 0], [80, 50], [85, 50], [90, 50]], dtype=float))
+    cases.append(np.array([[5, 5], [5, 5], [30, 5], [17, 5.5], [60, 50], [70, 50]], dtype=float))
+    cases.append(np.full((6, 2), 7.0))
+    cases.append(np.array([[0, 0], [20, 0], [40, 0], [10, 1.5], [50, 9], [60, 9]], dtype=float))
+    seen = set()
+    for positions in cases:
+        for team in ([0, 1, 2], [3, 4, 5], [2, 0, 5]):
+            for d_min in (5.0, 0.0):  # 0 keeps coincident pairs in band
+                got = connectivity_from_positions(team, positions, 1.5, d_min, 40.0)
+                want = loop_connectivity(team, positions, 1.5, d_min, 40.0)
+                assert got.hex() == want.hex()
+                seen.add(want)
+            got = mean_pairwise_distance(positions[team])
+            assert got.hex() == loop_mean_pairwise_distance(positions[team]).hex()
+    assert seen == {0.0, 1 / 3, 2 / 3, 1.0}
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=25)
 def test_connectivity_stays_in_unit_interval(seed):

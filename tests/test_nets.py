@@ -357,6 +357,11 @@ def test_snapshot_round_trip_reproduces_outputs_bit_exactly(tmp_path):
     snap = policy.to_snapshot(version=7)
     path = tmp_path / "snap.json"
     save_snapshot(snap, path)
+    # the file holds the bytes the streaming encoder writes
+    streamed = tmp_path / "streamed.json"
+    with open(streamed, "w") as fh:
+        json.dump(snap.to_doc(), fh)
+    assert path.read_bytes() == streamed.read_bytes()
     loaded = load_snapshot(path)
     assert loaded.version == 7 and loaded.kind == "taac"
 
