@@ -16,6 +16,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, grad_check
 from .baselines import PpoTeamPolicy
 from .nets import ActorNet, CriticNet, TaacNetConfig, conformity_loss
+from .nn import Mlp
 
 SMALL_NET = TaacNetConfig(
     obs_width=6, n_actions=6, d_model=8, actor_heads=2, critic_heads=2,
@@ -35,20 +36,32 @@ def _min_abs(arrays: list) -> float:
     return min(float(np.abs(a).min()) for a in arrays) if arrays else np.inf
 
 
+def _relu_preacts(mlp: Mlp, x: np.ndarray, pre: list) -> np.ndarray:
+    """``mlp.forward_np`` on (rows, in_width) that appends each relu layer's pre-activations to ``pre``."""
+    for layer in mlp.layers:
+        x = x @ layer.w.data + layer.b.data
+        if layer.activation == "relu":
+            pre.append(x)
+            x = np.maximum(x, 0.0)
+        elif layer.activation == "tanh":
+            x = np.tanh(x)
+    return x
+
+
 def _actor_min_preact(actor: ActorNet, obs: np.ndarray) -> float:
     pre: list = []
-    m = actor.embed.forward_np(obs / actor.cfg.obs_scale, pre)
+    m = _relu_preacts(actor.embed, obs / actor.cfg.obs_scale, pre)
     e = actor.attn.forward_np(m) if actor.attn is not None else m
-    actor.post.forward_np(e, pre)
+    _relu_preacts(actor.post, e, pre)
     return _min_abs(pre)
 
 
 def _critic_min_preact(critic: CriticNet, obs: np.ndarray, actions: np.ndarray) -> float:
     pre: list = []
     x = critic._inputs(obs, actions)
-    m = critic.embed.forward_np(x, pre)
+    m = _relu_preacts(critic.embed, x, pre)
     e = critic.attn.forward_np(m)
-    critic.post.forward_np(np.concatenate([m, e], axis=-1), pre)
+    _relu_preacts(critic.post, np.concatenate([m, e], axis=-1), pre)
     return _min_abs(pre)
 
 
@@ -139,8 +152,8 @@ def case_ppo_surrogate(seed: int):
     def screen():
         pre: list = []
         x = obs / SMALL_NET.obs_scale
-        policy.policy_net.forward_np(x, pre)
-        policy.value_net.forward_np(x, pre)
+        _relu_preacts(policy.policy_net, x, pre)
+        _relu_preacts(policy.value_net, x, pre)
         return _min_abs(pre)
 
     params = policy.policy_net.parameters() + policy.value_net.parameters()

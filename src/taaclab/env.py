@@ -383,10 +383,10 @@ def step(state: WorldState, actions: np.ndarray, cfg: EnvConfig) -> tuple[WorldS
     events = StepEvents()
 
     # movement
-    s = state.copy()
-    s.player_vel = cfg.player_speed * _MOVE_VECS[actions] / _MOVE_DIVISORS[actions, None]
-    s.player_pos += s.player_vel
-    s.kicking = actions >= 9
+    vel = cfg.player_speed * _MOVE_VECS[actions] / _MOVE_DIVISORS[actions, None]
+    s = WorldState(player_pos=state.player_pos + vel, player_vel=vel, kicking=actions >= 9,
+                   ball_pos=state.ball_pos.copy(), ball_vel=state.ball_vel.copy(),
+                   scores=state.scores.copy(), t=state.t + 1, episode=state.episode)
     _clamp_players(s.player_pos, cfg)
 
     # player-player overlap: the order-dependent pass runs only if some pair overlaps
@@ -417,7 +417,6 @@ def step(state: WorldState, actions: np.ndarray, cfg: EnvConfig) -> tuple[WorldS
 
     goal = _resolve_ball_walls(s, cfg)
 
-    s.t += 1
     events.game_done = s.t >= cfg.steps_per_game
     if goal is not None:
         s.scores[goal] += 1
@@ -426,8 +425,7 @@ def step(state: WorldState, actions: np.ndarray, cfg: EnvConfig) -> tuple[WorldS
     elif events.game_done:
         events.episode_done = True
 
-    components = reward_components(state, actions, s, cfg)
-    return s, components.sum(axis=1), events
+    return s, _reward_components(state, actions, s, cfg).sum(axis=1), events
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +448,12 @@ def reward_components(prev: WorldState, actions: np.ndarray, nxt: WorldState,
     team. r_goal: +/- goal_reward on the scoring step. r_dist: scaled mean
     pairwise teammate distance, capped at theta_max, same for the team.
     """
-    actions = _action_ids(actions)
+    return _reward_components(prev, _action_ids(actions), nxt, cfg)
+
+
+def _reward_components(prev: WorldState, actions: np.ndarray, nxt: WorldState,
+                       cfg: EnvConfig) -> np.ndarray:
+    """``reward_components`` for action ids already checked by ``_action_ids``."""
     out = np.empty((N_PLAYERS, 4))
 
     to_ball = prev.ball_pos - prev.player_pos

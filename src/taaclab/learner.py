@@ -46,6 +46,7 @@ from .nets import (
     counterfactual_baselines_batch,
     load_snapshot,
     save_snapshot,
+    write_text_atomic,
 )
 
 
@@ -263,23 +264,23 @@ def play_training_game(team0, team1, env_cfg, rng: np.random.Generator,
                        spawn_mode: str) -> tuple[list, dict]:
     """Run one full game; returns team 0's per-episode trajectories and stats."""
     state = reset(env_cfg, spawn_mode, rng)
+    obs0 = observe_team(state, 0, env_cfg)
     trajs: list[Trajectory] = []
     current: list[Transition] = []
     while True:
-        obs0 = observe_team(state, 0, env_cfg)
-        obs1 = observe_team(state, 1, env_cfg)
         a0, _ = team0.act(obs0, rng)
-        a1, _ = team1.act(obs1, rng)
+        a1, _ = team1.act(observe_team(state, 1, env_cfg), rng)
         nxt, rewards, ev = step(state, np.concatenate([a0, a1]), env_cfg)
-        current.append(Transition(obs0, a0, rewards[:TEAM_SIZE],
-                                  observe_team(nxt, 0, env_cfg), ev.episode_done, state.t))
-        state = nxt
+        next_obs = observe_team(nxt, 0, env_cfg)  # also the next step's obs0
+        current.append(Transition(obs0, a0, rewards[:TEAM_SIZE], next_obs, ev.episode_done, state.t))
+        state, obs0 = nxt, next_obs
         if ev.episode_done:
             trajs.append(Trajectory(current))
             current = []
             if ev.game_done:
                 break
             state = respawn(state, env_cfg, spawn_mode, rng)
+            obs0 = observe_team(state, 0, env_cfg)
     stats = {
         "goals_for": int(state.scores[0]),
         "goals_against": int(state.scores[1]),
@@ -462,8 +463,8 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
         snap = _policy_snapshot(policy, v, net_cfg)
         save_snapshot(snap, _snapshot_path(cfg.out_dir, v))
         league.add(snap)
-        with open(state_path, "w") as fh:
-            json.dump({"games_done": games_done, "version": v, "updates": update_idx}, fh)
+        write_text_atomic(state_path, json.dumps({"games_done": games_done, "version": v,
+                                                  "updates": update_idx}))
 
     stage_bounds = np.cumsum([s.games for s in stages])
     buffer: list[Trajectory] = []

@@ -16,9 +16,11 @@ start near-uniform.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nn import Mlp, MultiHeadAttention, weights_to_doc
+from .nn import Mlp, MultiHeadAttention
 
 
 @dataclass(frozen=True)
@@ -222,7 +224,7 @@ def counterfactual_baselines_batch(obs_stack: np.ndarray, act_stack: np.ndarray,
         m = critic.embed.forward_np(x)                            # (t, n, A, d)
         t, taken = m.shape[0], acts[:, :, None, None]
         heads = [m]
-        for head in critic.attn.heads:
+        for head in critic.attn.heads:  # per-head GEMMs: slices of one packed GEMM slow what follows
             q, k, v = ((m.reshape(-1, m.shape[-1]) @ w.data).reshape(t, n, A, -1)
                        for w in (head.wq, head.wk, head.wv))
             k_act = np.take_along_axis(k, taken, axis=2)[:, :, 0]  # keys of the taken actions
@@ -263,6 +265,29 @@ def conformity_loss(embeddings: Tensor, scale_coef: float, floor: float) -> Tens
 # snapshots
 
 
+# a parameter is {"shape": [...], _PAYLOAD: base64 of its little-endian float64
+# bytes in C order}, so a round trip is exact for every value, -0.0 and NaN included
+_PAYLOAD = "f8le_base64"
+
+
+def _decode_array(path: str, entry: dict) -> np.ndarray:
+    """A native, C-contiguous, writable float64 array, or ValueError naming ``path``."""
+    if "data" in entry:
+        raise ValueError(f"parameter {path}: a 'data' list; text snapshots are no longer read")
+    shape, payload = entry.get("shape"), entry.get(_PAYLOAD)
+    if not isinstance(shape, list) or not all(isinstance(s, int) and s >= 0 for s in shape):
+        raise ValueError(f"parameter {path}: shape must be a list of non-negative ints, got {shape!r}")
+    if not isinstance(payload, str):
+        raise ValueError(f"parameter {path}: missing or non-string {_PAYLOAD} payload")
+    try:
+        raw = base64.b64decode(payload, validate=True)
+    except ValueError as exc:  # binascii.Error
+        raise ValueError(f"parameter {path}: invalid base64 payload ({exc})") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"parameter {path}: {len(raw)} payload bytes do not hold shape {shape}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+
 @dataclass(frozen=True)
 class PolicySnapshot:
     """Immutable copy of a policy's parameters plus identifying metadata."""
@@ -274,34 +299,43 @@ class PolicySnapshot:
     params: dict = field(repr=False)
 
     def to_doc(self) -> dict:
-        named = {path: Tensor(arr) for path, arr in self.params.items()}
         return {
             "kind": self.kind,
             "flags": dict(self.flags),
             "version": self.version,
             "config_hash": self.config_hash,
-            "params": weights_to_doc(named),
+            "params": {path: {"shape": list(arr.shape),
+                              _PAYLOAD: base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")}
+                       for path, arr in self.params.items()},
         }
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PolicySnapshot":
-        params = {
-            path: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            for path, entry in doc["params"].items()
-        }
         return cls(
             kind=doc["kind"],
             flags=dict(doc["flags"]),
             version=int(doc["version"]),
             config_hash=doc["config_hash"],
-            params=params,
+            params={path: _decode_array(path, entry) for path, entry in doc["params"].items()},
         )
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` beside ``path``, then ``os.replace`` it over ``path``: readers
+    see the old file or the new one, never part of one (no fsync: not power-safe)."""
+    tmp = f"{os.fspath(path)}.tmp"  # not *.json, so snapshot scans skip it
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def save_snapshot(snapshot: PolicySnapshot, path) -> None:
-    text = json.dumps(snapshot.to_doc())  # one-shot encoding uses the C encoder; json.dump does not
-    with open(path, "w") as fh:
-        fh.write(text)
+    write_text_atomic(path, json.dumps(snapshot.to_doc()))
 
 
 def load_snapshot(path) -> PolicySnapshot:

@@ -1,8 +1,7 @@
 """MLP and multi-head scaled-dot-product attention built on the autodiff tape.
 
 Weights use Xavier-uniform initialization with zero biases. All parameters
-are float64 leaf tensors; serialization round-trips them through a flat
-JSON mapping of parameter paths to {shape, data}.
+are float64 leaf tensors; ``nets`` owns their file format.
 """
 
 from __future__ import annotations
@@ -94,22 +93,17 @@ class Mlp:
             x = _apply_activation(add(matmul(x, layer.w), layer.b), layer.activation)
         return reshape(x, lead + (x.shape[-1],)) if len(lead) > 1 else x
 
-    def forward_np(self, x: np.ndarray, relu_preacts: list | None = None) -> np.ndarray:
-        """Tape-free forward for stacked inputs (..., in_width).
-
-        When ``relu_preacts`` is given, every relu layer's pre-activation
-        array is appended to it (used to screen kink proximity).
-        """
+    def forward_np(self, x: np.ndarray) -> np.ndarray:
+        """Tape-free forward for stacked inputs (..., in_width)."""
         lead = x.shape[:-1]
         x = x.reshape(-1, x.shape[-1])  # collapse to one GEMM per layer
         for layer in self.layers:
-            x = x @ layer.w.data + layer.b.data
+            x = x @ layer.w.data  # a fresh array: the rest of the layer works in place
+            x += layer.b.data
             if layer.activation == "relu":
-                if relu_preacts is not None:
-                    relu_preacts.append(x)
-                x = np.maximum(x, 0.0)
+                np.maximum(x, 0.0, out=x)
             elif layer.activation == "tanh":
-                x = np.tanh(x)
+                np.tanh(x, out=x)
         return x.reshape(lead + (x.shape[-1],))
 
     def parameters(self) -> list[Tensor]:
@@ -160,9 +154,9 @@ class MultiHeadAttention:
     def __init__(self, heads: list[AttentionHead]):
         if not heads:
             raise ValueError("need at least one attention head")
-        d_model = heads[0].wq.shape[0]
-        if any(h.wq.shape[0] != d_model or h.wk.shape[0] != d_model or h.wv.shape[0] != d_model for h in heads):
-            raise ShapeError("all heads must share the same model width")
+        shape = heads[0].wq.shape  # one shape lets forward_np project every head in one GEMM
+        if any(w.shape != shape for h in heads for w in (h.wq, h.wk, h.wv)):
+            raise ShapeError(f"every head's wq, wk and wv must share one shape, the first wq's {shape}")
         self.heads = heads
 
     @classmethod
@@ -199,23 +193,21 @@ class MultiHeadAttention:
         return concat(outs, axis=-1), weights
 
     def forward_np(self, m: np.ndarray) -> np.ndarray:
-        """Tape-free forward for stacked inputs (..., n, d_model)."""
+        """Tape-free forward for stacked inputs (..., n, d_model): one GEMM projects
+        every head, and the 4-D einsums equal per-head ones bit for bit (``q @ k.T`` does not)."""
         lead = m.shape[:-2]
         n, d_model = m.shape[-2:]
-        flat = m.reshape(-1, d_model)  # collapse projections to one GEMM each
-        outs = []
-        for head in self.heads:
-            d_k = head.wk.shape[1]
-            q = (flat @ head.wq.data).reshape(-1, n, d_k)
-            k = (flat @ head.wk.data).reshape(-1, n, d_k)
-            v = (flat @ head.wv.data).reshape(-1, n, head.wv.shape[1])
-            scores = np.einsum("bik,bjk->bij", q, k) / math.sqrt(d_k)
-            scores -= scores.max(axis=-1, keepdims=True)
-            e = np.exp(scores)
-            w = e / e.sum(axis=-1, keepdims=True)
-            outs.append(np.einsum("bij,bjk->bik", w, v))
-        out = np.concatenate(outs, axis=-1)
-        return out.reshape(lead + (n, out.shape[-1]))
+        d_k = self.heads[0].wk.shape[1]
+        packed = np.concatenate([h.wq.data for h in self.heads] + [h.wk.data for h in self.heads]
+                                + [h.wv.data for h in self.heads], axis=1)  # (d_model, 3 * H * d_k)
+        qkv = (m.reshape(-1, d_model) @ packed).reshape(-1, n, 3, len(self.heads), d_k)
+        q, k, v = qkv[:, :, 0], qkv[:, :, 1], qkv[:, :, 2]
+        scores = np.einsum("bihk,bjhk->bhij", q, k) / math.sqrt(d_k)
+        scores -= scores.max(axis=-1, keepdims=True)
+        e = np.exp(scores)
+        w = e / e.sum(axis=-1, keepdims=True)
+        out = np.einsum("bhij,bjhk->bihk", w, v)
+        return out.reshape(lead + (n, self.out_width))
 
     def parameters(self) -> list[Tensor]:
         out = []
@@ -230,28 +222,3 @@ class MultiHeadAttention:
             out[f"{prefix}.{i}.wk"] = head.wk
             out[f"{prefix}.{i}.wv"] = head.wv
         return out
-
-
-# ---------------------------------------------------------------------------
-# weight serialization: flat {path: {shape, data}} documents
-
-
-def weights_to_doc(named: dict[str, Tensor]) -> dict:
-    return {
-        path: {"shape": list(t.shape), "data": t.data.reshape(-1).tolist()}
-        for path, t in named.items()
-    }
-
-
-def load_weights(named: dict[str, Tensor], doc: dict) -> None:
-    """Load a weight document in place, validating shapes bit-exactly."""
-    missing = set(named) - set(doc)
-    extra = set(doc) - set(named)
-    if missing or extra:
-        raise ValueError(f"weight document mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-    for path, t in named.items():
-        entry = doc[path]
-        shape = tuple(entry["shape"])
-        if shape != t.shape:
-            raise ValueError(f"shape mismatch for {path}: file has {shape}, architecture expects {t.shape}")
-        t.data = np.asarray(entry["data"], dtype=np.float64).reshape(shape)

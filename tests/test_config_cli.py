@@ -225,6 +225,24 @@ def test_cli_league_from_snapshot_directory(tmp_path):
     assert all(name.startswith("snapshot_v") for name in report["teams"])
 
 
+def test_cli_league_rejects_a_text_format_snapshot(tmp_path, capsys):
+    from taaclab.baselines import build_policy
+    from taaclab.config import parse_config as pc
+
+    cfg_path = tiny_config(tmp_path)
+    cfg = pc(cfg_path, echo=False)
+    snap = build_policy("taac", cfg.net, np.random.default_rng(0)).to_snapshot(1)
+    doc = snap.to_doc()
+    for path, arr in snap.params.items():  # the decimal-list format of earlier versions
+        doc["params"][path] = {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
+    teams = tmp_path / "teams"
+    teams.mkdir()
+    for name in ("snapshot_v00001.json", "snapshot_v00002.json"):  # a league needs two teams
+        write_json(teams / name, doc)
+    assert main(["league", "--config", cfg_path, "--teams", str(teams)]) == 2
+    assert "text snapshots are no longer read" in capsys.readouterr().err
+
+
 def test_cli_eval_rejects_missing_snapshot(tmp_path):
     code = main(["eval", "--a", str(tmp_path / "none.json"),
                  "--b", str(tmp_path / "none.json"), "--games", "1"])

@@ -63,6 +63,10 @@ def test_encode_decode_round_trip():
 def test_out_of_range_action_rejected(bad):
     with pytest.raises(ValueError):
         decode_action(bad)
+    actions = noop_actions()
+    actions[0] = bad
+    with pytest.raises(ValueError):  # the public reward function checks ids itself
+        reward_components(quiet_state(), actions, quiet_state(), CFG)
 
 
 # ---------------------------------------------------------------------------

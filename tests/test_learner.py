@@ -299,6 +299,36 @@ def test_play_training_game_episode_lengths_sum_to_T():
         assert all(not tr.done for tr in traj.transitions[:-1])
 
 
+def test_play_training_game_observes_each_state_once(monkeypatch):
+    from taaclab import learner
+
+    terminal, calls = [], []
+    real_step, real_observe = learner.step, learner.observe_team
+
+    def step(state, actions, cfg):
+        nxt, rewards, ev = real_step(state, actions, cfg)
+        if ev.episode_done:
+            terminal.append(nxt)
+        return nxt, rewards, ev
+
+    def observe_team(state, team, cfg):
+        calls.append(team)
+        return real_observe(state, team, cfg)
+
+    monkeypatch.setattr(learner, "step", step)
+    monkeypatch.setattr(learner, "observe_team", observe_team)
+    env = EnvConfig(pitch_length=20.0, pitch_width=14.0, goal_width=10.0, steps_per_game=300)
+    trajs, _ = play_training_game(RandomTeamPolicy(), RandomTeamPolicy(), env,
+                                  np.random.default_rng(5), "random_spawns")
+    assert len(trajs) > 1  # goals ended episodes before the clock did
+    assert len(calls) == 2 * env.steps_per_game + len(trajs)  # team 0 once per state
+    for traj, last in zip(trajs, terminal):
+        trs = traj.transitions
+        for tr, following in zip(trs, trs[1:]):
+            np.testing.assert_array_equal(tr.next_obs, following.obs)
+        np.testing.assert_array_equal(trs[-1].next_obs, real_observe(last, 0, env))
+
+
 # ---------------------------------------------------------------------------
 # snapshot league
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -17,7 +18,12 @@ from taaclab.nets import (
     counterfactual_baseline,
     counterfactual_baselines,
     counterfactual_baselines_batch,
+    load_snapshot,
+    restore_params,
+    save_snapshot,
+    snapshot_params,
 )
+from taaclab.nn import Mlp
 
 SMALL = TaacNetConfig(obs_width=8, n_actions=6, d_model=8, actor_heads=2, critic_heads=2,
                       embed_hidden=8, post_hidden=8, obs_scale=1.0)
@@ -403,3 +409,103 @@ def test_snapshot_doc_survives_json_text_round_trip():
     restored = PolicySnapshot.from_doc(doc)
     for key, arr in snap.params.items():
         np.testing.assert_array_equal(restored.params[key], arr)
+
+
+# ---------------------------------------------------------------------------
+# snapshot codec
+
+
+def _mlp_snapshot(net, version=1):
+    return PolicySnapshot(kind="ppo", flags={}, version=version, config_hash="0" * 64,
+                          params=snapshot_params(net.named_parameters("net")))
+
+
+def test_snapshot_codec_round_trips_mlp_weights_bit_exactly():
+    rng = np.random.default_rng(11)
+    net = Mlp.create([4, 5, 2], ("relu", "identity"), rng)
+    doc = json.loads(json.dumps(_mlp_snapshot(net).to_doc()))  # through real JSON text
+
+    other = Mlp.create([4, 5, 2], ("relu", "identity"), np.random.default_rng(99))
+    restore_params(other.named_parameters("net"), PolicySnapshot.from_doc(doc).params)
+    x = rng.normal(size=(3, 4))
+    np.testing.assert_array_equal(other.forward_np(x), net.forward_np(x))
+
+
+def test_restore_params_rejects_shape_mismatch():
+    rng = np.random.default_rng(12)
+    net = Mlp.create([4, 5], ("relu",), rng)
+    doc = _mlp_snapshot(net).to_doc()
+    doc["params"]["net.0.w"]["shape"] = [5, 4]  # same byte count, other shape
+    with pytest.raises(ValueError, match="shape mismatch"):
+        restore_params(net.named_parameters("net"), PolicySnapshot.from_doc(doc).params)
+
+
+def test_restore_params_rejects_missing_and_extra_keys():
+    rng = np.random.default_rng(13)
+    net = Mlp.create([4, 5], ("relu",), rng)
+    params = dict(PolicySnapshot.from_doc(_mlp_snapshot(net).to_doc()).params)
+    params["stray"] = np.zeros(1)
+    with pytest.raises(ValueError, match="extra"):
+        restore_params(net.named_parameters("net"), params)
+    del params["stray"], params["net.0.b"]
+    with pytest.raises(ValueError, match="missing"):
+        restore_params(net.named_parameters("net"), params)
+
+
+def test_snapshot_codec_round_trips_special_values_and_layouts_bit_exactly():
+    nan_payload = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]
+    special = np.array([-0.0, 0.0, 5e-324, -2.2250738585072e-308, np.inf, -np.inf,
+                        nan_payload, 1.0 / 3.0, -1e308, np.nextafter(1.0, 2.0)])
+    grid = np.arange(24, dtype=np.float64).reshape(4, 6) / 7.0
+    params = {
+        "special": special,
+        "strided": grid[:, ::2],                 # non-contiguous view
+        "transposed": grid.T,                    # Fortran-ordered view
+        "big_endian": grid.astype(">f8"),
+        "scalar": np.array(-0.0),
+        "empty": np.zeros((0, 3)),
+    }
+    snap = PolicySnapshot(kind="ppo", flags={}, version=2, config_hash="0" * 64, params=params)
+    restored = PolicySnapshot.from_doc(json.loads(json.dumps(snap.to_doc()))).params
+    for key, arr in params.items():
+        got = restored[key]
+        assert got.shape == arr.shape
+        assert got.dtype == np.float64 and got.dtype.isnative
+        assert got.flags.c_contiguous and got.flags.writeable
+        expected_bits = np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
+        np.testing.assert_array_equal(got.view(np.uint64), expected_bits)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda e: e.pop("f8le_base64"), "missing or non-string"),
+    (lambda e: e.update(f8le_base64=[0.5, 1.5]), "missing or non-string"),
+    (lambda e: e.update(f8le_base64="not base64!"), "invalid base64"),
+    (lambda e: e.update(f8le_base64=e["f8le_base64"][:-12]), "payload bytes"),
+    (lambda e: e.update(shape=[2, 2]), "payload bytes"),
+    (lambda e: e.update(shape="4x5"), "shape must be"),
+    (lambda e: e.update(data=[0.0] * 20), "text snapshots are no longer read"),
+], ids=["missing", "non_string", "bad_base64", "short", "wrong_shape", "bad_shape", "text_format"])
+def test_snapshot_codec_rejects_bad_payloads_naming_the_parameter(corrupt, message):
+    net = Mlp.create([4, 5], ("relu",), np.random.default_rng(14))
+    doc = json.loads(json.dumps(_mlp_snapshot(net).to_doc()))
+    corrupt(doc["params"]["net.0.w"])
+    with pytest.raises(ValueError, match=message) as err:
+        PolicySnapshot.from_doc(doc)
+    assert "net.0.w" in str(err.value)
+
+
+def test_failed_replace_keeps_the_previous_snapshot_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    net = Mlp.create([4, 5], ("relu",), np.random.default_rng(15))
+    path = tmp_path / "snapshot_v00001.json"
+    save_snapshot(_mlp_snapshot(net, version=1), path)
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        save_snapshot(_mlp_snapshot(net, version=2), path)
+    assert path.read_bytes() == before
+    assert load_snapshot(path).version == 1
+    assert sorted(os.listdir(tmp_path)) == ["snapshot_v00001.json"]

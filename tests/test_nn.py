@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -12,8 +11,6 @@ from taaclab.nn import (
     Mlp,
     MultiHeadAttention,
     attention,
-    load_weights,
-    weights_to_doc,
     xavier_uniform,
 )
 
@@ -75,7 +72,9 @@ def test_forward_np_matches_tape_forward():
     rng = np.random.default_rng(3)
     net = Mlp.create([4, 6, 3], ("relu", "identity"), rng)
     x = rng.normal(size=(7, 4))
+    before = x.copy()
     np.testing.assert_array_equal(net.forward_np(x), net.forward(Tensor(x)).data)
+    np.testing.assert_array_equal(x, before)  # the in-place layers never touch the input
 
 
 def test_xavier_bounds_and_zero_biases():
@@ -177,6 +176,41 @@ def test_multihead_output_width_is_heads_times_dv():
     assert mha.out_width == 12
 
 
+def _per_head_forward_np(mha, m):
+    """Reference: one projection GEMM and one 3-D einsum pair per head, heads concatenated."""
+    lead = m.shape[:-2]
+    n, d_model = m.shape[-2:]
+    flat = m.reshape(-1, d_model)
+    outs = []
+    for head in mha.heads:
+        d_k = head.wk.shape[1]
+        q = (flat @ head.wq.data).reshape(-1, n, d_k)
+        k = (flat @ head.wk.data).reshape(-1, n, d_k)
+        v = (flat @ head.wv.data).reshape(-1, n, head.wv.shape[1])
+        scores = np.einsum("bik,bjk->bij", q, k) / math.sqrt(d_k)
+        scores -= scores.max(axis=-1, keepdims=True)
+        e = np.exp(scores)
+        w = e / e.sum(axis=-1, keepdims=True)
+        outs.append(np.einsum("bij,bjk->bik", w, v))
+    out = np.concatenate(outs, axis=-1)
+    return out.reshape(lead + (n, out.shape[-1]))
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_fused_multihead_forward_np_equals_per_head_reference(n_heads):
+    rng = np.random.default_rng(20 + n_heads)
+    mha = MultiHeadAttention.create(32, n_heads, rng)
+    for shape in [(3, 32), (240, 3, 32), (4, 5, 3, 32)]:
+        m = rng.normal(size=shape)
+        np.testing.assert_array_equal(mha.forward_np(m), _per_head_forward_np(mha, m))
+
+
+def test_multihead_rejects_heads_of_different_shapes():
+    rng = np.random.default_rng(21)
+    with pytest.raises(ShapeError):
+        MultiHeadAttention([_head(rng, 6, 3), _head(rng, 6, 2)])
+
+
 def test_multihead_forward_np_matches_tape():
     rng = np.random.default_rng(10)
     mha = MultiHeadAttention.create(8, 4, rng)
@@ -188,37 +222,3 @@ def test_multihead_forward_np_matches_tape():
     for b in range(6):
         single, _ = mha.forward(Tensor(stacked[b]))
         np.testing.assert_allclose(batch[b], single.data, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_weight_serialization_round_trips_bit_exactly():
-    rng = np.random.default_rng(11)
-    net = Mlp.create([4, 5, 2], ("relu", "identity"), rng)
-    named = net.named_parameters("net")
-    doc = json.loads(json.dumps(weights_to_doc(named)))  # through real JSON text
-
-    other = Mlp.create([4, 5, 2], ("relu", "identity"), np.random.default_rng(99))
-    load_weights(other.named_parameters("net"), doc)
-    x = rng.normal(size=(3, 4))
-    np.testing.assert_array_equal(other.forward_np(x), net.forward_np(x))
-
-
-def test_load_weights_rejects_shape_mismatch():
-    rng = np.random.default_rng(12)
-    net = Mlp.create([4, 5], ("relu",), rng)
-    doc = weights_to_doc(net.named_parameters("net"))
-    doc["net.0.w"]["shape"] = [5, 4]
-    with pytest.raises(ValueError, match="shape mismatch"):
-        load_weights(net.named_parameters("net"), doc)
-
-
-def test_load_weights_rejects_missing_and_extra_keys():
-    rng = np.random.default_rng(13)
-    net = Mlp.create([4, 5], ("relu",), rng)
-    doc = weights_to_doc(net.named_parameters("net"))
-    doc["stray"] = {"shape": [1], "data": [0.0]}
-    with pytest.raises(ValueError, match="extra"):
-        load_weights(net.named_parameters("net"), doc)
