@@ -16,7 +16,6 @@ from . import autodiff as ad
 from .autodiff import Tensor, grad_check
 from .baselines import PpoTeamPolicy
 from .nets import ActorNet, CriticNet, TaacNetConfig, conformity_loss
-from .nn import Mlp
 
 SMALL_NET = TaacNetConfig(
     obs_width=6, n_actions=6, d_model=8, actor_heads=2, critic_heads=2,
@@ -36,32 +35,20 @@ def _min_abs(arrays: list) -> float:
     return min(float(np.abs(a).min()) for a in arrays) if arrays else np.inf
 
 
-def _relu_preacts(mlp: Mlp, x: np.ndarray, pre: list) -> np.ndarray:
-    """``mlp.forward_np`` on (rows, in_width) that appends each relu layer's pre-activations to ``pre``."""
-    for layer in mlp.layers:
-        x = x @ layer.w.data + layer.b.data
-        if layer.activation == "relu":
-            pre.append(x)
-            x = np.maximum(x, 0.0)
-        elif layer.activation == "tanh":
-            x = np.tanh(x)
-    return x
-
-
 def _actor_min_preact(actor: ActorNet, obs: np.ndarray) -> float:
     pre: list = []
-    m = _relu_preacts(actor.embed, obs / actor.cfg.obs_scale, pre)
+    m = actor.embed.forward_np(obs / actor.cfg.obs_scale, pre)
     e = actor.attn.forward_np(m) if actor.attn is not None else m
-    _relu_preacts(actor.post, e, pre)
+    actor.post.forward_np(e, pre)
     return _min_abs(pre)
 
 
 def _critic_min_preact(critic: CriticNet, obs: np.ndarray, actions: np.ndarray) -> float:
     pre: list = []
     x = critic._inputs(obs, actions)
-    m = _relu_preacts(critic.embed, x, pre)
+    m = critic.embed.forward_np(x, pre)
     e = critic.attn.forward_np(m)
-    _relu_preacts(critic.post, np.concatenate([m, e], axis=-1), pre)
+    critic.post.forward_np(np.concatenate([m, e], axis=-1), pre)
     return _min_abs(pre)
 
 
@@ -152,8 +139,8 @@ def case_ppo_surrogate(seed: int):
     def screen():
         pre: list = []
         x = obs / SMALL_NET.obs_scale
-        _relu_preacts(policy.policy_net, x, pre)
-        _relu_preacts(policy.value_net, x, pre)
+        policy.policy_net.forward_np(x, pre)
+        policy.value_net.forward_np(x, pre)
         return _min_abs(pre)
 
     params = policy.policy_net.parameters() + policy.value_net.parameters()

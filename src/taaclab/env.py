@@ -425,7 +425,7 @@ def step(state: WorldState, actions: np.ndarray, cfg: EnvConfig) -> tuple[WorldS
     elif events.game_done:
         events.episode_done = True
 
-    return s, _reward_components(state, actions, s, cfg).sum(axis=1), events
+    return s, reward_components(state, actions, s, cfg).sum(axis=1), events
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +448,7 @@ def reward_components(prev: WorldState, actions: np.ndarray, nxt: WorldState,
     team. r_goal: +/- goal_reward on the scoring step. r_dist: scaled mean
     pairwise teammate distance, capped at theta_max, same for the team.
     """
-    return _reward_components(prev, _action_ids(actions), nxt, cfg)
-
-
-def _reward_components(prev: WorldState, actions: np.ndarray, nxt: WorldState,
-                       cfg: EnvConfig) -> np.ndarray:
-    """``reward_components`` for action ids already checked by ``_action_ids``."""
+    actions = _action_ids(actions)
     out = np.empty((N_PLAYERS, 4))
 
     to_ball = prev.ball_pos - prev.player_pos

@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -270,12 +270,14 @@ def conformity_loss(embeddings: Tensor, scale_coef: float, floor: float) -> Tens
 _PAYLOAD = "f8le_base64"
 
 
-def _decode_array(path: str, entry: dict) -> np.ndarray:
+def _decode_array(path: str, entry) -> np.ndarray:
     """A native, C-contiguous, writable float64 array, or ValueError naming ``path``."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"parameter {path}: expected an object, got {type(entry).__name__}")
     if "data" in entry:
         raise ValueError(f"parameter {path}: a 'data' list; text snapshots are no longer read")
     shape, payload = entry.get("shape"), entry.get(_PAYLOAD)
-    if not isinstance(shape, list) or not all(isinstance(s, int) and s >= 0 for s in shape):
+    if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
         raise ValueError(f"parameter {path}: shape must be a list of non-negative ints, got {shape!r}")
     if not isinstance(payload, str):
         raise ValueError(f"parameter {path}: missing or non-string {_PAYLOAD} payload")
@@ -344,20 +346,7 @@ def load_snapshot(path) -> PolicySnapshot:
 
 
 def architecture_hash(kind: str, flags: dict, cfg: TaacNetConfig) -> str:
-    desc = {
-        "kind": kind,
-        "flags": {k: flags[k] for k in sorted(flags)},
-        "net": {
-            "obs_width": cfg.obs_width,
-            "n_actions": cfg.n_actions,
-            "d_model": cfg.d_model,
-            "actor_heads": cfg.actor_heads,
-            "critic_heads": cfg.critic_heads,
-            "embed_hidden": cfg.embed_hidden,
-            "post_hidden": cfg.post_hidden,
-            "obs_scale": cfg.obs_scale,
-        },
-    }
+    desc = {"kind": kind, "flags": {k: flags[k] for k in sorted(flags)}, "net": asdict(cfg)}
     return hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()
 
 

@@ -93,14 +93,20 @@ class Mlp:
             x = _apply_activation(add(matmul(x, layer.w), layer.b), layer.activation)
         return reshape(x, lead + (x.shape[-1],)) if len(lead) > 1 else x
 
-    def forward_np(self, x: np.ndarray) -> np.ndarray:
-        """Tape-free forward for stacked inputs (..., in_width)."""
+    def forward_np(self, x: np.ndarray, relu_preacts: list | None = None) -> np.ndarray:
+        """Tape-free forward for stacked inputs (..., in_width).
+
+        When ``relu_preacts`` is given, a copy of every relu layer's
+        pre-activation array is appended to it (used to screen kink proximity).
+        """
         lead = x.shape[:-1]
         x = x.reshape(-1, x.shape[-1])  # collapse to one GEMM per layer
         for layer in self.layers:
             x = x @ layer.w.data  # a fresh array: the rest of the layer works in place
             x += layer.b.data
             if layer.activation == "relu":
+                if relu_preacts is not None:
+                    relu_preacts.append(x.copy())
                 np.maximum(x, 0.0, out=x)
             elif layer.activation == "tanh":
                 np.tanh(x, out=x)

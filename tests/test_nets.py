@@ -477,18 +477,22 @@ def test_snapshot_codec_round_trips_special_values_and_layouts_bit_exactly():
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda e: e.pop("f8le_base64"), "missing or non-string"),
-    (lambda e: e.update(f8le_base64=[0.5, 1.5]), "missing or non-string"),
-    (lambda e: e.update(f8le_base64="not base64!"), "invalid base64"),
-    (lambda e: e.update(f8le_base64=e["f8le_base64"][:-12]), "payload bytes"),
-    (lambda e: e.update(shape=[2, 2]), "payload bytes"),
-    (lambda e: e.update(shape="4x5"), "shape must be"),
-    (lambda e: e.update(data=[0.0] * 20), "text snapshots are no longer read"),
-], ids=["missing", "non_string", "bad_base64", "short", "wrong_shape", "bad_shape", "text_format"])
+    (lambda p: p["net.0.w"].pop("f8le_base64"), "missing or non-string"),
+    (lambda p: p["net.0.w"].update(f8le_base64=[0.5, 1.5]), "missing or non-string"),
+    (lambda p: p["net.0.w"].update(f8le_base64="not base64!"), "invalid base64"),
+    (lambda p: p["net.0.w"].update(f8le_base64=p["net.0.w"]["f8le_base64"][:-12]), "payload bytes"),
+    (lambda p: p["net.0.w"].update(shape=[2, 2]), "payload bytes"),
+    (lambda p: p["net.0.w"].update(shape="4x5"), "shape must be"),
+    (lambda p: p["net.0.w"].update(shape=[True, 20]), "shape must be"),  # bool is not a size
+    (lambda p: p["net.0.w"].update(data=[0.0] * 20), "text snapshots are no longer read"),
+    (lambda p: p.update({"net.0.w": [0.5]}), "expected an object"),
+    (lambda p: p.update({"net.0.w": "data"}), "expected an object"),  # not a substring test
+], ids=["missing", "non_string", "bad_base64", "short", "wrong_shape", "bad_shape", "bool_shape",
+        "text_format", "list_entry", "string_entry"])
 def test_snapshot_codec_rejects_bad_payloads_naming_the_parameter(corrupt, message):
     net = Mlp.create([4, 5], ("relu",), np.random.default_rng(14))
     doc = json.loads(json.dumps(_mlp_snapshot(net).to_doc()))
-    corrupt(doc["params"]["net.0.w"])
+    corrupt(doc["params"])
     with pytest.raises(ValueError, match=message) as err:
         PolicySnapshot.from_doc(doc)
     assert "net.0.w" in str(err.value)

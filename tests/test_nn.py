@@ -77,6 +77,19 @@ def test_forward_np_matches_tape_forward():
     np.testing.assert_array_equal(x, before)  # the in-place layers never touch the input
 
 
+def test_forward_np_reports_relu_preactivations_before_the_relu():
+    rng = np.random.default_rng(4)
+    net = Mlp.create([4, 6, 3], ("relu", "identity"), rng)
+    x = rng.normal(size=(7, 4))
+    pre: list = []
+    out = net.forward_np(x, pre)
+    assert len(pre) == 1  # one relu layer
+    first = net.layers[0]
+    np.testing.assert_array_equal(pre[0], x @ first.w.data + first.b.data)
+    assert (pre[0] < 0).any()  # not clamped by the in-place relu that follows
+    np.testing.assert_array_equal(out, net.forward_np(x))
+
+
 def test_xavier_bounds_and_zero_biases():
     rng = np.random.default_rng(4)
     w = xavier_uniform(rng, 30, 50)
