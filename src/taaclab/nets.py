@@ -17,6 +17,7 @@ start near-uniform.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import math
@@ -197,9 +198,13 @@ def counterfactual_baseline(i: int, obs: np.ndarray, actions: np.ndarray,
     return float(counterfactual_baselines(obs, actions, probs, critic)[i])
 
 
+# substitution rows per pass of counterfactual_baselines_batch: a block's
+# intermediates stay in a 4 MiB L2 (8,192-row passes took ~1.6x as long)
+_CF_BLOCK_ROWS = 1024
+
+
 def counterfactual_baselines_batch(obs_stack: np.ndarray, act_stack: np.ndarray,
-                                   probs_stack: np.ndarray, critic: CriticNet,
-                                   chunk: int = 8192) -> np.ndarray:
+                                   probs_stack: np.ndarray, critic: CriticNet) -> np.ndarray:
     """Baselines for a whole batch of transitions, computed from the critic's parts.
 
     ``obs_stack`` is (T, n, obs_width), ``act_stack`` (T, n), ``probs_stack``
@@ -207,13 +212,14 @@ def counterfactual_baselines_batch(obs_stack: np.ndarray, act_stack: np.ndarray,
     transition. Each (agent, action) pair is embedded once. Substituting
     agent i's action changes only agent i's key and value, and only agent
     i's value is needed, so each substitution attends from one query row.
-    At most ``chunk`` substitutions (at least one transition) run per pass.
+    Blocks of at most ``_CF_BLOCK_ROWS`` substitutions (at least one
+    transition) run per pass.
     """
     obs_stack = np.asarray(obs_stack, dtype=np.float64)
     act_stack = np.asarray(act_stack, dtype=np.int64)
     T, n = act_stack.shape
     A = critic.cfg.n_actions
-    step = max(1, chunk // (n * A))
+    step = max(1, _CF_BLOCK_ROWS // (n * A))
     idx = np.arange(n)
     out = np.empty((T, n))
     for start in range(0, T, step):
@@ -232,11 +238,15 @@ def counterfactual_baselines_batch(obs_stack: np.ndarray, act_stack: np.ndarray,
             scores = (q.reshape(t, n * A, -1) @ np.swapaxes(k_act, 1, 2)).reshape(t, n, A, n)
             scores[:, idx, :, idx] = (q * k).sum(axis=-1).transpose(1, 0, 2)
             scores /= math.sqrt(k.shape[-1])
-            w = np.exp(scores - scores.max(axis=-1, keepdims=True))
-            w /= w.sum(axis=-1, keepdims=True)
-            own = w[:, idx, :, idx].transpose(1, 0, 2)[..., None]  # weight on the substituted row
-            w[:, idx, :, idx] = 0.0
-            heads.append((w.reshape(t, n * A, n) @ v_act).reshape(v.shape) + own * v)
+            # softmax over the n keys from elementwise ops on the n key slices; the in-order
+            # sum equals numpy's reduction over a last axis shorter than 8, bit for bit
+            keys = [scores[..., j] for j in range(n)]
+            scores -= functools.reduce(np.maximum, keys)[..., None]
+            np.exp(scores, out=scores)
+            scores /= functools.reduce(np.add, keys)[..., None]
+            own = scores[:, idx, :, idx].transpose(1, 0, 2)[..., None]  # weight on the substituted row
+            scores[:, idx, :, idx] = 0.0
+            heads.append((scores.reshape(t, n * A, n) @ v_act).reshape(v.shape) + own * v)
         q_sub = critic.post.forward_np(np.concatenate(heads, axis=-1))[..., 0]  # (t, n, A)
         out[start:start + step] = np.einsum("tia,tia->ti", probs_stack[start:start + step], q_sub)
     return out
@@ -313,10 +323,21 @@ class PolicySnapshot:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PolicySnapshot":
+        """The snapshot a document holds, or ValueError naming the first bad field."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"snapshot: expected an object, got {type(doc).__name__}")
+        for name, kind in (("kind", str), ("flags", dict), ("version", int),
+                           ("config_hash", str), ("params", dict)):
+            if name not in doc:
+                raise ValueError(f"snapshot: missing field {name!r}")
+            value = doc[name]
+            if not isinstance(value, kind) or isinstance(value, bool):  # JSON true is no version
+                raise ValueError(f"snapshot: field {name!r} must be {kind.__name__}, "
+                                 f"got {type(value).__name__}")
         return cls(
             kind=doc["kind"],
             flags=dict(doc["flags"]),
-            version=int(doc["version"]),
+            version=doc["version"],
             config_hash=doc["config_hash"],
             params={path: _decode_array(path, entry) for path, entry in doc["params"].items()},
         )

@@ -243,6 +243,19 @@ def test_cli_league_rejects_a_text_format_snapshot(tmp_path, capsys):
     assert "text snapshots are no longer read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"params": {}}, "kind"),
+    ([], "object"),
+    ({"kind": "ppo", "flags": {}, "version": 1, "config_hash": "0", "params": []}, "params"),
+    ({"kind": "ppo", "flags": [], "version": 1, "config_hash": "0", "params": {}}, "flags"),
+], ids=["no_kind", "list_doc", "list_params", "list_flags"])
+def test_cli_eval_rejects_a_bad_snapshot_header_with_exit_2(tmp_path, capsys, doc, field):
+    path = write_json(tmp_path / "snapshot.json", doc)
+    assert main(["eval", "--a", path, "--b", path, "--games", "1"]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
 def test_cli_eval_rejects_missing_snapshot(tmp_path):
     code = main(["eval", "--a", str(tmp_path / "none.json"),
                  "--b", str(tmp_path / "none.json"), "--games", "1"])

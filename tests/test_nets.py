@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taaclab import autodiff as ad
+from taaclab import nets
 from taaclab.autodiff import Tensor, grad_check
 from taaclab.env import EnvConfig, observe_team, reset
 from taaclab.nets import (
@@ -266,17 +267,34 @@ def test_baseline_identity_and_own_action_invariance():
         assert b2[1] == b[1]
 
 
-def test_batched_baselines_match_per_transition():
+def _baseline_batch(T):
     rng = np.random.default_rng(13)
     critic = CriticNet(SMALL, rng)
-    obs = rng.normal(size=(4, 3, 8))
-    acts = rng.integers(0, 6, size=(4, 3))
-    probs = rng.random(size=(4, 3, 6))
+    obs = rng.normal(size=(T, 3, 8))
+    acts = rng.integers(0, 6, size=(T, 3))
+    probs = rng.random(size=(T, 3, 6))
     probs /= probs.sum(axis=-1, keepdims=True)
-    batch = counterfactual_baselines_batch(obs, acts, probs, critic, chunk=7)
-    for t in range(4):
-        single = counterfactual_baselines(obs[t], acts[t], probs[t], critic)
-        np.testing.assert_allclose(batch[t], single, atol=1e-12)
+    return obs, acts, probs, critic
+
+
+def test_batched_baselines_match_per_transition():
+    assert nets._CF_BLOCK_ROWS // (3 * SMALL.n_actions) == 56  # T = 130: blocks of 56, 56 and 18
+    for T in (1, 2 * 56 + 18):
+        obs, acts, probs, critic = _baseline_batch(T)
+        batch = counterfactual_baselines_batch(obs, acts, probs, critic)
+        assert batch.shape == (T, 3)
+        for t in range(T):
+            single = counterfactual_baselines(obs[t], acts[t], probs[t], critic)
+            np.testing.assert_allclose(batch[t], single, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_batched_baselines_reject_a_bad_action_id_in_the_last_block(bad):
+    assert nets._CF_BLOCK_ROWS // (3 * SMALL.n_actions) == 56
+    obs, acts, probs, critic = _baseline_batch(2 * 56 + 18)
+    acts[-1, 2] = bad  # only the ragged third block holds it
+    with pytest.raises(ValueError, match="action ids out of range"):
+        counterfactual_baselines_batch(obs, acts, probs, critic)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +514,40 @@ def test_snapshot_codec_rejects_bad_payloads_naming_the_parameter(corrupt, messa
     with pytest.raises(ValueError, match=message) as err:
         PolicySnapshot.from_doc(doc)
     assert "net.0.w" in str(err.value)
+
+
+def _without(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
+def _with(**fields):
+    return lambda d: {**d, **fields}
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda d: [d], "expected an object, got list"),
+    (lambda d: "snapshot", "expected an object, got str"),
+    (_without("kind"), "missing field 'kind'"),
+    (_without("flags"), "missing field 'flags'"),
+    (_without("version"), "missing field 'version'"),
+    (_without("config_hash"), "missing field 'config_hash'"),
+    (_without("params"), "missing field 'params'"),
+    (lambda d: {"params": {}}, "missing field 'kind'"),
+    (_with(flags=[]), "'flags' must be dict, got list"),
+    (_with(params=[]), "'params' must be dict, got list"),
+    (_with(kind=3), "'kind' must be str, got int"),
+    (_with(config_hash=None), "'config_hash' must be str, got NoneType"),
+    (_with(version=True), "'version' must be int, got bool"),
+    (_with(version=1.0), "'version' must be int, got float"),
+    (_with(version="1"), "'version' must be int, got str"),
+], ids=["list_doc", "string_doc", "no_kind", "no_flags", "no_version", "no_config_hash",
+        "no_params", "params_only", "list_flags", "list_params", "int_kind", "null_hash",
+        "bool_version", "float_version", "string_version"])
+def test_snapshot_header_rejects_bad_fields_naming_them(corrupt, message):
+    net = Mlp.create([4, 5], ("relu",), np.random.default_rng(16))
+    doc = corrupt(json.loads(json.dumps(_mlp_snapshot(net).to_doc())))
+    with pytest.raises(ValueError, match=message):
+        PolicySnapshot.from_doc(doc)
 
 
 def test_failed_replace_keeps_the_previous_snapshot_and_leaves_no_temp_file(tmp_path, monkeypatch):
