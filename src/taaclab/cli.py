@@ -170,37 +170,43 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    from .evaluation import connectivity, count_possession_swaps, pairwise_distance, read_replay
+    from .env import N_PLAYERS, team_of
+    from .evaluation import match_metrics, read_replay
 
     cfg = _load_run_config(args.config, None)
     frames = read_replay(args.match)
     if not frames:
         raise ValueError(f"replay {args.match} holds no frames")
-    d_min, d_max = cfg.league.conn_d_min, cfg.league.conn_d_max
-    radius = cfg.env.player_radius
-    rows = []
-    touch_chain: list = []
-    swaps = [0, 0]
-    for frame in frames:
-        touch_chain.extend((int(p), int(t)) for p, t in frame.get("touches", []))
-        current = [count_possession_swaps(touch_chain, team) for team in range(2)]
-        row = {
+    player_teams = [team_of(i) for i in range(N_PLAYERS)]
+    positions = np.empty((len(frames), N_PLAYERS, 2))
+    touches, rows = [], []
+    for k, frame in enumerate(frames):
+        players = frame.get("players") if isinstance(frame, dict) else None
+        if (not isinstance(players, list) or not {"t", "episode", "scores"} <= frame.keys()
+                or [p.get("team") if isinstance(p, dict) else None for p in players] != player_teams):
+            raise ValueError(f"replay frame {k}: need t, episode, scores and players of teams {player_teams}")
+        try:
+            positions[k] = [p["pos"] for p in players]
+            score_0, score_1 = frame["scores"]
+            touches.append([(int(p), int(team)) for p, team in frame.get("touches", [])])
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"replay frame {k}: need a pos of 2 numbers per player, "
+                             "2 scores and (player, team) touches") from None
+        rows.append({
             "t": frame["t"],
             "episode": frame["episode"],
-            "score_0": frame["scores"][0],
-            "score_1": frame["scores"][1],
+            "score_0": score_0,
+            "score_1": score_1,
             "goal": "" if frame.get("goal") is None else frame["goal"],
             "episode_done": int(bool(frame.get("episode_done"))),
-        }
+        })
+    per_step = match_metrics(positions, touches, [frame.get("episode_done") for frame in frames],
+                             cfg.env.player_radius, cfg.league.conn_d_min, cfg.league.conn_d_max)
+    for k, row in enumerate(rows):
         for team in range(2):
-            row[f"pairdist_{team}"] = f"{pairwise_distance(frame, team):.6f}"
-            row[f"conn_{team}"] = f"{connectivity(frame, team, d_min, d_max, radius):.6f}"
-            row[f"swaps_{team}"] = swaps[team] + current[team]
-        if frame.get("episode_done"):
-            for team in range(2):
-                swaps[team] += current[team]
-            touch_chain = []
-        rows.append(row)
+            row[f"pairdist_{team}"] = f"{per_step['pairwise_distance'][team, k]:.6f}"
+            row[f"conn_{team}"] = f"{per_step['connectivity'][team, k]:.6f}"
+            row[f"swaps_{team}"] = int(per_step["possession_swaps"][team, k])
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()

@@ -10,6 +10,7 @@ order so results are reproducible.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -30,6 +31,7 @@ from .env import (
     step,
     team_players,
 )
+from .nets import write_text_atomic
 
 # ---------------------------------------------------------------------------
 # Elo
@@ -79,26 +81,16 @@ def _pairs(items) -> np.ndarray:
 
 
 def mean_pairwise_distance(points: np.ndarray) -> float:
-    """Mean Euclidean distance over all unordered point pairs."""
+    """Mean Euclidean distance over all unordered point pairs; per step for a (T, n, 2) stack."""
     points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
+    n = points.shape[-2]
     if n < 2:
         raise ValueError(f"need at least 2 points, got {n}")
     i, j = _pairs(range(n))
-    d = points[i] - points[j]
+    d = points[..., i, :] - points[..., j, :]
     dists = np.sqrt(rowdot(d, d))
-    return float(dists.sum() / dists.size)
-
-
-def _frame_positions(frame: dict) -> np.ndarray:
-    return np.array([p["pos"] for p in frame["players"]], dtype=np.float64)
-
-
-def pairwise_distance(frame: dict, team: int) -> float:
-    """Mean pairwise distance among one team's players in a replay frame."""
-    pos = _frame_positions(frame)
-    idx = [i for i, p in enumerate(frame["players"]) if p["team"] == team]
-    return mean_pairwise_distance(pos[idx])
+    mean = dists.sum(axis=-1) / dists.shape[-1]
+    return mean if mean.ndim else float(mean)
 
 
 def connectivity_from_positions(team_idx: Sequence[int], positions: np.ndarray,
@@ -107,34 +99,30 @@ def connectivity_from_positions(team_idx: Sequence[int], positions: np.ndarray,
 
     A pair connects when the segment between their centers stays clear of
     every other player's circle (either team) and the distance lies in band.
+    ``positions`` is one step's (6, 2) array or a (T, 6, 2) trajectory, which
+    gives the fraction per step.
     """
     n = len(team_idx)
     if n < 2:
         raise ValueError(f"connectivity needs at least 2 teammates, got {n}")
     i, j = _pairs(team_idx)
-    a = positions[i]
-    ab = positions[j] - a
+    a = positions[..., i, :]
+    ab = positions[..., j, :] - a
     denom = rowdot(ab, ab)
     dist = np.sqrt(denom)
     in_band = (d_min <= dist) & (dist <= d_max)
 
-    # distance from each pair's segment (axis 0) to every player (axis 1)
-    ac = positions - a[:, None]
+    # distance from each pair's segment (axis -3) to every player (axis -2)
+    players = positions[..., None, :, :]
+    ac = players - a[..., None, :]
     point = denom < 1e-18  # coincident pair: distance to the point
-    t = rowdot(ac, ab[:, None]) / np.where(point, 1.0, denom)[:, None]
-    off = positions - (a[:, None] + np.minimum(1.0, np.maximum(0.0, t))[..., None] * ab[:, None])
+    t = rowdot(ac, ab[..., None, :]) / np.where(point, 1.0, denom)[..., None]
+    off = players - (a[..., None, :] + np.minimum(1.0, np.maximum(0.0, t))[..., None] * ab[..., None, :])
     off[point] = ac[point]
-    others = np.arange(positions.shape[0])
+    others = np.arange(positions.shape[-2])
     near = (np.sqrt(rowdot(off, off)) < player_radius) & (others != i[:, None]) & (others != j[:, None])
-    return int(np.count_nonzero(in_band & ~near.any(axis=1))) / (n * (n - 1) / 2)
-
-
-def connectivity(frame: dict, team: int, d_min: float, d_max: float,
-                 player_radius: float = 1.5) -> float:
-    """Connectivity of one team in a replay frame."""
-    pos = _frame_positions(frame)
-    idx = [i for i, p in enumerate(frame["players"]) if p["team"] == team]
-    return connectivity_from_positions(idx, pos, player_radius, d_min, d_max)
+    fraction = np.count_nonzero(in_band & ~near.any(axis=-1), axis=-1) / (n * (n - 1) / 2)
+    return fraction if fraction.ndim else float(fraction)
 
 
 def count_possession_swaps(touches: Sequence[tuple[int, int]], team: int) -> int:
@@ -154,17 +142,28 @@ def count_possession_swaps(touches: Sequence[tuple[int, int]], team: int) -> int
     return swaps
 
 
-def possession_swaps(replay: Sequence[dict], team: int) -> int:
-    """Possession swaps over a replay; the chain resets at episode boundaries."""
-    swaps = 0
-    touches: list[tuple[int, int]] = []
-    for frame in replay:
-        touches.extend((int(p), int(t)) for p, t in frame.get("touches", []))
-        if frame.get("episode_done"):
-            swaps += count_possession_swaps(touches, team)
-            touches = []
-    swaps += count_possession_swaps(touches, team)
-    return swaps
+def match_metrics(positions: np.ndarray, touches: Sequence[Sequence], episode_done: Sequence[bool],
+                  player_radius: float, d_min: float, d_max: float) -> dict[str, np.ndarray]:
+    """Both teams' collaboration metrics at each step of a game, as (2, T) arrays.
+
+    ``positions`` is the (T, 6, 2) player trajectory; ``touches`` and
+    ``episode_done`` are each step's (player, team) ball touches and
+    episode-end flag. Possession swaps count from the first step, and the
+    possession chain does not bridge the respawn after an episode ends.
+    """
+    gained = []
+    head: list = []  # the episode's latest touch: who holds the ball
+    for step_touches, done in zip(touches, episode_done):
+        chain = head + list(step_touches)
+        gained.append([count_possession_swaps(chain, team) for team in range(2)])
+        head = [] if done else chain[-1:]
+    teams = [list(team_players(team)) for team in range(2)]
+    return {
+        "pairwise_distance": np.stack([mean_pairwise_distance(positions[:, idx]) for idx in teams]),
+        "connectivity": np.stack([connectivity_from_positions(idx, positions, player_radius, d_min, d_max)
+                                  for idx in teams]),
+        "possession_swaps": np.cumsum(gained, axis=0).T,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +204,9 @@ def play_match(team_a, team_b, cfg: EnvConfig, seed: int,
                              for s in np.random.SeedSequence(seed).spawn(3))
     state = reset(cfg, spawn_mode, env_rng)
     frames: list[dict] = []
-    touches: list[tuple[int, int]] = []
-    swaps = [0, 0]
-    pair_dists: list[list[float]] = [[], []]
-    conns: list[list[float]] = [[], []]
+    positions = np.empty((cfg.steps_per_game, *state.player_pos.shape))
+    touches: list[list] = []
+    episode_done: list[bool] = []
     goals: list[tuple[int, int]] = []
     episode_lengths: list[int] = []
     episode_start = 0
@@ -221,29 +219,24 @@ def play_match(team_a, team_b, cfg: EnvConfig, seed: int,
         state, _, ev = step(state, np.concatenate([a0, a1]), cfg)
         if record_frames:
             frames.append(frame_dict(state, ev))
-        touches.extend(ev.ball_touches)
-        for team in range(2):
-            idx = list(team_players(team))
-            pair_dists[team].append(mean_pairwise_distance(state.player_pos[idx]))
-            conns[team].append(connectivity_from_positions(
-                idx, state.player_pos, cfg.player_radius, conn_d_min, conn_d_max))
+        positions[state.t - 1] = state.player_pos
+        touches.append(ev.ball_touches)
+        episode_done.append(ev.episode_done)
         if ev.goal_scored is not None:
             goals.append((state.t, ev.goal_scored))
         if ev.episode_done:
             episode_lengths.append(state.t - episode_start)
             episode_start = state.t
-            for team in range(2):
-                swaps[team] += count_possession_swaps(touches, team)
-            touches = []
             if ev.game_done:
                 break
             state = respawn(state, cfg, spawn_mode, env_rng)
 
+    per_step = match_metrics(positions, touches, episode_done, cfg.player_radius, conn_d_min, conn_d_max)
     metrics = {
         str(team): {
-            "pairwise_distance": float(np.mean(pair_dists[team])),
-            "connectivity": float(np.mean(conns[team])),
-            "possession_swaps": int(swaps[team]),
+            "pairwise_distance": float(np.mean(per_step["pairwise_distance"][team])),
+            "connectivity": float(np.mean(per_step["connectivity"][team])),
+            "possession_swaps": int(per_step["possession_swaps"][team, -1]),
         }
         for team in range(2)
     }
@@ -390,13 +383,13 @@ def run_league(teams: Sequence[tuple[str, object]], env_cfg: EnvConfig, league_c
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "league_report.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        with open(os.path.join(out_dir, "matches.csv"), "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+        write_text_atomic(os.path.join(out_dir, "league_report.json"),
+                          json.dumps(report, indent=2, sort_keys=True) + "\n")
+        table_csv = io.StringIO()
+        writer = csv.DictWriter(table_csv, fieldnames=list(rows[0].keys()))
+        writer.writeheader()
+        writer.writerows(rows)
+        write_text_atomic(os.path.join(out_dir, "matches.csv"), table_csv.getvalue())
     return report
 
 

@@ -256,6 +256,31 @@ def test_cli_eval_rejects_a_bad_snapshot_header_with_exit_2(tmp_path, capsys, do
     assert field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda frame: {"t": 0},
+    lambda frame: [1, 2],
+    lambda frame: dict(frame, players=frame["players"][:2]),
+    lambda frame: dict(frame, players=frame["players"][3:] + frame["players"][:3]),
+    lambda frame: dict(frame, players=[dict(frame["players"][0], pos=[1.0])] + frame["players"][1:]),
+    lambda frame: dict(frame, scores=3),
+    lambda frame: dict(frame, touches=5),
+    lambda frame: dict(frame, touches=[[1]]),
+], ids=["missing_keys", "list_frame", "two_players", "teams_out_of_order", "short_pos",
+        "int_scores", "int_touches", "short_touch"])
+def test_cli_replay_rejects_a_malformed_frame_with_exit_2(tmp_path, capsys, corrupt):
+    from taaclab.baselines import RandomTeamPolicy
+    from taaclab.env import EnvConfig
+    from taaclab.evaluation import play_match
+
+    frames = play_match(RandomTeamPolicy(), RandomTeamPolicy(), EnvConfig(steps_per_game=3), seed=0).frames
+    frames[1] = corrupt(frames[1])
+    path = tmp_path / "replay.jsonl"
+    path.write_text("".join(json.dumps(frame) + "\n" for frame in frames))
+    assert main(["replay", "--match", str(path), "--out", str(tmp_path / "frames.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "replay frame 1" in err and "Traceback" not in err
+
+
 def test_cli_eval_rejects_missing_snapshot(tmp_path):
     code = main(["eval", "--a", str(tmp_path / "none.json"),
                  "--b", str(tmp_path / "none.json"), "--games", "1"])

@@ -1,5 +1,10 @@
+import csv
+import dataclasses
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,19 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taaclab.baselines import RandomTeamPolicy
+from taaclab.cli import main
 from taaclab.config import LeagueSettings
 from taaclab.env import EnvConfig
 from taaclab.evaluation import (
     EloTable,
-    connectivity,
     connectivity_from_positions,
     count_possession_swaps,
     elo_update,
     head_to_head,
+    match_metrics,
     mean_pairwise_distance,
-    pairwise_distance,
     play_match,
-    possession_swaps,
     read_replay,
     run_league,
     write_replay,
@@ -97,21 +101,17 @@ def test_pairwise_distance_degenerate_and_regular_cases():
     assert abs(mean_pairwise_distance(pts) - 4.0) < 1e-12
 
 
-def _frame(team0_pos, team1_pos, touches=(), episode_done=False):
-    players = [{"team": 0, "pos": list(map(float, p)), "vel": [0.0, 0.0], "kick": False}
-               for p in team0_pos]
-    players += [{"team": 1, "pos": list(map(float, p)), "vel": [0.0, 0.0], "kick": False}
-                for p in team1_pos]
-    return {"t": 0, "episode": 0, "players": players,
-            "ball": {"pos": [0.0, 0.0], "vel": [0.0, 0.0]},
-            "touches": [list(t) for t in touches], "scores": [0, 0],
-            "goal": None, "episode_done": episode_done, "game_done": False}
+def _step_metrics(team0_pos, team1_pos):
+    """Both teams' metrics for one step with the players at these positions."""
+    positions = np.array([list(team0_pos) + list(team1_pos)], dtype=float)
+    per_step = match_metrics(positions, [[]], [True], player_radius=1.5, d_min=5.0, d_max=40.0)
+    return {name: values[:, 0] for name, values in per_step.items()}
 
 
-def test_pairwise_distance_on_frames():
-    frame = _frame([(0, 0), (3, 0), (0, 4)], [(50, 50), (60, 50), (70, 50)])
-    assert abs(pairwise_distance(frame, 0) - 4.0) < 1e-12
-    assert abs(pairwise_distance(frame, 1) - (10 + 10 + 20) / 3) < 1e-12
+def test_pairwise_distance_per_team():
+    dist = _step_metrics([(0, 0), (3, 0), (0, 4)], [(50, 50), (60, 50), (70, 50)])["pairwise_distance"]
+    assert abs(dist[0] - 4.0) < 1e-12
+    assert abs(dist[1] - (10 + 10 + 20) / 3) < 1e-12
 
 
 def test_possession_swaps_fixtures():
@@ -123,34 +123,29 @@ def test_possession_swaps_fixtures():
 
 
 def test_possession_swaps_reset_at_episode_boundaries():
-    replay = [
-        _frame([(0, 0)] * 3, [(50, 50)] * 3, touches=[(0, 0)]),
-        _frame([(0, 0)] * 3, [(50, 50)] * 3, touches=[], episode_done=True),
-        _frame([(0, 0)] * 3, [(50, 50)] * 3, touches=[(1, 0)]),
-    ]
-    # possession chain does not bridge the respawn
-    assert possession_swaps(replay, 0) == 0
-    replay[2]["touches"] = [[1, 0], [2, 0]]
-    assert possession_swaps(replay, 0) == 1
+    def swaps(touches, episode_done):
+        return match_metrics(np.zeros((3, 6, 2)), touches, episode_done, 1.5, 5.0, 40.0)["possession_swaps"]
+
+    touches = [[(0, 0)], [], [(1, 0)]]
+    # the chain spans steps within an episode, but does not bridge the respawn
+    assert swaps(touches, [False, False, True]).tolist() == [[0, 0, 1], [0, 0, 0]]
+    assert swaps(touches, [False, True, True]).tolist() == [[0, 0, 0], [0, 0, 0]]
+    touches[2] = [[1, 0], [2, 0]]
+    assert swaps(touches, [False, True, True]).tolist() == [[0, 0, 1], [0, 0, 0]]
 
 
 def test_connectivity_all_connected_and_all_far():
     team = [(0.0, 0.0), (10.0, 0.0), (0.0, 10.0)]
     far_opponents = [(80.0, 50.0), (85.0, 50.0), (90.0, 50.0)]
-    frame = _frame(team, far_opponents)
-    assert connectivity(frame, 0, d_min=5.0, d_max=40.0) == 1.0
+    assert _step_metrics(team, far_opponents)["connectivity"][0] == 1.0
     spread = [(0.0, 0.0), (90.0, 0.0), (0.0, 55.0)]
-    frame = _frame(spread, far_opponents)
-    assert connectivity(frame, 0, d_min=5.0, d_max=40.0) == 0.0
+    assert _step_metrics(spread, far_opponents)["connectivity"][0] == 0.0
 
 
 def test_connectivity_obstruction_case():
     team = [(0.0, 0.0), (20.0, 0.0), (10.0, 30.0)]
-    blocker_on_line = [(10.0, 0.0), (80.0, 50.0), (90.0, 50.0)]
-    frame = _frame(team, blocker_on_line)
-    blocked = connectivity(frame, 0, d_min=5.0, d_max=40.0, player_radius=1.5)
-    clear = connectivity(_frame(team, [(10.0, 10.0), (80.0, 50.0), (90.0, 50.0)]),
-                         0, d_min=5.0, d_max=40.0, player_radius=1.5)
+    blocked = _step_metrics(team, [(10.0, 0.0), (80.0, 50.0), (90.0, 50.0)])["connectivity"][0]
+    clear = _step_metrics(team, [(10.0, 10.0), (80.0, 50.0), (90.0, 50.0)])["connectivity"][0]
     assert blocked == pytest.approx(2 / 3)
     assert clear == 1.0
     # removing the obstruction never decreases connectivity
@@ -159,8 +154,7 @@ def test_connectivity_obstruction_case():
 
 def test_connectivity_teammate_can_also_obstruct():
     team = [(0.0, 0.0), (20.0, 0.0), (10.0, 0.0)]  # third teammate sits on the segment
-    frame = _frame(team, [(80.0, 50.0), (85.0, 50.0), (90.0, 50.0)])
-    value = connectivity(frame, 0, d_min=5.0, d_max=40.0)
+    value = _step_metrics(team, [(80.0, 50.0), (85.0, 50.0), (90.0, 50.0)])["connectivity"][0]
     assert value == pytest.approx(2 / 3)
 
 
@@ -214,16 +208,24 @@ def test_vectorized_metrics_match_the_loops_bit_for_bit():
     cases.append(np.array([[5, 5], [5, 5], [30, 5], [17, 5.5], [60, 50], [70, 50]], dtype=float))
     cases.append(np.full((6, 2), 7.0))
     cases.append(np.array([[0, 0], [20, 0], [40, 0], [10, 1.5], [50, 9], [60, 9]], dtype=float))
+    # the per-step path on each case and the trajectory path on all of them at once
+    trajectory = np.stack(cases)
     seen = set()
-    for positions in cases:
-        for team in ([0, 1, 2], [3, 4, 5], [2, 0, 5]):
-            for d_min in (5.0, 0.0):  # 0 keeps coincident pairs in band
-                got = connectivity_from_positions(team, positions, 1.5, d_min, 40.0)
-                want = loop_connectivity(team, positions, 1.5, d_min, 40.0)
-                assert got.hex() == want.hex()
-                seen.add(want)
-            got = mean_pairwise_distance(positions[team])
-            assert got.hex() == loop_mean_pairwise_distance(positions[team]).hex()
+    for team in ([0, 1, 2], [3, 4, 5], [2, 0, 5]):
+        for d_min in (5.0, 0.0):  # 0 keeps coincident pairs in band
+            want = [loop_connectivity(team, p, 1.5, d_min, 40.0) for p in cases]
+            per_step = [connectivity_from_positions(team, p, 1.5, d_min, 40.0) for p in cases]
+            whole = connectivity_from_positions(team, trajectory, 1.5, d_min, 40.0)
+            assert all(type(v) is float for v in per_step)
+            assert [v.hex() for v in per_step] == [v.hex() for v in want]
+            assert [v.hex() for v in whole] == [v.hex() for v in want]
+            seen.update(want)
+        want = [loop_mean_pairwise_distance(p[team]) for p in cases]
+        per_step = [mean_pairwise_distance(p[team]) for p in cases]
+        whole = mean_pairwise_distance(trajectory[:, team])
+        assert all(type(v) is float for v in per_step)
+        assert [v.hex() for v in per_step] == [v.hex() for v in want]
+        assert [v.hex() for v in whole] == [v.hex() for v in want]
     assert seen == {0.0, 1 / 3, 2 / 3, 1.0}
 
 
@@ -272,16 +274,52 @@ def test_random_vs_random_is_statistically_even():
     assert abs(np.mean(diffs)) <= 0.2
 
 
-def test_replay_round_trip_and_metric_determinism(tmp_path):
-    rec = play_match(RandomTeamPolicy(), RandomTeamPolicy(), CFG, seed=5)
+CRAMPED = EnvConfig(pitch_length=24.0, pitch_width=16.0, goal_width=6.0, steps_per_game=200)
+
+
+@pytest.mark.parametrize("spawn_mode, seed", [("fixed_formation", 1), ("random_spawns", 5)])
+def test_replay_round_trip_and_metric_determinism(tmp_path, spawn_mode, seed):
+    rec = play_match(RandomTeamPolicy(), RandomTeamPolicy(), CRAMPED, seed, spawn_mode=spawn_mode)
+    assert len(rec.episode_lengths) > 2
+    assert all(rec.metrics[team]["possession_swaps"] > 0 for team in "01")
     path = tmp_path / "replay.jsonl"
     write_replay(rec.frames, path)
     frames = read_replay(path)
     assert frames == rec.frames
-    m1 = [pairwise_distance(f, 0) for f in frames]
-    m2 = [pairwise_distance(f, 0) for f in frames]
-    assert m1 == m2
-    assert possession_swaps(frames, 0) == possession_swaps(frames, 0)
+
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"env": dataclasses.asdict(CRAMPED)}))
+    csv_path = tmp_path / "frames.csv"
+    assert main(["replay", "--match", str(path), "--out", str(csv_path), "--config", str(config)]) == 0
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(frames)
+
+    # per-frame references: loop metrics, and the episode's whole touch chain counted afresh
+    dists, conns = [[], []], [[], []]
+    swaps, chain = [0, 0], []
+    for frame, row in zip(frames, rows):
+        positions = np.array([p["pos"] for p in frame["players"]])
+        chain += frame["touches"]
+        want = {"t": str(frame["t"]), "episode": str(frame["episode"]),
+                "score_0": str(frame["scores"][0]), "score_1": str(frame["scores"][1]),
+                "goal": "" if frame["goal"] is None else str(frame["goal"]),
+                "episode_done": str(int(frame["episode_done"]))}
+        for team in range(2):
+            idx = [i for i, p in enumerate(frame["players"]) if p["team"] == team]
+            dists[team].append(loop_mean_pairwise_distance(positions[idx]))
+            conns[team].append(loop_connectivity(idx, positions, 1.5, 5.0, 40.0))
+            want[f"pairdist_{team}"] = f"{dists[team][-1]:.6f}"
+            want[f"conn_{team}"] = f"{conns[team][-1]:.6f}"
+            want[f"swaps_{team}"] = str(swaps[team] + count_possession_swaps(chain, team))
+        assert row == want
+        if frame["episode_done"]:
+            swaps = [swaps[team] + count_possession_swaps(chain, team) for team in range(2)]
+            chain = []
+    for team in range(2):
+        assert rec.metrics[str(team)] == {"pairwise_distance": float(np.mean(dists[team])),
+                                          "connectivity": float(np.mean(conns[team])),
+                                          "possession_swaps": swaps[team]}
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +372,32 @@ def test_run_league_saves_replays_when_asked(tmp_path):
     assert replays == ["game_00000.jsonl", "game_00001.jsonl"]
     frames = read_replay(tmp_path / "replays" / replays[0])
     assert len(frames) == CFG.steps_per_game
+
+
+def test_failed_replace_keeps_the_previous_league_report_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    teams = [("a", RandomTeamPolicy()), ("b", RandomTeamPolicy())]
+    run_league(teams, CFG, _league_cfg(n_games=2), seed=1, out_dir=str(tmp_path))
+    before = (tmp_path / "league_report.json").read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        run_league(teams, CFG, _league_cfg(n_games=3), seed=2, out_dir=str(tmp_path))
+    assert (tmp_path / "league_report.json").read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["league_report.json", "matches.csv"]
+
+
+def test_league_demo_script_runs(tmp_path):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = tmp_path / "league"
+    done = subprocess.run([sys.executable, str(root / "scripts" / "league_demo.py"),
+                           "--games", "2", "--steps", "40", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (out / "league_report.json").exists()
 
 
 def test_run_league_rejects_duplicate_names():
