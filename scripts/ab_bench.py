@@ -2,12 +2,14 @@
 
 Usage:
     git worktree add ../parent HEAD~1
-    python3 scripts/ab_bench.py ../parent . --workload train_taac --seeds 101-110 --seconds 30
+    python3 scripts/ab_bench.py ../parent . --workload train_taac league_desk selfplay_ppo \
+        --seeds 101-110 --seconds 30
 
-Each seed is one pair of runs of ``perfbench/run.py --trace 0``, one in each
-checkout, with the parent first in the first pair and the sides taking turns
-after that. For every end-to-end metric that the change's BENCHMARK.json
-declares, the summary gives each pair's values, each side's median and
+For each seed and each named workload, one pair of runs of
+``perfbench/run.py --trace 0``, one in each checkout; the parent goes first
+in the first seed's pairs and the sides take turns from seed to seed. One
+summary per workload gives, for every end-to-end metric that the change's
+BENCHMARK.json declares, each pair's values, each side's median and
 quartiles and the change's win count (ties count for neither side). Digests
 that differ within a pair, failed calls and runs that did not finish are
 flagged. Exits 0 only when every run finished with no failed call and every
@@ -117,28 +119,31 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent", help="checkout directory of the parent commit")
     parser.add_argument("change", help="checkout directory of the change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", nargs="+", required=True, help="one or more workload names")
     parser.add_argument("--seeds", nargs="+", required=True, help="seeds or inclusive ranges (101-110)")
     parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         end_to_end = json.load(fh)["end_to_end"]
     dirs = {"parent": args.parent, "change": args.change}
-    pairs = []
+    pairs: dict[str, list] = {workload: [] for workload in args.workload}
     for i, seed in enumerate(parse_seeds(args.seeds)):
-        results = {}
-        for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
-            start = time.monotonic()
-            results[side] = run_side(dirs[side], args.workload, seed, args.seconds)
-            res = results[side]
-            shown = res.get("error") or f"{json.dumps(res['metrics'])} digest {res['digest']}"
-            print(f"seed {seed} {side} ({time.monotonic() - start:.0f} s): {shown}",
-                  file=sys.stderr, flush=True)
-        pairs.append((seed, results["parent"], results["change"]))
-    lines, clean = summarize(pairs, end_to_end)
-    print(f"workload {args.workload}, {len(pairs)} pairs, {args.seconds:g} s runs")
-    print("\n".join(lines))
-    return 0 if clean else 1
+        for workload, done in pairs.items():
+            results = {}
+            for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
+                start = time.monotonic()
+                results[side] = res = run_side(dirs[side], workload, seed, args.seconds)
+                shown = res.get("error") or f"{json.dumps(res['metrics'])} digest {res['digest']}"
+                print(f"seed {seed} {workload} {side} ({time.monotonic() - start:.0f} s): {shown}",
+                      file=sys.stderr, flush=True)
+            done.append((seed, results["parent"], results["change"]))
+    all_clean = True
+    for workload, done in pairs.items():
+        lines, clean = summarize(done, end_to_end)
+        all_clean = all_clean and clean
+        print(f"workload {workload}, {len(done)} pairs, {args.seconds:g} s runs")
+        print("\n".join(lines))
+    return 0 if all_clean else 1
 
 
 if __name__ == "__main__":

@@ -1,15 +1,16 @@
 """Team policies behind one interface: attention actor-critic, its ablations,
 shared-policy independent PPO, uniform random, and a no-op (inactive) team.
 
-Every policy exposes ``act(obs_rows, rng) -> (action ids, log-probs)`` so
-match play and the league harness stay algorithm-agnostic. Snapshot files
+Every policy exposes ``act(obs_rows, rng) -> action ids`` so match play
+and the league harness stay algorithm-agnostic. Snapshot files
 carry the policy kind and ablation flags in their header so reports can
 attribute results.
 """
 
 from __future__ import annotations
 
-import math
+import bisect
+import itertools
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -23,6 +24,7 @@ from .nets import (
     CriticNet,
     PolicySnapshot,
     TaacNetConfig,
+    _stable_softmax_np,
     architecture_hash,
     restore_params,
     snapshot_params,
@@ -47,20 +49,25 @@ class AblationConfig:
 class TeamPolicy(Protocol):
     kind: str
 
-    def act(self, obs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """Map (n, obs_width) observations to (n,) action ids and log-probs."""
+    def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Map (n, obs_width) observations to (n,) int64 action ids."""
         ...
 
 
-def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One inverse-CDF draw per row; ``rng.random(n)`` is the stream of n single draws."""
+def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One inverse-CDF draw per row; ``rng.random(n)`` is the stream of n single draws.
+
+    The action is the count of cdf entries <= u, capped at k - 1. ``accumulate``
+    adds in order, as ``np.cumsum`` does, so the cdf has the same bits.
+    """
     n, k = probs.shape
-    u = rng.random(n)
-    # the count of cdf entries <= u is searchsorted(cdf, u, side="right")
-    actions = np.minimum((np.cumsum(probs, axis=1) <= u[:, None]).sum(axis=1), k - 1)
-    # math.log, not np.log: the two differ in the last bit for some inputs
-    logps = np.array([math.log(max(p, 1e-300)) for p in probs[np.arange(n), actions].tolist()])
-    return actions, logps
+    actions = []
+    for row, u in zip(probs.tolist(), rng.random(n).tolist()):
+        cdf = list(itertools.accumulate(row))
+        # bisect needs a sorted cdf; a NaN makes the rest of it NaN, and NaN counts as > u
+        a = bisect.bisect_right(cdf, u) if cdf[-1] == cdf[-1] else sum(c <= u for c in cdf)
+        actions.append(min(a, k - 1))
+    return np.array(actions, dtype=np.int64)
 
 
 def random_action(n: int, rng: np.random.Generator, n_actions: int = N_ACTIONS) -> np.ndarray:
@@ -75,10 +82,8 @@ class RandomTeamPolicy:
     def __init__(self, n_actions: int = N_ACTIONS):
         self.n_actions = n_actions
 
-    def act(self, obs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        n = np.asarray(obs).shape[0]
-        actions = random_action(n, rng, self.n_actions)
-        return actions, np.full(n, -math.log(self.n_actions))
+    def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return random_action(len(obs), rng, self.n_actions)
 
 
 class InactiveTeamPolicy:
@@ -87,9 +92,8 @@ class InactiveTeamPolicy:
     kind = "inactive"
     flags: dict = {}
 
-    def act(self, obs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        n = np.asarray(obs).shape[0]
-        return np.full(n, NOOP_ACTION, dtype=np.int64), np.zeros(n)
+    def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return np.full(len(obs), NOOP_ACTION, dtype=np.int64)
 
 
 class _SnapshotCodec:
@@ -134,10 +138,8 @@ class TaacTeamPolicy(_SnapshotCodec):
     def flags(self) -> dict:
         return self.ablation.to_flags()
 
-    def act(self, obs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        with ad.no_grad():
-            probs = self.actor.probs_np(obs)
-        return _sample_rows(probs, rng)
+    def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return _sample_rows(self.actor.probs_np(obs), rng)
 
     def named_parameters(self) -> dict[str, Tensor]:
         out = self.actor.named_parameters()
@@ -179,10 +181,7 @@ class PpoTeamPolicy(_SnapshotCodec):
         return np.asarray(obs, dtype=np.float64) / self.net_cfg.obs_scale
 
     def probs_np(self, obs: np.ndarray) -> np.ndarray:
-        logits = self.policy_net.forward_np(self._scaled(obs))
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
+        return _stable_softmax_np(self.policy_net.forward_np(self._scaled(obs)))
 
     def dist_forward(self, obs: np.ndarray, log_probs: bool = False) -> Tensor:
         logits = self.policy_net.forward(Tensor(self._scaled(obs)))
@@ -195,10 +194,8 @@ class PpoTeamPolicy(_SnapshotCodec):
     def values_np(self, obs: np.ndarray) -> np.ndarray:
         return self.value_net.forward_np(self._scaled(obs))[..., 0]
 
-    def act(self, obs: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        with ad.no_grad():
-            probs = self.probs_np(obs)
-        return _sample_rows(probs, rng)
+    def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return _sample_rows(self.probs_np(obs), rng)
 
     def named_parameters(self) -> dict[str, Tensor]:
         out = self.policy_net.named_parameters("ppo.policy")

@@ -112,48 +112,30 @@ def team_players(team: int) -> range:
     return range(team * TEAM_SIZE, (team + 1) * TEAM_SIZE)
 
 
-def own_goal_center(team: int, cfg: EnvConfig) -> np.ndarray:
-    x = 0.0 if team == 0 else cfg.pitch_length
-    return np.array([x, cfg.pitch_width / 2.0])
-
-
-def opponent_goal_center(team: int, cfg: EnvConfig) -> np.ndarray:
-    return own_goal_center(1 - team, cfg)
-
-
 # ---------------------------------------------------------------------------
 # actions
 
 
-def decode_action(action: int) -> tuple[np.ndarray, bool]:
-    """Map an id in [0, 18) to (move vector with components in {-1,0,1}, kick)."""
-    if not 0 <= action < N_ACTIONS:
-        raise ValueError(f"action id {action} out of range [0, {N_ACTIONS})")
-    return _MOVE_VECS[action].copy(), action >= 9
-
-
-# per action id: the move length (1 for the still moves) and unit move
+# per action id: the move length (1 for the still moves), unit move, and whether it stands still
 _MOVE_DIVISORS = np.hypot(_MOVE_VECS[:, 0], _MOVE_VECS[:, 1])
 _MOVE_DIVISORS[_MOVE_DIVISORS == 0.0] = 1.0
 _MOVE_UNITS = _MOVE_VECS / _MOVE_DIVISORS[:, None]
+_STILL = np.arange(N_ACTIONS) % 9 == NOOP_ACTION
 
 
 def _action_ids(actions) -> np.ndarray:
-    """The six action ids as int64; raises on a wrong shape or an id outside [0, 18)."""
-    actions = np.asarray(actions, dtype=np.int64)
+    """The six action ids as int64; raises on a wrong shape, a dtype that is not
+    an integer one (bool included) or an id outside [0, 18)."""
+    actions = np.asarray(actions)
     if actions.shape != (N_PLAYERS,):
         raise ValueError(f"expected {N_PLAYERS} action ids, got shape {actions.shape}")
-    # explicit: a table lookup would wrap -1 to action 17 (as unsigned, -1 is huge)
-    if (actions.view(np.uint64) >= N_ACTIONS).any():
-        raise ValueError(f"action ids {actions.tolist()} out of range [0, {N_ACTIONS})")
-    return actions
-
-
-def encode_action(move: tuple[int, int], kick: bool) -> int:
-    dx, dy = int(move[0]), int(move[1])
-    if dx not in (-1, 0, 1) or dy not in (-1, 0, 1):
-        raise ValueError(f"move components must be in {{-1,0,1}}, got {(dx, dy)}")
-    return (dx + 1) + 3 * (dy + 1) + (9 if kick else 0)
+    ids = actions.tolist()
+    if actions.dtype.kind not in "iu":  # a cast would play 3.7 as 3 and NaN as a huge negative
+        raise ValueError(f"action ids {ids} must be integers, got dtype {actions.dtype}")
+    # explicit: a table lookup would wrap -1 to action 17
+    if min(ids) < 0 or max(ids) >= N_ACTIONS:
+        raise ValueError(f"action ids {ids} out of range [0, {N_ACTIONS})")
+    return actions.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -328,46 +310,42 @@ def _resolve_ball_walls(state: WorldState, cfg: EnvConfig) -> Optional[int]:
     open onto goal boxes wherever the whole ball fits through the mouth;
     mouth fit is judged at the crossing, before any y reflection.
     """
-    pos, vel = state.ball_pos, state.ball_vel
+    (x, y), (vx, vy) = state.ball_pos.tolist(), state.ball_vel.tolist()  # IEEE doubles, same bits
     r, rest = cfg.ball_radius, cfg.wall_restitution
     L, W, depth = cfg.pitch_length, cfg.pitch_width, cfg.goal_depth
     lo, hi = _mouth_band(cfg)
 
     goal: Optional[int] = None
-    if pos[0] < r:
-        if lo <= pos[1] <= hi:
-            if pos[0] <= -r:
+    if x < r:
+        if lo <= y <= hi:
+            if x <= -r:
                 goal = 1  # fully behind the west goal line
             back = -depth + r
-            if pos[0] < back:
-                pos[0] = 2.0 * back - pos[0]
-                vel[0] = -rest * vel[0]
+            if x < back:
+                x, vx = 2.0 * back - x, -rest * vx
         else:
-            pos[0] = 2.0 * r - pos[0]
-            vel[0] = -rest * vel[0]
-    elif pos[0] > L - r:
-        if lo <= pos[1] <= hi:
-            if pos[0] >= L + r:
+            x, vx = 2.0 * r - x, -rest * vx
+    elif x > L - r:
+        if lo <= y <= hi:
+            if x >= L + r:
                 goal = 0
             back = L + depth - r
-            if pos[0] > back:
-                pos[0] = 2.0 * back - pos[0]
-                vel[0] = -rest * vel[0]
+            if x > back:
+                x, vx = 2.0 * back - x, -rest * vx
         else:
-            pos[0] = 2.0 * (L - r) - pos[0]
-            vel[0] = -rest * vel[0]
+            x, vx = 2.0 * (L - r) - x, -rest * vx
 
     # y walls: goal-box side walls once behind a goal line, pitch walls otherwise
-    if pos[0] < 0.0 or pos[0] > L:
+    if x < 0.0 or x > L:
         y_lo, y_hi = lo, hi
     else:
         y_lo, y_hi = r, W - r
-    if pos[1] < y_lo:
-        pos[1] = 2.0 * y_lo - pos[1]
-        vel[1] = -rest * vel[1]
-    elif pos[1] > y_hi:
-        pos[1] = 2.0 * y_hi - pos[1]
-        vel[1] = -rest * vel[1]
+    if y < y_lo:
+        y, vy = 2.0 * y_lo - y, -rest * vy
+    elif y > y_hi:
+        y, vy = 2.0 * y_hi - y, -rest * vy
+    state.ball_pos[0], state.ball_pos[1] = x, y
+    state.ball_vel[0], state.ball_vel[1] = vx, vy
     return goal
 
 
@@ -455,7 +433,7 @@ def reward_components(prev: WorldState, actions: np.ndarray, nxt: WorldState,
     bn = np.hypot(to_ball[:, 0], to_ball[:, 1])
     on_ball = bn <= 1e-12
     out[:, 0] = cfg.theta_exp * rowdot(_MOVE_UNITS[actions], to_ball / np.where(on_ball, 1.0, bn)[:, None])
-    out[on_ball | (actions % 9 == NOOP_ACTION), 0] = 0.0
+    out[on_ball | _STILL[actions], 0] = 0.0
 
     # per team: r_ball, r_goal, r_dist
     team = np.empty((2, 3))
@@ -465,9 +443,9 @@ def reward_components(prev: WorldState, actions: np.ndarray, nxt: WorldState,
     at_goal = gn <= 1e-12
     team[:, 0] = cfg.theta_ball * rowdot(nxt.ball_vel[None, :], g / np.where(at_goal, 1.0, gn)[:, None])
     team[at_goal, 0] = 0.0
-    score_delta = nxt.scores - prev.scores
-    team[:, 1] = np.where(score_delta > 0, cfg.goal_reward,
-                          np.where(score_delta[::-1] > 0, -cfg.goal_reward, 0.0))
+    scored = [a > b for a, b in zip(nxt.scores.tolist(), prev.scores.tolist())]
+    for k in (0, 1):
+        team[k, 1] = cfg.goal_reward if scored[k] else -cfg.goal_reward if scored[1 - k] else 0.0
     d = nxt.player_pos[_MATE_I] - nxt.player_pos[_MATE_J]
     dists = np.sqrt(rowdot(d, d)).reshape(2, -1)
     team[:, 2] = cfg.theta_dist * np.minimum(dists.sum(axis=1) / dists.shape[1], cfg.theta_max)

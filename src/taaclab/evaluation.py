@@ -214,8 +214,8 @@ def play_match(team_a, team_b, cfg: EnvConfig, seed: int,
     while True:
         obs0 = observe_team(state, 0, cfg)
         obs1 = observe_team(state, 1, cfg)
-        a0, _ = team_a.act(obs0, rng_a)
-        a1, _ = team_b.act(obs1, rng_b)
+        a0 = team_a.act(obs0, rng_a)
+        a1 = team_b.act(obs1, rng_b)
         state, _, ev = step(state, np.concatenate([a0, a1]), cfg)
         if record_frames:
             frames.append(frame_dict(state, ev))

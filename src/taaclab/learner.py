@@ -268,8 +268,8 @@ def play_training_game(team0, team1, env_cfg, rng: np.random.Generator,
     trajs: list[Trajectory] = []
     current: list[Transition] = []
     while True:
-        a0, _ = team0.act(obs0, rng)
-        a1, _ = team1.act(observe_team(state, 1, env_cfg), rng)
+        a0 = team0.act(obs0, rng)
+        a1 = team1.act(observe_team(state, 1, env_cfg), rng)
         nxt, rewards, ev = step(state, np.concatenate([a0, a1]), env_cfg)
         next_obs = observe_team(nxt, 0, env_cfg)  # also the next step's obs0
         current.append(Transition(obs0, a0, rewards[:TEAM_SIZE], next_obs, ev.episode_done, state.t))

@@ -164,6 +164,8 @@ class MultiHeadAttention:
         if any(w.shape != shape for h in heads for w in (h.wq, h.wk, h.wv)):
             raise ShapeError(f"every head's wq, wk and wv must share one shape, the first wq's {shape}")
         self.heads = heads
+        self._packed_from: list[np.ndarray] = []  # the arrays ``_packed`` was built from
+        self._packed: np.ndarray | None = None
 
     @classmethod
     def create(cls, d_model: int, n_heads: int, rng: np.random.Generator) -> "MultiHeadAttention":
@@ -198,20 +200,36 @@ class MultiHeadAttention:
             outs.append(o)
         return concat(outs, axis=-1), weights
 
+    def _packed_weights(self) -> np.ndarray:
+        """Every head's wq, then wk, then wv side by side: (d_model, 3 * H * d_k).
+
+        Rebuilt only when some head's ``.data`` is another array object than at
+        the last build, as after ``Adam.step`` or ``restore_params``; an in-place
+        edit of a weight array is not seen.
+        """
+        arrays = ([h.wq.data for h in self.heads] + [h.wk.data for h in self.heads]
+                  + [h.wv.data for h in self.heads])
+        # the arrays are held, not their ids: a freed array's id can come back
+        if self._packed is None or any(a is not b for a, b in zip(arrays, self._packed_from)):
+            self._packed = np.concatenate(arrays, axis=1)
+            self._packed_from = arrays
+        return self._packed
+
     def forward_np(self, m: np.ndarray) -> np.ndarray:
         """Tape-free forward for stacked inputs (..., n, d_model): one GEMM projects
-        every head, and the 4-D einsums equal per-head ones bit for bit (``q @ k.T`` does not)."""
+        every head, and the 4-D einsums equal per-head ones bit for bit (``q @ k.T``
+        does not). The packed projection is cached (``_packed_weights``): replace a
+        weight's ``.data`` to change it; an in-place edit is not seen."""
         lead = m.shape[:-2]
         n, d_model = m.shape[-2:]
         d_k = self.heads[0].wk.shape[1]
-        packed = np.concatenate([h.wq.data for h in self.heads] + [h.wk.data for h in self.heads]
-                                + [h.wv.data for h in self.heads], axis=1)  # (d_model, 3 * H * d_k)
-        qkv = (m.reshape(-1, d_model) @ packed).reshape(-1, n, 3, len(self.heads), d_k)
+        qkv = (m.reshape(-1, d_model) @ self._packed_weights()).reshape(-1, n, 3, len(self.heads), d_k)
         q, k, v = qkv[:, :, 0], qkv[:, :, 1], qkv[:, :, 2]
-        scores = np.einsum("bihk,bjhk->bhij", q, k) / math.sqrt(d_k)
-        scores -= scores.max(axis=-1, keepdims=True)
-        e = np.exp(scores)
-        w = e / e.sum(axis=-1, keepdims=True)
+        w = np.einsum("bihk,bjhk->bhij", q, k)
+        w /= math.sqrt(d_k)
+        w -= w.max(axis=-1, keepdims=True)  # softmax in place
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
         out = np.einsum("bhij,bjhk->bihk", w, v)
         return out.reshape(lead + (n, self.out_width))
 

@@ -72,3 +72,27 @@ def test_summary_of_clean_pairs_is_clean():
 def test_parse_seeds_rejects_non_numbers(items):
     with pytest.raises(ValueError):
         ab_bench.parse_seeds(items)
+
+
+def test_main_runs_one_alternating_pair_per_seed_and_workload(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    runs = []
+
+    def fake_run_side(checkout, workload, seed, seconds):
+        runs.append((seed, workload, checkout))
+        side = "change" if checkout == str(tmp_path) else "parent"
+        games = {"wa": {"parent": 10.0, "change": 12.0}, "wb": {"parent": 20.0, "change": 19.0}}
+        return result(games[workload][side] + seed, 200.0)
+
+    monkeypatch.setattr(ab_bench, "run_side", fake_run_side)
+    code = ab_bench.main(["old", str(tmp_path), "--workload", "wa", "wb", "--seeds", "1-2",
+                          "--seconds", "5"])
+    assert code == 0
+    new = str(tmp_path)
+    assert runs == [(1, "wa", "old"), (1, "wa", new), (1, "wb", "old"), (1, "wb", new),
+                    (2, "wa", new), (2, "wa", "old"), (2, "wb", new), (2, "wb", "old")]
+    lines = capsys.readouterr().out.splitlines()
+    first, second = lines.index("workload wa, 2 pairs, 5 s runs"), lines.index("workload wb, 2 pairs, 5 s runs")
+    assert first < second
+    assert "  seed 2: parent 12 change 14 -> change" in lines[first:second]
+    assert "  seed 2: parent 22 change 21 -> parent" in lines[second:]

@@ -9,11 +9,8 @@ from taaclab.env import (
     OBS_WIDTH,
     EnvConfig,
     GameOverError,
-    decode_action,
-    encode_action,
     observe,
     observe_team,
-    opponent_goal_center,
     reset,
     respawn,
     reward_components,
@@ -34,39 +31,43 @@ def noop_actions():
     return np.full(6, NOOP_ACTION)
 
 
+def action_id(dx, dy, kick):
+    """The id of move (dx, dy), each in {-1, 0, 1}, with or without a kick."""
+    return (dx + 1) + 3 * (dy + 1) + (9 if kick else 0)
+
+
 # ---------------------------------------------------------------------------
 # actions
 
 
-def test_all_action_ids_decode_to_distinct_noncontradictory_pairs():
-    seen = set()
-    for a in range(N_ACTIONS):
-        move, kick = decode_action(a)
-        assert move[0] in (-1.0, 0.0, 1.0) and move[1] in (-1.0, 0.0, 1.0)
-        seen.add((move[0], move[1], kick))
-    assert len(seen) == N_ACTIONS
-
-
-def test_noop_action_decodes_to_rest():
-    move, kick = decode_action(NOOP_ACTION)
-    np.testing.assert_array_equal(move, [0.0, 0.0])
-    assert not kick
-
-
-def test_encode_decode_round_trip():
-    for a in range(N_ACTIONS):
-        move, kick = decode_action(a)
-        assert encode_action((int(move[0]), int(move[1])), kick) == a
-
-
 @pytest.mark.parametrize("bad", [-1, 18, 100])
 def test_out_of_range_action_rejected(bad):
-    with pytest.raises(ValueError):
-        decode_action(bad)
     actions = noop_actions()
     actions[0] = bad
     with pytest.raises(ValueError):  # the public reward function checks ids itself
         reward_components(quiet_state(), actions, quiet_state(), CFG)
+
+
+@pytest.mark.filterwarnings("error")  # no cast warning before the error
+@pytest.mark.parametrize("bad", [[3.7, 0, 0, 0, 0, 0.2], [True] * 6, [1e30, 4, 4, 4, 4, 4],
+                                 [np.nan, 4, 4, 4, 4, 4]], ids=["fractional", "bool", "huge", "nan"])
+def test_non_integer_action_ids_rejected(bad):
+    s = quiet_state()
+    for call in (lambda: step(s, bad, CFG), lambda: reward_components(s, bad, s, CFG)):
+        with pytest.raises(ValueError, match="must be integers") as err:
+            call()
+        assert str(np.asarray(bad).tolist()) in str(err.value)
+
+
+def test_every_integer_dtype_plays_the_same_step():
+    s = quiet_state()
+    actions = np.array([0, 5, 9, 13, 17, NOOP_ACTION])
+    expected = step(s, actions, CFG)
+    for dtype in (np.int8, np.int32, np.uint8, np.uint64):
+        got = step(s, actions.astype(dtype), CFG)
+        np.testing.assert_array_equal(got[0].player_pos, expected[0].player_pos)
+        np.testing.assert_array_equal(got[0].kicking, expected[0].kicking)
+        np.testing.assert_array_equal(got[1], expected[1])
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +196,7 @@ def test_kick_gives_ball_impulse_along_center_line():
     s.player_pos[0] = np.array([50.0, 30.0])
     s.ball_pos = np.array([52.0, 30.0])
     actions = noop_actions()
-    actions[0] = encode_action((0, 0), True)
+    actions[0] = action_id(0, 0, True)
     s2, _, ev = step(s, actions, CFG)
     assert (0, 0) in ev.ball_touches
     speed = np.linalg.norm(s2.ball_vel)
@@ -206,7 +207,7 @@ def test_kick_gives_ball_impulse_along_center_line():
 def test_kick_without_contact_does_nothing():
     s = quiet_state()
     actions = noop_actions()
-    actions[0] = encode_action((0, 0), True)
+    actions[0] = action_id(0, 0, True)
     s2, _, ev = step(s, actions, CFG)
     assert ev.ball_touches == []
     np.testing.assert_array_equal(s2.ball_vel, [0.0, 0.0])
@@ -300,7 +301,7 @@ def test_moving_straight_at_ball_earns_full_explore_reward():
     s.player_pos[0] = np.array([40.0, 5.0])
     s.ball_pos = np.array([60.0, 5.0])
     actions = noop_actions()
-    actions[0] = encode_action((1, 0), False)
+    actions[0] = action_id(1, 0, False)
     s2, _, _ = step(s, actions, CFG)
     comps = reward_components(s, actions, s2, CFG)
     assert abs(comps[0, 0] - CFG.theta_exp) < 1e-12
@@ -311,7 +312,7 @@ def test_moving_away_from_ball_is_penalized():
     s.player_pos[0] = np.array([40.0, 5.0])
     s.ball_pos = np.array([60.0, 5.0])
     actions = noop_actions()
-    actions[0] = encode_action((-1, 0), False)
+    actions[0] = action_id(-1, 0, False)
     s2, _, _ = step(s, actions, CFG)
     comps = reward_components(s, actions, s2, CFG)
     assert comps[0, 0] == -CFG.theta_exp

@@ -16,8 +16,6 @@ from taaclab.env import (
     _resolve_ball_walls,
     observe,
     observe_team,
-    opponent_goal_center,
-    own_goal_center,
     reset,
     respawn,
     step,
@@ -37,6 +35,15 @@ def ref_decode_action(action):
         raise ValueError(f"action id {action} out of range")
     dx, dy = _REF_MOVES[action % 9]
     return np.array([float(dx), float(dy)]), action >= 9
+
+
+def own_goal_center(team, cfg):
+    x = 0.0 if team == 0 else cfg.pitch_length
+    return np.array([x, cfg.pitch_width / 2.0])
+
+
+def opponent_goal_center(team, cfg):
+    return own_goal_center(1 - team, cfg)
 
 
 def ref_observe(state, player, cfg):
@@ -83,6 +90,51 @@ def ref_separate_players(pos, cfg):
         ref_clamp_players(pos, cfg)
         if not moved:
             break
+
+
+def ref_resolve_ball_walls(state, cfg):
+    """``_resolve_ball_walls`` on numpy scalars; the Python-float version must match it bit for bit."""
+    pos, vel = state.ball_pos, state.ball_vel
+    r, rest = cfg.ball_radius, cfg.wall_restitution
+    L, W, depth = cfg.pitch_length, cfg.pitch_width, cfg.goal_depth
+    cy, half = cfg.pitch_width / 2.0, cfg.goal_width / 2.0 - cfg.ball_radius
+    lo, hi = cy - half, cy + half
+
+    goal = None
+    if pos[0] < r:
+        if lo <= pos[1] <= hi:
+            if pos[0] <= -r:
+                goal = 1
+            back = -depth + r
+            if pos[0] < back:
+                pos[0] = 2.0 * back - pos[0]
+                vel[0] = -rest * vel[0]
+        else:
+            pos[0] = 2.0 * r - pos[0]
+            vel[0] = -rest * vel[0]
+    elif pos[0] > L - r:
+        if lo <= pos[1] <= hi:
+            if pos[0] >= L + r:
+                goal = 0
+            back = L + depth - r
+            if pos[0] > back:
+                pos[0] = 2.0 * back - pos[0]
+                vel[0] = -rest * vel[0]
+        else:
+            pos[0] = 2.0 * (L - r) - pos[0]
+            vel[0] = -rest * vel[0]
+
+    if pos[0] < 0.0 or pos[0] > L:
+        y_lo, y_hi = lo, hi
+    else:
+        y_lo, y_hi = r, W - r
+    if pos[1] < y_lo:
+        pos[1] = 2.0 * y_lo - pos[1]
+        vel[1] = -rest * vel[1]
+    elif pos[1] > y_hi:
+        pos[1] = 2.0 * y_hi - pos[1]
+        vel[1] = -rest * vel[1]
+    return goal
 
 
 def ref_step(state, actions, cfg):
@@ -239,6 +291,30 @@ def test_step_matches_scalar_reference_bit_for_bit(cfg, mode, monkeypatch):
         # the order-dependent branches really ran
         assert len(separations) > 0
         assert counts["multi_contact"] > 0
+
+
+@pytest.mark.parametrize("cfg", [SMALL, CRAMPED, EnvConfig()], ids=["small", "cramped", "default"])
+def test_wall_resolution_matches_numpy_scalar_reference_bit_for_bit(cfg):
+    cfg = cfg.validate()
+    r, L, W, depth = cfg.ball_radius, cfg.pitch_length, cfg.pitch_width, cfg.goal_depth
+    half = cfg.goal_width / 2.0 - r
+    edges_x = [r, -r, L - r, L + r, 0.0, L, -depth + r, L + depth - r, -depth - r, L + depth]
+    edges_y = [r, W - r, W / 2.0 - half, W / 2.0 + half, 0.0, W, W / 2.0]
+    gen = np.random.default_rng(23)
+    base = reset(cfg, "fixed_formation")
+    goals = set()
+    for i in range(4000):
+        x = gen.choice(edges_x) if i % 3 == 0 else gen.uniform(-depth - 2.0, L + depth + 2.0)
+        y = gen.choice(edges_y) if i % 5 == 0 else gen.uniform(-2.0, W + 2.0)
+        v = gen.normal(size=2)
+        new, ref = base.copy(), base.copy()
+        for s in (new, ref):
+            s.ball_pos, s.ball_vel = np.array([x, y]), v.copy()
+        goal = _resolve_ball_walls(new, cfg)
+        assert goal == ref_resolve_ball_walls(ref, cfg)
+        assert_same_state(new, ref)
+        goals.add(goal)
+    assert goals == {None, 0, 1}
 
 
 def test_step_rejects_out_of_range_ids_without_wrapping():

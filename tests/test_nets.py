@@ -429,6 +429,38 @@ def test_snapshot_doc_survives_json_text_round_trip():
         np.testing.assert_array_equal(restored.params[key], arr)
 
 
+@pytest.mark.parametrize("net", ["actor", "critic"])
+def test_packed_attention_projection_follows_weight_replacement(net, tmp_path):
+    from taaclab.baselines import TaacTeamPolicy
+    from taaclab.learner import Adam
+    from taaclab.nn import AttentionHead, MultiHeadAttention
+
+    rng = np.random.default_rng(19)
+    policy = TaacTeamPolicy(SMALL, rng)
+    attn = getattr(policy, net).attn
+    m = rng.normal(size=(2, 3, SMALL.d_model))
+
+    def same_bits_as_a_fresh_module():
+        fresh = MultiHeadAttention([AttentionHead(*(Tensor(w.data.copy()) for w in (h.wq, h.wk, h.wv)))
+                                    for h in attn.heads])
+        out = attn.forward_np(m)
+        assert out.tobytes() == fresh.forward_np(m).tobytes()
+        return out.tobytes()
+
+    before = same_bits_as_a_fresh_module()  # packs the projection
+    opt = Adam(attn.parameters(), 1e-2)
+    for p in attn.parameters():
+        p.grad = rng.normal(size=p.shape)
+    opt.step()
+    after_step = same_bits_as_a_fresh_module()
+    assert after_step != before
+
+    path = tmp_path / "snap.json"
+    save_snapshot(TaacTeamPolicy(SMALL, np.random.default_rng(20)).to_snapshot(version=1), path)
+    policy.load_snapshot(load_snapshot(path))
+    assert same_bits_as_a_fresh_module() not in (before, after_step)
+
+
 # ---------------------------------------------------------------------------
 # snapshot codec
 
