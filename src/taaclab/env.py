@@ -7,8 +7,9 @@ for the action space is +y (north).
 
 Step update order (fixed for determinism): apply movement, separate
 overlapping players, resolve kicks and ball contact, integrate the ball
-(damping then position), resolve wall and goal-box collisions, then
-compute rewards from the before/after states.
+(damping then position), then resolve wall and goal-box collisions. The
+shaped rewards are not part of the step: ``reward_components`` computes them
+from the before/after states, one transition or a whole game at once.
 """
 
 from __future__ import annotations
@@ -124,18 +125,25 @@ _STILL = np.arange(N_ACTIONS) % 9 == NOOP_ACTION
 
 
 def _action_ids(actions) -> np.ndarray:
-    """The six action ids as int64; raises on a wrong shape, a dtype that is not
-    an integer one (bool included) or an id outside [0, 18)."""
+    """Action ids as int64 in rows of six, shape (6,) or (..., 6); raises on a
+    wrong shape, a dtype that is not an integer one (bool included) or an id
+    outside [0, 18), naming the first bad row of the (-1, 6) view."""
     actions = np.asarray(actions)
-    if actions.shape != (N_PLAYERS,):
-        raise ValueError(f"expected {N_PLAYERS} action ids, got shape {actions.shape}")
-    ids = actions.tolist()
+    if actions.shape[-1:] != (N_PLAYERS,):
+        raise ValueError(f"expected rows of {N_PLAYERS} action ids, got shape {actions.shape}")
+    ids = actions.ravel().tolist()
     if actions.dtype.kind not in "iu":  # a cast would play 3.7 as 3 and NaN as a huge negative
-        raise ValueError(f"action ids {ids} must be integers, got dtype {actions.dtype}")
+        raise ValueError(f"action ids {_id_row(actions, ids, 0)} must be integers, got dtype {actions.dtype}")
     # explicit: a table lookup would wrap -1 to action 17
     if min(ids) < 0 or max(ids) >= N_ACTIONS:
-        raise ValueError(f"action ids {ids} out of range [0, {N_ACTIONS})")
+        k = next(k for k, a in enumerate(ids) if not 0 <= a < N_ACTIONS) // N_PLAYERS
+        raise ValueError(f"action ids {_id_row(actions, ids, k)} out of range [0, {N_ACTIONS})")
     return actions.astype(np.int64, copy=False)
+
+
+def _id_row(actions: np.ndarray, ids: list, k: int) -> str:
+    row = ids[k * N_PLAYERS:(k + 1) * N_PLAYERS]
+    return str(row) if actions.ndim == 1 else f"{row} (row {k})"
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +357,11 @@ def _resolve_ball_walls(state: WorldState, cfg: EnvConfig) -> Optional[int]:
     return goal
 
 
-def step(state: WorldState, actions: np.ndarray, cfg: EnvConfig) -> tuple[WorldState, np.ndarray, StepEvents]:
+def step(state: WorldState, actions: np.ndarray, cfg: EnvConfig) -> tuple[WorldState, StepEvents]:
     """Advance one time step for all six players.
 
     ``actions`` holds one id per player, team 0 first. Returns the next
-    state, the per-player total rewards, and the step events.
+    state and the step events; the rewards come from ``reward_components``.
     """
     if state.t >= cfg.steps_per_game:
         raise GameOverError(f"game already finished at step {state.t} (limit {cfg.steps_per_game})")
@@ -403,7 +411,7 @@ def step(state: WorldState, actions: np.ndarray, cfg: EnvConfig) -> tuple[WorldS
     elif events.game_done:
         events.episode_done = True
 
-    return s, reward_components(state, actions, s, cfg).sum(axis=1), events
+    return s, events
 
 
 # ---------------------------------------------------------------------------
@@ -418,38 +426,44 @@ def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def reward_components(prev: WorldState, actions: np.ndarray, nxt: WorldState,
                       cfg: EnvConfig) -> np.ndarray:
-    """Per-player (r_explore, r_ball, r_goal, r_dist) for one transition.
+    """Per-player (r_explore, r_ball, r_goal, r_dist) for one transition, (6, 4).
 
     r_explore: scaled dot of the unit move direction with the unit vector
     to the ball (zero when not moving). r_ball: scaled dot of the ball
     velocity with the unit direction to the opponent goal, shared by the
     team. r_goal: +/- goal_reward on the scoring step. r_dist: scaled mean
     pairwise teammate distance, capped at theta_max, same for the team.
+
+    For a whole game at once, give states whose arrays carry a leading T
+    axis and (T, 6) actions: the result is (T, 6, 4), and each step's rows
+    hold the same bits as a call on that step alone, since the same
+    element-wise code runs.
     """
     actions = _action_ids(actions)
-    out = np.empty((N_PLAYERS, 4))
+    out = np.empty((*actions.shape, 4))
 
-    to_ball = prev.ball_pos - prev.player_pos
-    bn = np.hypot(to_ball[:, 0], to_ball[:, 1])
+    to_ball = prev.ball_pos[..., None, :] - prev.player_pos
+    bn = np.hypot(to_ball[..., 0], to_ball[..., 1])
     on_ball = bn <= 1e-12
-    out[:, 0] = cfg.theta_exp * rowdot(_MOVE_UNITS[actions], to_ball / np.where(on_ball, 1.0, bn)[:, None])
-    out[on_ball | _STILL[actions], 0] = 0.0
+    explore = cfg.theta_exp * rowdot(_MOVE_UNITS[actions], to_ball / np.where(on_ball, 1.0, bn)[..., None])
+    explore[on_ball | _STILL[actions]] = 0.0
+    out[..., 0] = explore
 
     # per team: r_ball, r_goal, r_dist
-    team = np.empty((2, 3))
+    team = np.empty((*actions.shape[:-1], 2, 3))
     half_w = cfg.pitch_width / 2.0
-    g = np.array([[cfg.pitch_length, half_w], [0.0, half_w]]) - nxt.ball_pos
-    gn = np.hypot(g[:, 0], g[:, 1])
+    g = np.array([[cfg.pitch_length, half_w], [0.0, half_w]]) - nxt.ball_pos[..., None, :]
+    gn = np.hypot(g[..., 0], g[..., 1])
     at_goal = gn <= 1e-12
-    team[:, 0] = cfg.theta_ball * rowdot(nxt.ball_vel[None, :], g / np.where(at_goal, 1.0, gn)[:, None])
-    team[at_goal, 0] = 0.0
-    scored = [a > b for a, b in zip(nxt.scores.tolist(), prev.scores.tolist())]
-    for k in (0, 1):
-        team[k, 1] = cfg.goal_reward if scored[k] else -cfg.goal_reward if scored[1 - k] else 0.0
-    d = nxt.player_pos[_MATE_I] - nxt.player_pos[_MATE_J]
-    dists = np.sqrt(rowdot(d, d)).reshape(2, -1)
-    team[:, 2] = cfg.theta_dist * np.minimum(dists.sum(axis=1) / dists.shape[1], cfg.theta_max)
-    out[:, 1:] = team[_PLAYER_TEAM]
+    ball = cfg.theta_ball * rowdot(nxt.ball_vel[..., None, :], g / np.where(at_goal, 1.0, gn)[..., None])
+    ball[at_goal] = 0.0
+    team[..., 0] = ball
+    scored = nxt.scores > prev.scores  # at most one team per step
+    team[..., 1] = np.where(scored, cfg.goal_reward, np.where(scored[..., ::-1], -cfg.goal_reward, 0.0))
+    d = nxt.player_pos[..., _MATE_I, :] - nxt.player_pos[..., _MATE_J, :]
+    dists = np.sqrt(rowdot(d, d)).reshape(*actions.shape[:-1], 2, -1)
+    team[..., 2] = cfg.theta_dist * np.minimum(dists.sum(axis=-1) / dists.shape[-1], cfg.theta_max)
+    out[..., 1:] = team[..., _PLAYER_TEAM, :]
     return out
 
 

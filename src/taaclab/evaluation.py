@@ -216,7 +216,7 @@ def play_match(team_a, team_b, cfg: EnvConfig, seed: int,
         obs1 = observe_team(state, 1, cfg)
         a0 = team_a.act(obs0, rng_a)
         a1 = team_b.act(obs1, rng_b)
-        state, _, ev = step(state, np.concatenate([a0, a1]), cfg)
+        state, ev = step(state, np.concatenate([a0, a1]), cfg)
         if record_frames:
             frames.append(frame_dict(state, ev))
         positions[state.t - 1] = state.player_pos

@@ -38,7 +38,7 @@ from .baselines import (
     ppo_update,
 )
 from .config import RunConfig
-from .env import TEAM_SIZE, observe_team, reset, respawn, step
+from .env import N_PLAYERS, TEAM_SIZE, WorldState, observe_team, reset, respawn, reward_components, step
 from .nets import (
     PolicySnapshot,
     architecture_hash,
@@ -260,19 +260,58 @@ def _critic_targets(traj: Trajectory, policy: TaacTeamPolicy, learner_cfg) -> np
 # rollouts
 
 
+class _StateTrail:
+    """Every state a game passes through, in order, in per-game arrays: each
+    episode's opening state, then the state after each of its steps."""
+
+    def __init__(self, rows: int):
+        self.stack = WorldState(player_pos=np.empty((rows, N_PLAYERS, 2)),
+                                player_vel=np.empty((rows, N_PLAYERS, 2)),
+                                kicking=np.empty((rows, N_PLAYERS), dtype=bool),
+                                ball_pos=np.empty((rows, 2)), ball_vel=np.empty((rows, 2)),
+                                scores=np.empty((rows, 2), dtype=np.int64))
+        self.rows = 0
+
+    def add(self, s: WorldState) -> int:
+        """Append ``s``; returns its row."""
+        k, st = self.rows, self.stack
+        (st.player_pos[k], st.player_vel[k], st.kicking[k],
+         st.ball_pos[k], st.ball_vel[k], st.scores[k]) = (s.player_pos, s.player_vel, s.kicking,
+                                                           s.ball_pos, s.ball_vel, s.scores)
+        self.rows += 1
+        return k
+
+    def take(self, rows: np.ndarray) -> WorldState:
+        """The states at ``rows``, stacked along a leading axis."""
+        st = self.stack
+        return WorldState(st.player_pos[rows], st.player_vel[rows], st.kicking[rows],
+                          st.ball_pos[rows], st.ball_vel[rows], st.scores[rows])
+
+
 def play_training_game(team0, team1, env_cfg, rng: np.random.Generator,
                        spawn_mode: str) -> tuple[list, dict]:
-    """Run one full game; returns team 0's per-episode trajectories and stats."""
+    """Run one full game; returns team 0's per-episode trajectories and stats.
+
+    The rewards come after the game from one ``reward_components`` call over
+    every step's before and after states; they equal one call per step.
+    """
+    T = env_cfg.steps_per_game
+    trail = _StateTrail(2 * T)  # each episode has at least one step
+    joint = np.empty((T, N_PLAYERS), dtype=np.int64)
+    after = np.empty(T, dtype=np.int64)  # step t goes from trail row after[t] - 1 to after[t]
     state = reset(env_cfg, spawn_mode, rng)
+    trail.add(state)
     obs0 = observe_team(state, 0, env_cfg)
     trajs: list[Trajectory] = []
     current: list[Transition] = []
     while True:
+        t = state.t
         a0 = team0.act(obs0, rng)
         a1 = team1.act(observe_team(state, 1, env_cfg), rng)
-        nxt, rewards, ev = step(state, np.concatenate([a0, a1]), env_cfg)
+        nxt, ev = step(state, np.concatenate([a0, a1], out=joint[t]), env_cfg)
+        after[t] = trail.add(nxt)
         next_obs = observe_team(nxt, 0, env_cfg)  # also the next step's obs0
-        current.append(Transition(obs0, a0, rewards[:TEAM_SIZE], next_obs, ev.episode_done, state.t))
+        current.append(Transition(obs0, a0, None, next_obs, ev.episode_done, t))
         state, obs0 = nxt, next_obs
         if ev.episode_done:
             trajs.append(Trajectory(current))
@@ -280,7 +319,11 @@ def play_training_game(team0, team1, env_cfg, rng: np.random.Generator,
             if ev.game_done:
                 break
             state = respawn(state, env_cfg, spawn_mode, rng)
+            trail.add(state)
             obs0 = observe_team(state, 0, env_cfg)
+    rewards = reward_components(trail.take(after - 1), joint, trail.take(after), env_cfg).sum(axis=-1)
+    for tr in (tr for traj in trajs for tr in traj.transitions):
+        tr.rewards = rewards[tr.t, :TEAM_SIZE]
     stats = {
         "goals_for": int(state.scores[0]),
         "goals_against": int(state.scores[1]),

@@ -21,6 +21,7 @@ from taaclab.env import (
     observe_team,
     reset,
     respawn,
+    reward_components,
     step,
 )
 from taaclab.evaluation import (
@@ -170,7 +171,7 @@ def test_acceptance_5_environment_conservation():
     s = reset(cfg, "random_spawns", rng)
     r = cfg.player_radius
     for _ in range(10_000):
-        s, _, ev = step(s, rng.integers(0, N_ACTIONS, 6), cfg)
+        s, ev = step(s, rng.integers(0, N_ACTIONS, 6), cfg)
         assert np.all(s.player_pos[:, 0] >= r - 1e-9)
         assert np.all(s.player_pos[:, 0] <= cfg.pitch_length - r + 1e-9)
         assert np.all(s.player_pos[:, 1] >= r - 1e-9)
@@ -185,7 +186,7 @@ def test_acceptance_5_environment_conservation():
     st_ = reset(clean, "fixed_formation")
     st_.ball_pos = np.array([50.0, 1.2])
     st_.ball_vel = np.array([0.4, -3.0])
-    nxt, _, _ = step(st_, np.full(6, 4), clean)
+    nxt, _ = step(st_, np.full(6, 4), clean)
     assert abs(nxt.ball_vel[1] - clean.wall_restitution * 3.0) < 1e-9
     assert abs(nxt.ball_vel[0] - 0.4) < 1e-9
 
@@ -196,7 +197,9 @@ def test_acceptance_5_environment_conservation():
         state = reset(cfg, "random_spawns", np.random.default_rng(9))
         frames = []
         for t in range(500):
-            state, rew, _ = step(state, acts[t], cfg)
+            prev = state
+            state, _ = step(state, acts[t], cfg)
+            rew = reward_components(prev, acts[t], state, cfg).sum(axis=-1)
             frames.append((state.player_pos.copy(), state.ball_pos.copy(),
                            state.ball_vel.copy(), rew.copy()))
         return frames

@@ -9,6 +9,7 @@ from taaclab.env import (
     OBS_WIDTH,
     EnvConfig,
     GameOverError,
+    WorldState,
     observe,
     observe_team,
     reset,
@@ -62,12 +63,13 @@ def test_non_integer_action_ids_rejected(bad):
 def test_every_integer_dtype_plays_the_same_step():
     s = quiet_state()
     actions = np.array([0, 5, 9, 13, 17, NOOP_ACTION])
-    expected = step(s, actions, CFG)
+    expected, _ = step(s, actions, CFG)
     for dtype in (np.int8, np.int32, np.uint8, np.uint64):
-        got = step(s, actions.astype(dtype), CFG)
-        np.testing.assert_array_equal(got[0].player_pos, expected[0].player_pos)
-        np.testing.assert_array_equal(got[0].kicking, expected[0].kicking)
-        np.testing.assert_array_equal(got[1], expected[1])
+        got, _ = step(s, actions.astype(dtype), CFG)
+        np.testing.assert_array_equal(got.player_pos, expected.player_pos)
+        np.testing.assert_array_equal(got.kicking, expected.kicking)
+        np.testing.assert_array_equal(reward_components(s, actions.astype(dtype), got, CFG),
+                                      reward_components(s, actions, expected, CFG))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +168,7 @@ def test_respawn_preserves_score_and_clock():
 
 def test_noop_step_is_fixed_point():
     s = quiet_state()
-    s2, rewards, ev = step(s, noop_actions(), CFG)
+    s2, ev = step(s, noop_actions(), CFG)
     np.testing.assert_array_equal(s2.player_pos, s.player_pos)
     np.testing.assert_array_equal(s2.ball_pos, s.ball_pos)
     assert s2.t == s.t + 1 and not ev.episode_done
@@ -177,7 +179,7 @@ def test_wall_reflection_law_without_damping():
     s = quiet_state(cfg)
     s.ball_pos = np.array([50.0, 1.5])
     s.ball_vel = np.array([0.7, -2.0])
-    s2, _, _ = step(s, noop_actions(), cfg)
+    s2, _ = step(s, noop_actions(), cfg)
     assert abs(s2.ball_vel[1] - cfg.wall_restitution * 2.0) < 1e-9  # normal reflected
     assert abs(s2.ball_vel[0] - 0.7) < 1e-9                         # tangential kept
 
@@ -186,7 +188,7 @@ def test_wall_reflection_with_damping_applies_to_incoming_speed():
     s = quiet_state()
     s.ball_pos = np.array([50.0, 1.5])
     s.ball_vel = np.array([0.0, -2.0])
-    s2, _, _ = step(s, noop_actions(), CFG)
+    s2, _ = step(s, noop_actions(), CFG)
     incoming = 2.0 * CFG.ball_damping  # damping applies before the ball moves
     assert abs(s2.ball_vel[1] - CFG.wall_restitution * incoming) < 1e-9
 
@@ -197,7 +199,7 @@ def test_kick_gives_ball_impulse_along_center_line():
     s.ball_pos = np.array([52.0, 30.0])
     actions = noop_actions()
     actions[0] = action_id(0, 0, True)
-    s2, _, ev = step(s, actions, CFG)
+    s2, ev = step(s, actions, CFG)
     assert (0, 0) in ev.ball_touches
     speed = np.linalg.norm(s2.ball_vel)
     assert abs(speed - CFG.kick_impulse * CFG.ball_damping) < 1e-12
@@ -208,7 +210,7 @@ def test_kick_without_contact_does_nothing():
     s = quiet_state()
     actions = noop_actions()
     actions[0] = action_id(0, 0, True)
-    s2, _, ev = step(s, actions, CFG)
+    s2, ev = step(s, actions, CFG)
     assert ev.ball_touches == []
     np.testing.assert_array_equal(s2.ball_vel, [0.0, 0.0])
 
@@ -217,7 +219,8 @@ def test_goal_ends_episode_and_bumps_score():
     s = quiet_state()
     s.ball_pos = np.array([2.0, 30.0])
     s.ball_vel = np.array([-8.0, 0.0])
-    s2, rewards, ev = step(s, noop_actions(), CFG)
+    s2, ev = step(s, noop_actions(), CFG)
+    rewards = reward_components(s, noop_actions(), s2, CFG).sum(axis=1)
     assert ev.goal_scored == 1 and ev.episode_done
     assert tuple(s2.scores) == (0, 1)
     assert rewards[3] > 0 and rewards[0] < 0  # goal reward signs by team
@@ -227,7 +230,7 @@ def test_shot_outside_mouth_bounces_back():
     s = quiet_state()
     s.ball_pos = np.array([2.0, 55.0])  # far from the goal mouth band
     s.ball_vel = np.array([-8.0, 0.0])
-    s2, _, ev = step(s, noop_actions(), CFG)
+    s2, ev = step(s, noop_actions(), CFG)
     assert ev.goal_scored is None
     assert s2.ball_vel[0] > 0  # reflected off the wall plane
 
@@ -235,7 +238,7 @@ def test_shot_outside_mouth_bounces_back():
 def test_step_rejects_finished_game():
     cfg = EnvConfig(steps_per_game=1)
     s = quiet_state(cfg)
-    s2, _, ev = step(s, noop_actions(), cfg)
+    s2, ev = step(s, noop_actions(), cfg)
     assert ev.game_done and ev.episode_done
     with pytest.raises(GameOverError):
         step(s2, noop_actions(), cfg)
@@ -246,7 +249,7 @@ def test_game_without_goals_is_one_episode_of_length_T():
     s = quiet_state(cfg)
     boundaries = []
     for t in range(25):
-        s, _, ev = step(s, noop_actions(), cfg)
+        s, ev = step(s, noop_actions(), cfg)
         if ev.episode_done:
             boundaries.append(s.t)
     assert boundaries == [25] and s.episode == 0
@@ -260,7 +263,9 @@ def test_fixed_seed_and_actions_give_bit_identical_trajectories():
         s = reset(CFG, "random_spawns", np.random.default_rng(3))
         out = []
         for t in range(40):
-            s, r, _ = step(s, actions[t], CFG)
+            prev = s
+            s, _ = step(s, actions[t], CFG)
+            r = reward_components(prev, actions[t], s, CFG).sum(axis=1)
             out.append((s.player_pos.copy(), s.ball_pos.copy(), s.ball_vel.copy(), r.copy()))
         return out
 
@@ -278,7 +283,7 @@ def test_containment_under_random_play(seed):
     cfg = EnvConfig(steps_per_game=60)
     s = reset(cfg, "random_spawns", rng)
     for _ in range(60):
-        s, _, ev = step(s, rng.integers(0, N_ACTIONS, 6), cfg)
+        s, ev = step(s, rng.integers(0, N_ACTIONS, 6), cfg)
         r = cfg.player_radius
         assert np.all(s.player_pos[:, 0] >= r - 1e-9)
         assert np.all(s.player_pos[:, 0] <= cfg.pitch_length - r + 1e-9)
@@ -302,7 +307,7 @@ def test_moving_straight_at_ball_earns_full_explore_reward():
     s.ball_pos = np.array([60.0, 5.0])
     actions = noop_actions()
     actions[0] = action_id(1, 0, False)
-    s2, _, _ = step(s, actions, CFG)
+    s2, _ = step(s, actions, CFG)
     comps = reward_components(s, actions, s2, CFG)
     assert abs(comps[0, 0] - CFG.theta_exp) < 1e-12
 
@@ -313,14 +318,14 @@ def test_moving_away_from_ball_is_penalized():
     s.ball_pos = np.array([60.0, 5.0])
     actions = noop_actions()
     actions[0] = action_id(-1, 0, False)
-    s2, _, _ = step(s, actions, CFG)
+    s2, _ = step(s, actions, CFG)
     comps = reward_components(s, actions, s2, CFG)
     assert comps[0, 0] == -CFG.theta_exp
 
 
 def test_resting_ball_gives_no_team_reward():
     s = quiet_state()
-    s2, _, _ = step(s, noop_actions(), CFG)
+    s2, _ = step(s, noop_actions(), CFG)
     comps = reward_components(s, noop_actions(), s2, CFG)
     np.testing.assert_array_equal(comps[:, 1], np.zeros(6))
 
@@ -329,7 +334,7 @@ def test_ball_toward_own_goal_penalizes_that_team():
     s = quiet_state()
     s.ball_pos = np.array([50.0, 30.0])
     s.ball_vel = np.array([-2.0, 0.0])  # toward team 0's goal
-    s2, _, _ = step(s, noop_actions(), CFG)
+    s2, _ = step(s, noop_actions(), CFG)
     comps = reward_components(s, noop_actions(), s2, CFG)
     assert np.all(comps[:3, 1] < 0) and np.all(comps[3:, 1] > 0)
 
@@ -364,7 +369,7 @@ def test_distance_reward_bounds(seed):
     rng = np.random.default_rng(seed)
     s = reset(CFG, "random_spawns", rng)
     actions = rng.integers(0, N_ACTIONS, 6)
-    s2, _, _ = step(s, actions, CFG)
+    s2, _ = step(s, actions, CFG)
     comps = reward_components(s, actions, s2, CFG)
     assert np.all(comps[:, 3] >= 0.0)
     assert np.all(comps[:, 3] <= CFG.theta_dist * CFG.theta_max + 1e-12)
@@ -374,8 +379,14 @@ def test_total_reward_is_sum_of_components():
     rng = np.random.default_rng(9)
     s = reset(CFG, "random_spawns", rng)
     actions = rng.integers(0, N_ACTIONS, 6)
-    s2, rewards, _ = step(s, actions, CFG)
+    s2, _ = step(s, actions, CFG)
     comps = reward_components(s, actions, s2, CFG)
+
+    def lead(st):  # the same state with a leading axis of one step
+        return WorldState(st.player_pos[None], st.player_vel[None], st.kicking[None],
+                          st.ball_pos[None], st.ball_vel[None], st.scores[None])
+
+    rewards = reward_components(lead(s), actions[None], lead(s2), CFG).sum(axis=-1)[0]
     np.testing.assert_allclose(rewards, comps.sum(axis=1), atol=1e-15)
 
 

@@ -2,17 +2,23 @@
 
 ``ref_step``, ``ref_reward_components`` and ``ref_observe`` are the loop
 versions the vectorized ``step``, ``reward_components`` and ``observe_team``
-replaced. Every output must match them bit for bit over random-play games.
+replaced. Every output must match them bit for bit over random-play games,
+and so must ``reward_components`` called once over a whole game's stacked
+states.
 """
 
 import numpy as np
 import pytest
 
 import taaclab.env as env_mod
+from taaclab.baselines import RandomTeamPolicy
 from taaclab.env import (
+    N_ACTIONS,
     N_PLAYERS,
+    SPAWN_MODES,
     EnvConfig,
     StepEvents,
+    WorldState,
     _resolve_ball_walls,
     observe,
     observe_team,
@@ -249,10 +255,11 @@ def play_both(cfg, mode, seed, counts):
             for j in team_players(team):
                 assert_same_bits(observe(new, j, cfg), expected[j % 3])
         actions = act_rng.integers(0, 18, size=N_PLAYERS)
-        nxt_new, rew_new, ev_new = step(new, actions, cfg)
+        nxt_new, ev_new = step(new, actions, cfg)
         nxt_ref, rew_ref, ev_ref, comps_ref = ref_step(ref, actions, cfg)
-        assert_same_bits(env_mod.reward_components(new, actions, nxt_new, cfg), comps_ref)
-        assert_same_bits(rew_new, rew_ref)
+        comps_new = env_mod.reward_components(new, actions, nxt_new, cfg)
+        assert_same_bits(comps_new, comps_ref)
+        assert_same_bits(comps_new.sum(axis=1), rew_ref)
         assert ev_new == ev_ref
         counts["steps"] += 1
         counts["touch_steps"] += bool(ev_ref.ball_touches)
@@ -315,6 +322,96 @@ def test_wall_resolution_matches_numpy_scalar_reference_bit_for_bit(cfg):
         assert_same_state(new, ref)
         goals.add(goal)
     assert goals == {None, 0, 1}
+
+
+def stacked(states):
+    """The states as one WorldState whose arrays carry a leading step axis."""
+    fields = ("player_pos", "player_vel", "kicking", "ball_pos", "ball_vel", "scores")
+    return WorldState(*(np.stack([getattr(s, name) for s in states]) for name in fields))
+
+
+@pytest.mark.parametrize("mode", SPAWN_MODES)
+def test_whole_game_rewards_match_scalar_reference_bit_for_bit(mode):
+    cfg = SMALL.validate()
+    goals = respawns = 0
+    for game in range(6):
+        act_rng, env_rng = np.random.default_rng(game), np.random.default_rng(game + 50)
+        s = reset(cfg, mode, env_rng)
+        prevs, nxts, actions, expected = [], [], [], []
+        while True:
+            a = act_rng.integers(0, N_ACTIONS, size=N_PLAYERS)
+            nxt, ev = step(s, a, cfg)
+            prevs.append(s)
+            nxts.append(nxt)
+            actions.append(a)
+            expected.append(ref_reward_components(s, a, nxt, cfg))
+            goals += ev.goal_scored is not None
+            if ev.game_done:
+                break
+            s = nxt
+            if ev.episode_done:
+                s = respawn(nxt, cfg, mode, env_rng)
+                respawns += 1
+        got = env_mod.reward_components(stacked(prevs), np.stack(actions), stacked(nxts), cfg)
+        assert got.shape == (cfg.steps_per_game, N_PLAYERS, 4)
+        assert_same_bits(got, np.stack(expected))
+    assert goals > 0 and respawns > 0
+
+
+def test_stacked_action_ids_name_the_bad_row():
+    cfg = SMALL.validate()
+    s = stacked([reset(cfg, "fixed_formation")] * 5)
+    actions = np.full((5, N_PLAYERS), 4)
+    actions[3, 2] = 18
+    with pytest.raises(ValueError, match=r"\[4, 4, 18, 4, 4, 4\] \(row 3\) out of range"):
+        env_mod.reward_components(s, actions, s, cfg)
+    with pytest.raises(ValueError, match=r"\(row 0\) must be integers"):
+        env_mod.reward_components(s, actions.astype(float), s, cfg)
+    with pytest.raises(ValueError, match="rows of 6 action ids"):
+        env_mod.reward_components(s, actions[:, :5], s, cfg)
+
+
+def test_step_and_match_compute_no_rewards(monkeypatch):
+    from taaclab.evaluation import play_match
+
+    def no_rewards(*args):
+        raise AssertionError("reward_components called")
+
+    monkeypatch.setattr(env_mod, "reward_components", no_rewards)
+    cfg = SMALL.validate()
+    s, ev = step(reset(cfg, "fixed_formation"), np.full(N_PLAYERS, 13), cfg)
+    assert s.t == 1 and not ev.game_done
+    rec = play_match(RandomTeamPolicy(), RandomTeamPolicy(), cfg, seed=3,
+                     spawn_mode="random_spawns", record_frames=False)
+    assert sum(rec.episode_lengths) == cfg.steps_per_game
+
+
+def test_training_rewards_equal_per_step_rewards(monkeypatch):
+    from taaclab import learner
+
+    seen, calls = [], []
+    real_step, real_rewards = learner.step, learner.reward_components
+
+    def recording_step(state, actions, cfg):
+        nxt, ev = real_step(state, actions, cfg)
+        seen.append((state, np.array(actions), nxt))
+        return nxt, ev
+
+    def counting_rewards(*args):
+        calls.append(1)
+        return real_rewards(*args)
+
+    monkeypatch.setattr(learner, "step", recording_step)
+    monkeypatch.setattr(learner, "reward_components", counting_rewards)
+    cfg = EnvConfig(pitch_length=20.0, pitch_width=14.0, goal_width=10.0, steps_per_game=300).validate()
+    trajs, stats = learner.play_training_game(RandomTeamPolicy(), RandomTeamPolicy(), cfg,
+                                              np.random.default_rng(4), "random_spawns")
+    assert len(calls) == 1
+    assert stats["episodes"] > 1  # goals ended episodes, so respawns happened
+    transitions = [tr for traj in trajs for tr in traj.transitions]
+    assert len(transitions) == len(seen) == cfg.steps_per_game
+    for tr, (prev, actions, nxt) in zip(transitions, seen):
+        assert_same_bits(tr.rewards, env_mod.reward_components(prev, actions, nxt, cfg).sum(-1)[:3])
 
 
 def test_step_rejects_out_of_range_ids_without_wrapping():

@@ -306,10 +306,10 @@ def test_play_training_game_observes_each_state_once(monkeypatch):
     real_step, real_observe = learner.step, learner.observe_team
 
     def step(state, actions, cfg):
-        nxt, rewards, ev = real_step(state, actions, cfg)
+        nxt, ev = real_step(state, actions, cfg)
         if ev.episode_done:
             terminal.append(nxt)
-        return nxt, rewards, ev
+        return nxt, ev
 
     def observe_team(state, team, cfg):
         calls.append(team)
