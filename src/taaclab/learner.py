@@ -4,8 +4,9 @@ The curriculum runs four stages in order: (1) inactive opponents with
 random spawns, (2) uniformly random opponents with random spawns,
 (3) self-play against uniformly sampled past snapshots with random spawns,
 (4) the same league opponents with fixed kickoff formations. Snapshots are
-saved on a fixed game cadence and double as both resume points and the
-self-play opponent pool.
+saved on a fixed game cadence, plus a closing one when the last game is off
+the cadence, and double as both resume points and the self-play opponent
+pool.
 
 All per-game randomness is derived statelessly from (run seed, game index),
 so a fixed seed yields identical training logs and interrupted runs can
@@ -472,10 +473,11 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
     games_done = 0
     version = 0
     update_idx = 0
+    saved_at = None  # games_done of the latest snapshot
     if resume and os.path.exists(state_path):
         with open(state_path) as fh:
             saved = json.load(fh)
-        games_done = int(saved["games_done"])
+        games_done = saved_at = int(saved["games_done"])
         version = int(saved["version"])
         update_idx = int(saved.get("updates", 0))
         snaps = _existing_snapshots(cfg.out_dir)
@@ -551,9 +553,11 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
             if games_done % lrn.snapshot_interval == 0:
                 version += 1
                 save_version(version)
+                saved_at = games_done
 
-    version += 1
-    save_version(version)
+    if saved_at != games_done:  # a closing snapshot, unless it would repeat the last one
+        version += 1
+        save_version(version)
     return TrainResult(policy=policy, league=league, games_done=games_done,
                        out_dir=cfg.out_dir, log_path=log_path, final_version=version)
 

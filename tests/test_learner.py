@@ -444,6 +444,31 @@ def test_curriculum_resumes_from_last_snapshot(tmp_path):
     assert updates == [0, 1, 2, 3]
 
 
+def _snapshot_files(out):
+    return sorted(os.listdir(out / "snapshots"))
+
+
+def test_closing_snapshot_is_not_a_duplicate(tmp_path):
+    straight = run_curriculum(_tiny_cfg(tmp_path / "straight", stage_games=(4, 0, 0, 0)))
+    split_dir = tmp_path / "split"
+    run_curriculum(_tiny_cfg(split_dir, stage_games=(2, 0, 0, 0)))
+    split = run_curriculum(_tiny_cfg(split_dir, stage_games=(4, 0, 0, 0)))
+    assert _snapshot_files(tmp_path / "straight") == _snapshot_files(split_dir) == [
+        "snapshot_v00001.json", "snapshot_v00002.json"]
+    for result in (straight, split):
+        assert result.final_version == 2
+        assert [snap.version for snap in result.league.snapshots] == [1, 2]
+        first, second = result.league.snapshots
+        assert any(not np.array_equal(first.params[k], second.params[k]) for k in first.params)
+
+    # nothing left to play: the resume adds no snapshot
+    before = {name: (split_dir / "snapshots" / name).read_bytes() for name in _snapshot_files(split_dir)}
+    again = run_curriculum(_tiny_cfg(split_dir, stage_games=(4, 0, 0, 0)))
+    assert again.final_version == 2 and len(again.league) == 2
+    assert {name: (split_dir / "snapshots" / name).read_bytes()
+            for name in _snapshot_files(split_dir)} == before
+
+
 def test_curriculum_random_kind_trains_without_updates(tmp_path):
     cfg = _tiny_cfg(tmp_path / "run", stage_games=(2, 0, 0, 0), kind="random")
     result = run_curriculum(cfg)
