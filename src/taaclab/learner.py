@@ -6,7 +6,7 @@ random spawns, (2) uniformly random opponents with random spawns,
 (4) the same league opponents with fixed kickoff formations. Snapshots are
 saved on a fixed game cadence, plus a closing one when the last game is off
 the cadence, and double as both resume points and the self-play opponent
-pool.
+pool. A resume cuts the log back to the updates the last snapshot holds.
 
 All per-game randomness is derived statelessly from (run seed, game index),
 so a fixed seed yields identical training logs and interrupted runs can
@@ -480,6 +480,11 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
         games_done = saved_at = int(saved["games_done"])
         version = int(saved["version"])
         update_idx = int(saved.get("updates", 0))
+        # a crash after the last snapshot leaves log records that the resumed run writes again
+        if os.path.exists(log_path):
+            with open(log_path) as fh:
+                kept = fh.readlines()[:update_idx]
+            write_text_atomic(log_path, "".join(kept))
         snaps = _existing_snapshots(cfg.out_dir)
         for _, path in snaps:
             league.add(load_snapshot(path))

@@ -469,6 +469,33 @@ def test_closing_snapshot_is_not_a_duplicate(tmp_path):
             for name in _snapshot_files(split_dir)} == before
 
 
+def test_resume_cuts_the_log_back_to_the_last_snapshot(tmp_path, monkeypatch):
+    from taaclab import learner
+
+    out = tmp_path / "run"
+    real_play, played = learner.play_training_game, []
+
+    def crash_in_game_4(*args):
+        played.append(1)
+        if len(played) == 4:  # after game 3's update, which no snapshot holds
+            raise RuntimeError("crash")
+        return real_play(*args)
+
+    monkeypatch.setattr(learner, "play_training_game", crash_in_game_4)
+    with pytest.raises(RuntimeError, match="crash"):
+        run_curriculum(_tiny_cfg(out, stage_games=(6, 0, 0, 0)))
+    with open(out / "training_log.jsonl") as fh:
+        assert [json.loads(line)["update"] for line in fh] == [0, 1, 2]
+
+    monkeypatch.setattr(learner, "play_training_game", real_play)
+    result = run_curriculum(_tiny_cfg(out, stage_games=(6, 0, 0, 0)))
+    with open(result.log_path) as fh:
+        records = [json.loads(line) for line in fh]
+    assert [r["update"] for r in records] == [0, 1, 2, 3, 4, 5]
+    assert [r["games"] for r in records] == [1, 2, 3, 4, 5, 6]
+    assert not os.path.exists(result.log_path + ".tmp")
+
+
 def test_curriculum_random_kind_trains_without_updates(tmp_path):
     cfg = _tiny_cfg(tmp_path / "run", stage_games=(2, 0, 0, 0), kind="random")
     result = run_curriculum(cfg)
