@@ -12,8 +12,9 @@ summary per workload gives, for every end-to-end metric that the change's
 BENCHMARK.json declares, each pair's values, each side's median and
 quartiles and the change's win count (ties count for neither side). Digests
 that differ within a pair, failed calls and runs that did not finish are
-flagged. Exits 0 only when every run finished with no failed call and every
-pair's digests are equal. Uses the standard library only.
+flagged. Exits 0 only when every workload has a complete pair, every run
+finished with no failed call and every pair's digests are equal; a malformed
+or reversed ``--seeds`` range is a usage error (exit 2). Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -30,11 +31,15 @@ SIDES = ("parent", "change")
 
 
 def parse_seeds(items: list[str]) -> list[int]:
-    """Seeds from items such as ``7`` or ``101-110`` (inclusive)."""
+    """Seeds from items such as ``7`` or ``101-110`` (inclusive); ValueError on a
+    reversed range, which would hold no seed."""
     seeds = []
     for item in items:
         lo, _, hi = item.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise ValueError(f"seed range {item} is reversed")
+        seeds.extend(range(lo, hi + 1))
     return seeds
 
 
@@ -84,6 +89,7 @@ def summarize(pairs: list[tuple[int, dict, dict]], end_to_end: list[dict]) -> tu
                          f"change {results[1]['digest']}")
             clean = False
     done = [(seed, p, c) for seed, p, c in pairs if "error" not in p and "error" not in c]
+    clean = clean and bool(done)  # no complete pair shows nothing
     same = sum(p["digest"] == c["digest"] for _, p, c in done)
     lines.append(f"digests equal in {same} of {len(done)} complete pairs")
     for metric in end_to_end:
@@ -123,11 +129,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", nargs="+", required=True, help="seeds or inclusive ranges (101-110)")
     parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as exc:
+        parser.error(f"--seeds: {exc}")
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         end_to_end = json.load(fh)["end_to_end"]
     dirs = {"parent": args.parent, "change": args.change}
     pairs: dict[str, list] = {workload: [] for workload in args.workload}
-    for i, seed in enumerate(parse_seeds(args.seeds)):
+    for i, seed in enumerate(seeds):
         for workload, done in pairs.items():
             results = {}
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):

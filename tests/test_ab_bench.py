@@ -68,7 +68,7 @@ def test_summary_of_clean_pairs_is_clean():
     assert "  parent median 10 (quartiles 10 / 10)" in lines
 
 
-@pytest.mark.parametrize("items", [["x"], ["5-x"]])
+@pytest.mark.parametrize("items", [["x"], ["5-x"], ["110-101"]])
 def test_parse_seeds_rejects_non_numbers(items):
     with pytest.raises(ValueError):
         ab_bench.parse_seeds(items)
@@ -96,3 +96,21 @@ def test_main_runs_one_alternating_pair_per_seed_and_workload(tmp_path, monkeypa
     assert first < second
     assert "  seed 2: parent 12 change 14 -> change" in lines[first:second]
     assert "  seed 2: parent 22 change 21 -> parent" in lines[second:]
+
+
+def test_main_rejects_a_reversed_seed_range_as_a_usage_error(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    monkeypatch.setattr(ab_bench, "run_side", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as exit_info:
+        ab_bench.main(["old", str(tmp_path), "--workload", "wa", "--seeds", "110-101"])
+    assert exit_info.value.code == 2
+    assert "110-101 is reversed" in capsys.readouterr().err
+
+
+def test_main_fails_when_no_pair_completed(tmp_path, monkeypatch, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    monkeypatch.setattr(ab_bench, "run_side", lambda *args: {"error": "exit 1: boom"})
+    assert ab_bench.main(["old", str(tmp_path), "--workload", "wa", "--seeds", "3"]) == 1
+    assert "  no complete pair" in capsys.readouterr().out.splitlines()
+    lines, clean = ab_bench.summarize([], METRICS)
+    assert not clean and "digests equal in 0 of 0 complete pairs" in lines
