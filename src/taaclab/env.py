@@ -445,9 +445,8 @@ def reward_components(prev: WorldState, actions: np.ndarray, nxt: WorldState,
     to_ball = prev.ball_pos[..., None, :] - prev.player_pos
     bn = np.hypot(to_ball[..., 0], to_ball[..., 1])
     on_ball = bn <= 1e-12
-    explore = cfg.theta_exp * rowdot(_MOVE_UNITS[actions], to_ball / np.where(on_ball, 1.0, bn)[..., None])
-    explore[on_ball | _STILL[actions]] = 0.0
-    out[..., 0] = explore
+    out[..., 0] = cfg.theta_exp * rowdot(_MOVE_UNITS[actions], to_ball / np.where(on_ball, 1.0, bn)[..., None])
+    out[..., 0][on_ball | _STILL[actions]] = 0.0
 
     # per team: r_ball, r_goal, r_dist
     team = np.empty((*actions.shape[:-1], 2, 3))
@@ -455,9 +454,8 @@ def reward_components(prev: WorldState, actions: np.ndarray, nxt: WorldState,
     g = np.array([[cfg.pitch_length, half_w], [0.0, half_w]]) - nxt.ball_pos[..., None, :]
     gn = np.hypot(g[..., 0], g[..., 1])
     at_goal = gn <= 1e-12
-    ball = cfg.theta_ball * rowdot(nxt.ball_vel[..., None, :], g / np.where(at_goal, 1.0, gn)[..., None])
-    ball[at_goal] = 0.0
-    team[..., 0] = ball
+    team[..., 0] = cfg.theta_ball * rowdot(nxt.ball_vel[..., None, :], g / np.where(at_goal, 1.0, gn)[..., None])
+    team[..., 0][at_goal] = 0.0
     scored = nxt.scores > prev.scores  # at most one team per step
     team[..., 1] = np.where(scored, cfg.goal_reward, np.where(scored[..., ::-1], -cfg.goal_reward, 0.0))
     d = nxt.player_pos[..., _MATE_I, :] - nxt.player_pos[..., _MATE_J, :]
