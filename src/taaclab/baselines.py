@@ -2,9 +2,11 @@
 shared-policy independent PPO, uniform random, and a no-op (inactive) team.
 
 Every policy exposes ``act(obs_rows, rng) -> action ids`` so match play
-and the league harness stay algorithm-agnostic. Snapshot files
-carry the policy kind and ablation flags in their header so reports can
-attribute results.
+and the league harness stay algorithm-agnostic. ``build_policy`` is the one
+place a kind and its ablation flags become a policy. Every kind saves and
+loads through one snapshot codec whose header carries the kind, the ablation
+flags and an architecture hash; ``policy_from_snapshot`` rebuilds a policy
+from that header.
 """
 
 from __future__ import annotations
@@ -38,6 +40,12 @@ POLICY_KINDS = ("taac", "taac_ablation", "ppo", "random")
 class AblationConfig:
     actor_attention_off: bool = False
     critic_V_fixed: bool = False
+
+    @classmethod
+    def from_flags(cls, flags: dict) -> "AblationConfig":
+        """The ablation a snapshot header's ``flags`` name; absent flags are off."""
+        return cls(actor_attention_off=bool(flags.get("actor_attention_off", False)),
+                   critic_V_fixed=bool(flags.get("critic_V_fixed", False)))
 
     def to_flags(self) -> dict:
         return {
@@ -75,30 +83,15 @@ def random_action(n: int, rng: np.random.Generator, n_actions: int = N_ACTIONS) 
     return rng.integers(0, n_actions, size=n, dtype=np.int64)
 
 
-class RandomTeamPolicy:
-    kind = "random"
-    flags: dict = {}
-
-    def __init__(self, n_actions: int = N_ACTIONS):
-        self.n_actions = n_actions
-
-    def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return random_action(len(obs), rng, self.n_actions)
-
-
-class InactiveTeamPolicy:
-    """Stands still and never kicks; the stage-1 curriculum opponent."""
-
-    kind = "inactive"
-    flags: dict = {}
-
-    def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        return np.full(len(obs), NOOP_ACTION, dtype=np.int64)
-
-
 class _SnapshotCodec:
-    """Architecture hash and snapshot save/load shared by the trainable policies,
-    which provide ``kind``, ``flags``, ``net_cfg`` and ``named_parameters``."""
+    """Architecture hash and snapshot save/load shared by every policy kind.
+    Each provides ``kind`` and ``net_cfg``; a kind with ablation flags or
+    weights overrides ``flags`` or ``named_parameters``."""
+
+    flags: dict = {}
+
+    def named_parameters(self) -> dict[str, Tensor]:
+        return {}
 
     @property
     def config_hash(self) -> str:
@@ -107,7 +100,7 @@ class _SnapshotCodec:
     def to_snapshot(self, version: int) -> PolicySnapshot:
         return PolicySnapshot(
             kind=self.kind,
-            flags=self.flags,
+            flags=dict(self.flags),
             version=version,
             config_hash=self.config_hash,
             params=snapshot_params(self.named_parameters()),
@@ -122,6 +115,28 @@ class _SnapshotCodec:
         restore_params(self.named_parameters(), snapshot.params)
 
 
+class RandomTeamPolicy(_SnapshotCodec):
+    kind = "random"
+
+    def __init__(self, net_cfg: TaacNetConfig = TaacNetConfig()):
+        self.net_cfg = net_cfg
+
+    def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return random_action(len(obs), rng, self.net_cfg.n_actions)
+
+
+class InactiveTeamPolicy(_SnapshotCodec):
+    """Stands still and never kicks; the stage-1 curriculum opponent."""
+
+    kind = "inactive"
+
+    def __init__(self, net_cfg: TaacNetConfig = TaacNetConfig()):
+        self.net_cfg = net_cfg
+
+    def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return np.full(len(obs), NOOP_ACTION, dtype=np.int64)
+
+
 class TaacTeamPolicy(_SnapshotCodec):
     """Actor-critic pair with attention; ablation flags carve out MAAC-style variants."""
 
@@ -129,8 +144,7 @@ class TaacTeamPolicy(_SnapshotCodec):
                  ablation: AblationConfig | None = None):
         self.net_cfg = net_cfg
         self.ablation = ablation or AblationConfig()
-        self.kind = "taac_ablation" if (self.ablation.actor_attention_off or
-                                        self.ablation.critic_V_fixed) else "taac"
+        self.kind = "taac_ablation" if any(self.flags.values()) else "taac"
         self.actor = ActorNet(net_cfg, rng, attention_off=self.ablation.actor_attention_off)
         self.critic = CriticNet(net_cfg, rng)
 
@@ -173,10 +187,6 @@ class PpoTeamPolicy(_SnapshotCodec):
             ("relu", "relu", "identity"), rng,
         )
 
-    @property
-    def flags(self) -> dict:
-        return {}
-
     def _scaled(self, obs: np.ndarray) -> np.ndarray:
         return np.asarray(obs, dtype=np.float64) / self.net_cfg.obs_scale
 
@@ -205,38 +215,29 @@ class PpoTeamPolicy(_SnapshotCodec):
 
 def build_policy(kind: str, net_cfg: TaacNetConfig, rng: np.random.Generator,
                  ablation: AblationConfig | None = None):
-    """Construct a team policy of the given kind behind the uniform interface."""
-    if kind == "taac":
-        return TaacTeamPolicy(net_cfg, rng, AblationConfig())
-    if kind == "taac_ablation":
-        return TaacTeamPolicy(net_cfg, rng, ablation or AblationConfig(actor_attention_off=True,
-                                                                       critic_V_fixed=True))
+    """The team policy of ``kind``: the one place a kind and its ablation flags
+    become a policy. ``taac_ablation`` needs at least one flag set (both when
+    ``ablation`` is None) and every other kind none; a contradiction raises
+    ValueError."""
+    if kind not in POLICY_KINDS + ("inactive",):
+        raise ValueError(f"unknown policy kind {kind!r}, expected one of {POLICY_KINDS}")
+    if ablation is None:
+        ablation = AblationConfig(True, True) if kind == "taac_ablation" else AblationConfig()
+    if any(ablation.to_flags().values()) != (kind == "taac_ablation"):
+        raise ValueError(f"policy kind {kind!r} contradicts ablation flags {ablation.to_flags()}: "
+                         "taac_ablation needs at least one flag set, every other kind none")
+    if kind in ("taac", "taac_ablation"):
+        return TaacTeamPolicy(net_cfg, rng, ablation)
     if kind == "ppo":
         return PpoTeamPolicy(net_cfg, rng)
-    if kind == "random":
-        return RandomTeamPolicy(net_cfg.n_actions)
-    if kind == "inactive":
-        return InactiveTeamPolicy()
-    raise ValueError(f"unknown policy kind {kind!r}, expected one of {POLICY_KINDS}")
+    return (RandomTeamPolicy if kind == "random" else InactiveTeamPolicy)(net_cfg)
 
 
 def policy_from_snapshot(snapshot: PolicySnapshot, net_cfg: TaacNetConfig):
-    """Materialize a frozen policy from a snapshot, enforcing the header hash."""
-    if snapshot.kind == "random":
-        return RandomTeamPolicy()
-    if snapshot.kind == "inactive":
-        return InactiveTeamPolicy()
-    rng = np.random.default_rng(0)  # weights are overwritten below
-    if snapshot.kind == "ppo":
-        policy = PpoTeamPolicy(net_cfg, rng)
-    elif snapshot.kind in ("taac", "taac_ablation"):
-        flags = snapshot.flags
-        policy = TaacTeamPolicy(net_cfg, rng, AblationConfig(
-            actor_attention_off=bool(flags.get("actor_attention_off", False)),
-            critic_V_fixed=bool(flags.get("critic_V_fixed", False)),
-        ))
-    else:
-        raise ValueError(f"unknown snapshot kind {snapshot.kind!r}")
+    """The frozen policy a snapshot holds: built from its header, then loaded,
+    which checks the architecture hash and the parameter set."""
+    policy = build_policy(snapshot.kind, net_cfg, np.random.default_rng(0),  # weights are overwritten
+                          AblationConfig.from_flags(snapshot.flags))
     policy.load_snapshot(snapshot)
     return policy
 

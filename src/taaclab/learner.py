@@ -6,7 +6,8 @@ random spawns, (2) uniformly random opponents with random spawns,
 (4) the same league opponents with fixed kickoff formations. Snapshots are
 saved on a fixed game cadence, plus a closing one when the last game is off
 the cadence, and double as both resume points and the self-play opponent
-pool. A resume cuts the log back to the updates the last snapshot holds.
+pool. A resume cuts the log back to the updates the last snapshot holds and
+reads no snapshot newer than the saved state.
 
 All per-game randomness is derived statelessly from (run seed, game index),
 so a fixed seed yields identical training logs and interrupted runs can
@@ -27,11 +28,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .baselines import (
-    InactiveTeamPolicy,
     PpoBatch,
     PpoHyper,
     PpoTeamPolicy,
-    RandomTeamPolicy,
     TaacTeamPolicy,
     build_policy,
     gae_advantages,
@@ -42,7 +41,6 @@ from .config import RunConfig
 from .env import N_PLAYERS, TEAM_SIZE, WorldState, observe_team, reset, respawn, reward_components, step
 from .nets import (
     PolicySnapshot,
-    architecture_hash,
     conformity_loss,
     counterfactual_baselines_batch,
     load_snapshot,
@@ -446,14 +444,6 @@ def _game_rng(seed: int, game_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, 1, game_index]))
 
 
-def _policy_snapshot(policy, version: int, net_cfg) -> PolicySnapshot:
-    if hasattr(policy, "to_snapshot"):
-        return policy.to_snapshot(version)
-    return PolicySnapshot(kind=policy.kind, flags=dict(getattr(policy, "flags", {})),
-                          version=version,
-                          config_hash=architecture_hash(policy.kind, {}, net_cfg), params={})
-
-
 def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
     """Train one team through the four curriculum stages, snapshotting as it goes."""
     env_cfg = cfg.env.validate()
@@ -462,12 +452,12 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
     stages = curriculum_stages(cfg.curriculum.stage_games)
     total_games = sum(s.games for s in stages)
 
+    init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+    policy = build_policy(cfg.policy.kind, net_cfg, init_rng, cfg.policy.ablation())
+
     os.makedirs(os.path.join(cfg.out_dir, "snapshots"), exist_ok=True)
     log_path = os.path.join(cfg.out_dir, "training_log.jsonl")
     state_path = os.path.join(cfg.out_dir, "train_state.json")
-
-    init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-    policy = build_policy(cfg.policy.kind, net_cfg, init_rng, cfg.policy.ablation())
 
     league = SnapshotLeague()
     games_done = 0
@@ -485,10 +475,11 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
             with open(log_path) as fh:
                 kept = fh.readlines()[:update_idx]
             write_text_atomic(log_path, "".join(kept))
-        snaps = _existing_snapshots(cfg.out_dir)
-        for _, path in snaps:
-            league.add(load_snapshot(path))
-        if snaps and hasattr(policy, "load_snapshot"):
+        # a crash between a snapshot's write and the state's leaves a newer snapshot behind
+        for v, path in _existing_snapshots(cfg.out_dir):
+            if v <= version:
+                league.add(load_snapshot(path))
+        if league.snapshots:
             policy.load_snapshot(league.snapshots[-1])
 
     trainable = isinstance(policy, (TaacTeamPolicy, PpoTeamPolicy))
@@ -510,7 +501,7 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
                          clip_norm=ppo_hyper.grad_clip)
 
     def save_version(v: int) -> None:
-        snap = _policy_snapshot(policy, v, net_cfg)
+        snap = policy.to_snapshot(v)
         save_snapshot(snap, _snapshot_path(cfg.out_dir, v))
         league.add(snap)
         write_text_atomic(state_path, json.dumps({"games_done": games_done, "version": v,
@@ -569,12 +560,8 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
 
 def _stage_opponent(stage: CurriculumStage, league: SnapshotLeague, net_cfg,
                     rng: np.random.Generator):
-    if stage.opponent_source == "inactive":
-        return InactiveTeamPolicy()
-    if stage.opponent_source == "random":
-        return RandomTeamPolicy(net_cfg.n_actions)
-    try:
-        snap = sample_opponent(league, rng)
-    except ValueError:
-        return RandomTeamPolicy(net_cfg.n_actions)  # empty league: fall back to random
-    return policy_from_snapshot(snap, net_cfg)
+    if stage.opponent_source != "snapshot_league":
+        return build_policy(stage.opponent_source, net_cfg, rng)
+    if not league.snapshots:
+        return build_policy("random", net_cfg, rng)  # empty league: fall back to random
+    return policy_from_snapshot(sample_opponent(league, rng), net_cfg)

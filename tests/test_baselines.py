@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from taaclab.baselines import (
 )
 from taaclab.env import N_ACTIONS, NOOP_ACTION
 from taaclab.learner import Adam
-from taaclab.nets import TaacNetConfig
+from taaclab.nets import TaacNetConfig, load_snapshot, save_snapshot
 
 SMALL = TaacNetConfig(obs_width=8, n_actions=6, d_model=8, actor_heads=2, critic_heads=2,
                       embed_hidden=8, post_hidden=8, obs_scale=1.0)
@@ -288,9 +289,57 @@ def test_snapshot_headers_carry_kind_and_flags():
     np.testing.assert_array_equal(restored.actor.probs_np(obs), policy.actor.probs_np(obs))
 
 
-def test_policy_from_snapshot_round_trips_ppo():
-    rng = np.random.default_rng(11)
-    policy = PpoTeamPolicy(SMALL, rng)
-    restored = policy_from_snapshot(policy.to_snapshot(1), SMALL)
-    obs = rng.normal(size=(3, 8))
-    np.testing.assert_array_equal(restored.probs_np(obs), policy.probs_np(obs))
+@pytest.mark.parametrize("kind, ablation", [
+    ("taac", None),
+    ("taac_ablation", AblationConfig(actor_attention_off=True)),
+    ("taac_ablation", AblationConfig(critic_V_fixed=True)),
+    ("taac_ablation", AblationConfig(actor_attention_off=True, critic_V_fixed=True)),
+    ("ppo", None),
+    ("random", None),
+    ("inactive", None),
+], ids=["taac", "ablation_attention", "ablation_V", "ablation_both", "ppo", "random", "inactive"])
+def test_every_kind_round_trips_through_a_snapshot_file(tmp_path, kind, ablation):
+    policy = build_policy(kind, SMALL, np.random.default_rng(12), ablation)
+    path = tmp_path / "snapshot.json"
+    save_snapshot(policy.to_snapshot(3), path)
+    snap = load_snapshot(path)
+    assert (snap.kind, snap.flags, snap.version) == (kind, policy.flags, 3)
+    if kind in ("random", "inactive"):
+        assert snap.params == {} and snap.flags == {}
+    restored = policy_from_snapshot(snap, SMALL)
+    assert type(restored) is type(policy) and restored.config_hash == policy.config_hash
+    obs = np.random.default_rng(13).normal(size=(3, 8))
+    rng_a, rng_b = np.random.default_rng(14), np.random.default_rng(14)
+    for _ in range(3):
+        np.testing.assert_array_equal(restored.act(obs, rng_a), policy.act(obs, rng_b))
+
+
+@pytest.mark.parametrize("kind, ablation", [
+    ("taac", AblationConfig(actor_attention_off=True)),
+    ("taac", AblationConfig(critic_V_fixed=True)),
+    ("taac_ablation", AblationConfig()),
+    ("ppo", AblationConfig(critic_V_fixed=True)),
+    ("random", AblationConfig(actor_attention_off=True)),
+    ("inactive", AblationConfig(actor_attention_off=True, critic_V_fixed=True)),
+])
+def test_build_policy_refuses_a_kind_its_flags_contradict(kind, ablation):
+    with pytest.raises(ValueError, match=f"kind '{kind}' contradicts ablation flags"):
+        build_policy(kind, SMALL, np.random.default_rng(0), ablation)
+
+
+def test_build_policy_defaults_the_ablation_kind_to_both_flags():
+    policy = build_policy("taac_ablation", SMALL, np.random.default_rng(0))
+    assert policy.flags == {"actor_attention_off": True, "critic_V_fixed": True}
+
+
+@pytest.mark.parametrize("kind", ["random", "inactive"])
+def test_weightless_snapshots_check_the_architecture_hash(kind):
+    snap = build_policy(kind, SMALL, np.random.default_rng(0)).to_snapshot(1)
+    other_net = TaacNetConfig(obs_width=8, n_actions=5, d_model=8, actor_heads=2, critic_heads=2,
+                              embed_hidden=8, post_hidden=8, obs_scale=1.0)
+    with pytest.raises(ValueError, match="architecture hash"):
+        policy_from_snapshot(snap, other_net)
+    with pytest.raises(ValueError, match="architecture hash"):
+        policy_from_snapshot(dataclasses.replace(snap, config_hash="0" * 64), SMALL)
+    with pytest.raises(ValueError, match="parameter set mismatch"):
+        policy_from_snapshot(dataclasses.replace(snap, params={"w": np.zeros(2)}), SMALL)

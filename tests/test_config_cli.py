@@ -243,6 +243,32 @@ def test_cli_league_rejects_a_text_format_snapshot(tmp_path, capsys):
     assert "text snapshots are no longer read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("policy", [
+    {"kind": "taac", "actor_attention_off": True},
+    {"kind": "taac", "critic_V_fixed": True},
+    {"kind": "taac_ablation"},
+    {"kind": "ppo", "critic_V_fixed": True},
+    {"kind": "random", "actor_attention_off": True},
+], ids=["taac_attention_off", "taac_V_fixed", "ablation_no_flag", "ppo_flag", "random_flag"])
+def test_cli_train_refuses_a_kind_its_flags_contradict(tmp_path, capsys, policy):
+    cfg_path = tiny_config(tmp_path, policy=policy)
+    assert main(["train", "--config", cfg_path]) == 2
+    assert f"kind '{policy['kind']}' contradicts ablation flags" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "training_log.jsonl").exists()
+
+
+def test_cli_eval_refuses_a_random_snapshot_with_a_wrong_hash(tmp_path, capsys):
+    from taaclab.baselines import RandomTeamPolicy
+
+    doc = RandomTeamPolicy().to_snapshot(1).to_doc()
+    good = write_json(tmp_path / "good.json", doc)
+    assert main(["eval", "--a", good, "--b", good, "--games", "1", "--out",
+                 str(tmp_path / "report.json")]) == 0
+    bad = write_json(tmp_path / "bad.json", dict(doc, config_hash="0" * 64))
+    assert main(["eval", "--a", bad, "--b", good, "--games", "1"]) == 2
+    assert "architecture hash" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("doc, field", [
     ({"params": {}}, "kind"),
     ([], "object"),

@@ -496,6 +496,36 @@ def test_resume_cuts_the_log_back_to_the_last_snapshot(tmp_path, monkeypatch):
     assert not os.path.exists(result.log_path + ".tmp")
 
 
+def test_resume_ignores_a_snapshot_newer_than_the_saved_state(tmp_path, monkeypatch):
+    from taaclab import learner
+
+    clean, crashed = tmp_path / "clean", tmp_path / "crashed"
+    run_curriculum(_tiny_cfg(clean, stage_games=(4, 0, 0, 0)))
+    clean_result = run_curriculum(_tiny_cfg(clean, stage_games=(6, 0, 0, 0)))
+
+    real_write = learner.write_text_atomic
+
+    def crash_before_the_v3_state(path, text):
+        if str(path).endswith("train_state.json") and json.loads(text)["version"] == 3:
+            raise RuntimeError("crash")
+        real_write(path, text)
+
+    monkeypatch.setattr(learner, "write_text_atomic", crash_before_the_v3_state)
+    with pytest.raises(RuntimeError, match="crash"):
+        run_curriculum(_tiny_cfg(crashed, stage_games=(6, 0, 0, 0)))
+    assert _snapshot_files(crashed)[-1] == "snapshot_v00003.json"  # newer than the saved state
+    with open(crashed / "train_state.json") as fh:
+        assert json.load(fh)["version"] == 2
+
+    monkeypatch.setattr(learner, "write_text_atomic", real_write)
+    result = run_curriculum(_tiny_cfg(crashed, stage_games=(6, 0, 0, 0)))
+    assert (crashed / "training_log.jsonl").read_bytes() == (clean / "training_log.jsonl").read_bytes()
+    for r in (result, clean_result):
+        assert [snap.version for snap in r.league.snapshots] == [1, 2, 3]
+    assert ({name: (crashed / "snapshots" / name).read_bytes() for name in _snapshot_files(crashed)}
+            == {name: (clean / "snapshots" / name).read_bytes() for name in _snapshot_files(clean)})
+
+
 def test_curriculum_random_kind_trains_without_updates(tmp_path):
     cfg = _tiny_cfg(tmp_path / "run", stage_games=(2, 0, 0, 0), kind="random")
     result = run_curriculum(cfg)
