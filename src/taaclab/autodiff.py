@@ -8,8 +8,8 @@ leaves (tensors created with ``requires_grad=True``).
 
 The op set is deliberately small: matmul, bmm (matmul over a leading
 batch axis), add (with row-vector bias broadcast), sub, mul, neg, scale,
-reshape, relu, tanh, exp, log, softmax_rows and log_softmax (both over the
-last axis), gather, concat, reduce_sum, reduce_mean, mean_pairwise_cosine,
+reshape, relu, exp, softmax_rows and log_softmax (both over the last
+axis), gather, concat, reduce_sum, reduce_mean, mean_pairwise_cosine,
 maximum_const, minimum, clip_const. Everything the networks in this package
 need composes from these, for one (n, .) matrix or a (T, n, .) stack.
 """
@@ -48,7 +48,7 @@ class Tensor:
 
     Leaves are tensors constructed directly with ``requires_grad=True``;
     after ``backward`` their ``.grad`` holds the partial derivative of the
-    loss, accumulating across repeated backward calls until ``zero_grad``.
+    loss, accumulating across repeated backward calls until ``zero_grads``.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -72,12 +72,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -239,25 +233,9 @@ def relu(a: Tensor) -> Tensor:
     return _result(np.where(mask, a.data, 0.0), (a,), bw)
 
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def bw(g: np.ndarray):
-        return (g * (1.0 - out * out),)
-
-    return _result(out, (a,), bw)
-
-
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
     return _result(out, (a,), lambda g: (g * out,))
-
-
-def log(a: Tensor) -> Tensor:
-    def bw(g: np.ndarray):
-        return (g / a.data,)
-
-    return _result(np.log(a.data), (a,), bw)
 
 
 def softmax_rows(a: Tensor) -> Tensor:

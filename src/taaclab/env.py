@@ -80,18 +80,6 @@ class WorldState:
     t: int = 0
     episode: int = 0
 
-    def copy(self) -> "WorldState":
-        return WorldState(
-            player_pos=self.player_pos.copy(),
-            player_vel=self.player_vel.copy(),
-            kicking=self.kicking.copy(),
-            ball_pos=self.ball_pos.copy(),
-            ball_vel=self.ball_vel.copy(),
-            scores=self.scores.copy(),
-            t=self.t,
-            episode=self.episode,
-        )
-
 
 @dataclass
 class StepEvents:
@@ -170,16 +158,10 @@ def _obs_gather() -> tuple[np.ndarray, np.ndarray]:
 _OBS_PLUS, _OBS_MINUS = _obs_gather()
 
 
-def observe(state: WorldState, player: int, cfg: EnvConfig) -> np.ndarray:
-    """Egocentric observation: relative teammate/opponent/ball/goal vectors,
-    ball velocity, and N/E/W/S raycast distances to the boundary."""
-    if not 0 <= player < N_PLAYERS:
-        raise ValueError(f"player id {player} out of range")
-    return observe_team(state, team_of(player), cfg)[player % TEAM_SIZE]
-
-
 def observe_team(state: WorldState, team: int, cfg: EnvConfig) -> np.ndarray:
-    """The three ``observe`` rows of one team, teammates in id order."""
+    """One egocentric observation row per player of one team, in id order:
+    relative teammate/opponent/ball/goal vectors, ball velocity, and N/E/W/S
+    raycast distances to the boundary."""
     if team not in (0, 1):
         raise ValueError(f"team id {team} out of range")
     L, W = cfg.pitch_length, cfg.pitch_width

@@ -190,16 +190,6 @@ def counterfactual_baselines(obs: np.ndarray, actions: np.ndarray, probs: np.nda
     return b
 
 
-def counterfactual_baseline(i: int, obs: np.ndarray, actions: np.ndarray,
-                            actor: ActorNet, critic: CriticNet) -> float:
-    """Baseline for a single agent, marginalizing its own action under the actor."""
-    if not 0 <= i < np.asarray(obs).shape[0]:
-        raise ValueError(f"agent index {i} out of range")
-    with ad.no_grad():
-        probs = actor.probs_np(obs)
-    return float(counterfactual_baselines(obs, actions, probs, critic)[i])
-
-
 # substitution rows per pass of counterfactual_baselines_batch: a block's
 # intermediates stay in a 4 MiB L2 (8,192-row passes took ~1.6x as long)
 _CF_BLOCK_ROWS = 1024

@@ -23,10 +23,9 @@ from .autodiff import (
     reshape,
     scale,
     softmax_rows,
-    tanh,
 )
 
-ACTIVATIONS = ("relu", "tanh", "identity")
+ACTIVATIONS = ("relu", "identity")
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -37,8 +36,6 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
 def _apply_activation(x: Tensor, tag: str) -> Tensor:
     if tag == "relu":
         return relu(x)
-    if tag == "tanh":
-        return tanh(x)
     if tag == "identity":
         return x
     raise ValueError(f"unknown activation {tag!r}, expected one of {ACTIVATIONS}")
@@ -78,10 +75,6 @@ class Mlp:
     def in_width(self) -> int:
         return self.layers[0].w.shape[0]
 
-    @property
-    def out_width(self) -> int:
-        return self.layers[-1].w.shape[1]
-
     def forward(self, x: Tensor) -> Tensor:
         """Forward for (rows, in_width) or stacked (..., in_width) inputs."""
         if x.data.ndim < 2 or x.shape[-1] != self.in_width:
@@ -108,8 +101,6 @@ class Mlp:
                 if relu_preacts is not None:
                     relu_preacts.append(x.copy())
                 np.maximum(x, 0.0, out=x)
-            elif layer.activation == "tanh":
-                np.tanh(x, out=x)
         return x.reshape(lead + (x.shape[-1],))
 
     def parameters(self) -> list[Tensor]:
@@ -181,10 +172,6 @@ class MultiHeadAttention:
             for _ in range(n_heads)
         ]
         return cls(heads)
-
-    @property
-    def d_model(self) -> int:
-        return self.heads[0].wq.shape[0]
 
     @property
     def out_width(self) -> int:

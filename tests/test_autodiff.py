@@ -110,10 +110,10 @@ def test_backward_accumulates_without_reset():
 def test_backward_identical_after_reset():
     rng = np.random.default_rng(1)
     x = Tensor(rand(rng, 4), requires_grad=True)
-    loss = ad.reduce_sum(ad.tanh(x))
+    loss = ad.reduce_sum(ad.exp(x))
     backward(loss)
     g1 = x.grad.copy()
-    x.zero_grad()
+    ad.zero_grads([x])
     backward(loss)
     np.testing.assert_array_equal(x.grad, g1)
 
@@ -233,9 +233,8 @@ def _op_cases(rng):
     m = Tensor(rand(rng, 3, 4), requires_grad=True)
     m2 = Tensor(rand(rng, 3, 4), requires_grad=True)
     bias = Tensor(rand(rng, 4), requires_grad=True)
-    # keep relu/log/kinked inputs away from their singular points
+    # keep relu/kinked inputs away from their kinks
     off = Tensor(rand(rng, 3, 4) + np.where(rand(rng, 3, 4) > 0, 1.0, -1.0), requires_grad=True)
-    pos = Tensor(np.abs(rand(rng, 3, 4)) + 0.5, requires_grad=True)
     pair = Tensor(rand(rng, 2, 5), requires_grad=True)
     s3 = Tensor(rand(rng, 4, 3, 5), requires_grad=True)
     s3b = Tensor(rand(rng, 4, 5, 2), requires_grad=True)
@@ -243,8 +242,8 @@ def _op_cases(rng):
     cols = np.array([1, 3, 0])
     return {
         "matmul": (lambda: ad.reduce_sum(ad.mul(ad.matmul(a32, b24), ad.matmul(a32, b24))), [a32, b24]),
-        "add": (lambda: ad.reduce_sum(ad.tanh(ad.add(m, m2))), [m, m2]),
-        "add_bias": (lambda: ad.reduce_sum(ad.tanh(ad.add(m, bias))), [m, bias]),
+        "add": (lambda: ad.reduce_sum(ad.exp(ad.add(m, m2))), [m, m2]),
+        "add_bias": (lambda: ad.reduce_sum(ad.exp(ad.add(m, bias))), [m, bias]),
         "sub": (lambda: ad.reduce_sum(ad.mul(ad.sub(m, m2), ad.sub(m, m2))), [m, m2]),
         "mul": (lambda: ad.reduce_sum(ad.mul(m, m2)), [m, m2]),
         "neg": (lambda: ad.reduce_sum(ad.mul(ad.neg(m), m2)), [m]),
@@ -252,25 +251,23 @@ def _op_cases(rng):
         # "transpose", "row" and "cosine_similarity" name the ops these cases
         # covered before the batched ops replaced them: the transposed operand
         # of bmm, rows of one matrix in mean_pairwise_cosine, and a single pair
-        "transpose": (lambda: ad.reduce_sum(ad.tanh(ad.bmm(s3, s3t, transpose_b=True))), [s3, s3t]),
-        "bmm": (lambda: ad.reduce_sum(ad.tanh(ad.bmm(s3, s3b))), [s3, s3b]),
+        "transpose": (lambda: ad.reduce_sum(ad.exp(ad.bmm(s3, s3t, transpose_b=True))), [s3, s3t]),
+        "bmm": (lambda: ad.reduce_sum(ad.exp(ad.bmm(s3, s3b))), [s3, s3b]),
         "reshape": (lambda: ad.reduce_sum(ad.mul(ad.reshape(m, (4, 3)), ad.reshape(m2, (4, 3)))), [m]),
         "relu": (lambda: ad.reduce_sum(ad.mul(ad.relu(off), m2)), [off]),
-        "tanh": (lambda: ad.reduce_sum(ad.tanh(m)), [m]),
-        "log": (lambda: ad.reduce_sum(ad.log(pos)), [pos]),
         "softmax_rows": (lambda: ad.reduce_sum(ad.mul(ad.softmax_rows(m), m2)), [m]),
-        "softmax_last_axis": (lambda: ad.reduce_sum(ad.tanh(ad.softmax_rows(s3))), [s3]),
-        "log_softmax": (lambda: ad.reduce_sum(ad.mul(ad.log_softmax(s3), ad.tanh(s3))), [s3]),
+        "softmax_last_axis": (lambda: ad.reduce_sum(ad.exp(ad.softmax_rows(s3))), [s3]),
+        "log_softmax": (lambda: ad.reduce_sum(ad.mul(ad.log_softmax(s3), ad.exp(s3))), [s3]),
         "exp": (lambda: ad.reduce_sum(ad.mul(ad.exp(m), m2)), [m]),
         "gather": (lambda: ad.reduce_sum(ad.mul(ad.gather(m, cols), Tensor([1.0, -2.0, 0.5]))), [m]),
         "row": (lambda: ad.mean_pairwise_cosine(m), [m]),
         "concat": (lambda: ad.reduce_sum(ad.mul(ad.concat([m, m2], axis=1),
                                                 ad.concat([m2, m], axis=1))), [m, m2]),
-        "reduce_sum_axis": (lambda: ad.reduce_sum(ad.tanh(ad.reduce_sum(m, axis=1))), [m]),
+        "reduce_sum_axis": (lambda: ad.reduce_sum(ad.exp(ad.reduce_sum(m, axis=1))), [m]),
         "reduce_mean": (lambda: ad.reduce_mean(ad.mul(m, m)), [m]),
-        "reduce_mean_axis": (lambda: ad.reduce_sum(ad.tanh(ad.reduce_mean(m, axis=0))), [m]),
+        "reduce_mean_axis": (lambda: ad.reduce_sum(ad.exp(ad.reduce_mean(m, axis=0))), [m]),
         "cosine_similarity": (lambda: ad.mean_pairwise_cosine(pair), [pair]),
-        "mean_pairwise_cosine": (lambda: ad.reduce_sum(ad.tanh(ad.mean_pairwise_cosine(s3))), [s3]),
+        "mean_pairwise_cosine": (lambda: ad.reduce_sum(ad.exp(ad.mean_pairwise_cosine(s3))), [s3]),
         "maximum_const": (lambda: ad.reduce_sum(ad.maximum_const(off, 0.0)), [off]),
         "minimum": (lambda: ad.reduce_sum(ad.minimum(m, m2)), [m, m2]),
         "clip_const": (lambda: ad.reduce_sum(ad.mul(ad.clip_const(off, -0.9, 0.9), m2)), [off]),
@@ -304,6 +301,6 @@ def test_grad_check_attention_cross_entropy():
     def loss_fn():
         out, _ = mha.forward(x)
         logits = ad.matmul(out, proj)
-        return ad.neg(ad.reduce_mean(ad.gather(ad.log(ad.softmax_rows(logits)), labels)))
+        return ad.neg(ad.reduce_mean(ad.gather(ad.log_softmax(logits), labels)))
 
     assert grad_check(loss_fn, mha.parameters() + [proj]) < 1e-4

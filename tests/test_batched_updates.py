@@ -66,8 +66,8 @@ def per_transition_actor_objective(batch, policy, lrn):
         adv = returns - baselines
     pg_terms, ent_terms, conf_terms = [], [], []
     for t, tr in enumerate(transitions):
-        dists, emb = policy.actor.forward(tr.obs)
-        logdists = ad.log(dists)
+        logdists, emb = policy.actor.forward(tr.obs, log_probs=True)
+        dists = ad.exp(logdists)
         logp = ad.gather(logdists, tr.actions)
         pg_terms.append(ad.reduce_sum(ad.mul(logp, Tensor(adv[t]))))
         ent_terms.append(ad.scale(ad.neg(ad.reduce_sum(ad.mul(dists, logdists))), 1.0 / TEAM_SIZE))

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from taaclab.env import (
     EnvConfig,
     GameOverError,
     WorldState,
-    observe,
     observe_team,
     reset,
     respawn,
@@ -79,14 +80,14 @@ def test_every_integer_dtype_plays_the_same_step():
 def test_raycasts_at_pitch_center():
     s = quiet_state()
     s.player_pos[0] = [50.0, 30.0]
-    obs = observe(s, 0, CFG)
+    obs = observe_team(s, 0, CFG)[0]
     np.testing.assert_array_equal(obs[-4:], [30.0, 50.0, 50.0, 30.0])  # N, E, W, S
 
 
 def test_obs_width_and_ball_at_player():
     s = quiet_state()
     s.ball_pos = s.player_pos[2].copy()
-    obs = observe(s, 2, CFG)
+    obs = observe_team(s, 0, CFG)[2]
     assert obs.shape == (OBS_WIDTH,)
     np.testing.assert_array_equal(obs[10:12], [0.0, 0.0])  # relative ball block
 
@@ -99,22 +100,17 @@ def test_mirrored_state_flips_observation_signs():
     s.ball_vel = rng.normal(size=2)
     center = np.array([CFG.pitch_length, CFG.pitch_width])
 
-    mirrored = s.copy()
+    mirrored = copy.deepcopy(s)
     mirrored.player_pos = np.vstack([center - s.player_pos[3:], center - s.player_pos[:3]])
     mirrored.player_vel = np.vstack([-s.player_vel[3:], -s.player_vel[:3]])
     mirrored.ball_pos = center - s.ball_pos
     mirrored.ball_vel = -s.ball_vel
 
     for i in range(3):
-        orig = observe(s, 3 + i, CFG)   # team 1 player in the original state
-        mirr = observe(mirrored, i, CFG)  # its team 0 counterpart after mirroring
+        orig = observe_team(s, 1, CFG)[i]         # team 1 player in the original state
+        mirr = observe_team(mirrored, 0, CFG)[i]  # its team 0 counterpart after mirroring
         np.testing.assert_allclose(mirr[:-4], -orig[:-4], atol=1e-12)
         np.testing.assert_allclose(mirr[-4:], orig[[-1, -2, -3, -4]], atol=1e-12)
-
-
-def test_observe_rejects_bad_player():
-    with pytest.raises(ValueError):
-        observe(quiet_state(), 6, CFG)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +342,7 @@ def test_distance_reward_uses_capped_team_mean():
     s.player_pos[0] = base
     s.player_pos[1] = base + [10.0, 0.0]
     s.player_pos[2] = base + [-2.8, 9.6]
-    s2 = s.copy()
+    s2 = copy.deepcopy(s)
     s2.t += 1
     comps = reward_components(s, noop_actions(), s2, CFG)
     np.testing.assert_allclose(comps[:3, 3], 12.0 * CFG.theta_dist, atol=1e-9)
@@ -357,7 +353,7 @@ def test_distance_reward_capped_at_theta_max():
     s.player_pos[0] = np.array([5.0, 30.0])
     s.player_pos[1] = np.array([95.0, 30.0])
     s.player_pos[2] = np.array([50.0, 55.0])
-    s2 = s.copy()
+    s2 = copy.deepcopy(s)
     s2.t += 1
     comps = reward_components(s, noop_actions(), s2, CFG)
     np.testing.assert_allclose(comps[:3, 3], CFG.theta_dist * CFG.theta_max, atol=1e-12)

@@ -7,6 +7,8 @@ and so must ``reward_components`` called once over a whole game's stacked
 states.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from taaclab.env import (
     StepEvents,
     WorldState,
     _resolve_ball_walls,
-    observe,
     observe_team,
     reset,
     respawn,
@@ -145,7 +146,7 @@ def ref_resolve_ball_walls(state, cfg):
 
 def ref_step(state, actions, cfg):
     actions = np.asarray(actions, dtype=np.int64)
-    s = state.copy()
+    s = copy.deepcopy(state)
     events = StepEvents()
 
     for i in range(N_PLAYERS):
@@ -252,8 +253,6 @@ def play_both(cfg, mode, seed, counts):
         for team in range(2):
             expected = np.stack([ref_observe(ref, j, cfg) for j in team_players(team)])
             assert_same_bits(observe_team(new, team, cfg), expected)
-            for j in team_players(team):
-                assert_same_bits(observe(new, j, cfg), expected[j % 3])
         actions = act_rng.integers(0, 18, size=N_PLAYERS)
         nxt_new, ev_new = step(new, actions, cfg)
         nxt_ref, rew_ref, ev_ref, comps_ref = ref_step(ref, actions, cfg)
@@ -314,7 +313,7 @@ def test_wall_resolution_matches_numpy_scalar_reference_bit_for_bit(cfg):
         x = gen.choice(edges_x) if i % 3 == 0 else gen.uniform(-depth - 2.0, L + depth + 2.0)
         y = gen.choice(edges_y) if i % 5 == 0 else gen.uniform(-2.0, W + 2.0)
         v = gen.normal(size=2)
-        new, ref = base.copy(), base.copy()
+        new, ref = copy.deepcopy(base), copy.deepcopy(base)
         for s in (new, ref):
             s.ball_pos, s.ball_vel = np.array([x, y]), v.copy()
         goal = _resolve_ball_walls(new, cfg)

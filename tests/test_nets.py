@@ -16,7 +16,6 @@ from taaclab.nets import (
     PolicySnapshot,
     TaacNetConfig,
     conformity_loss,
-    counterfactual_baseline,
     counterfactual_baselines,
     counterfactual_baselines_batch,
     load_snapshot,
@@ -130,8 +129,6 @@ def test_critic_matches_scalar_loop_reference():
                 h = h @ layer.w.data + layer.b.data
                 if layer.activation == "relu":
                     h = np.maximum(h, 0.0)
-                elif layer.activation == "tanh":
-                    h = np.tanh(h)
             outs.append(h)
         return np.stack(outs)
 
@@ -242,7 +239,6 @@ def test_baseline_matches_explicit_18_term_loop():
             varied[i] = a
             total += probs[i, a] * critic.forward(obs, varied).data[i]
         assert abs(b[i] - total) < 1e-10
-        assert abs(counterfactual_baseline(i, obs, acts, actor, critic) - total) < 1e-10
 
 
 def test_baseline_identity_and_own_action_invariance():
@@ -359,8 +355,8 @@ def test_log_policy_gradient_flows():
     acts = np.array([0, 2, 4])
 
     def loss_fn():
-        dists, _ = actor.forward(obs)
-        return ad.neg(ad.reduce_mean(ad.gather(ad.log(dists), acts)))
+        logdists, _ = actor.forward(obs, log_probs=True)
+        return ad.neg(ad.reduce_mean(ad.gather(logdists, acts)))
 
     assert grad_check(loss_fn, actor.parameters()) < 1e-4
 

@@ -32,7 +32,7 @@ def test_zero_weights_yield_bias():
 
 def test_mlp_matches_hand_rolled_loops():
     rng = np.random.default_rng(2)
-    net = Mlp.create([3, 4, 2], ("tanh", "identity"), rng)
+    net = Mlp.create([3, 4, 2], ("relu", "identity"), rng)
     x = rng.normal(size=(5, 3))
     out = net.forward(Tensor(x)).data
 
@@ -45,7 +45,7 @@ def test_mlp_matches_hand_rolled_loops():
             acc = b0[j]
             for i in range(3):
                 acc += x[r, i] * w0[i, j]
-            hidden[j] = math.tanh(acc)
+            hidden[j] = max(acc, 0.0)
         for j in range(2):
             acc = b1[j]
             for i in range(4):
