@@ -10,7 +10,8 @@ For each seed and each named workload, one pair of runs of
 in the first seed's pairs and the sides take turns from seed to seed. One
 summary per workload gives, for every end-to-end metric that the change's
 BENCHMARK.json declares, each pair's values, each side's median and
-quartiles and the change's win count (ties count for neither side). Digests
+quartiles, the change's win count (ties count for neither side) and a
+no-regression verdict against the metric's ``bound`` (see ``verdict``). Digests
 that differ within a pair, failed calls and runs that did not finish are
 flagged. Exits 0 only when every workload has a complete pair, every run
 finished with no failed call and every pair's digests are equal; a malformed
@@ -72,6 +73,21 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def verdict(parent: list[float], change: list[float], bound: float, higher: bool) -> str:
+    """``within bound`` or ``worse than bound``: whether the change's median is worse
+    than the parent's by more than ``bound`` x the parent median. ``unresolved``
+    instead when the parent's quartile spread exceeds that margin and not every
+    change run beats every parent run."""
+    pq1, pmed, pq3 = quartiles(parent)
+    margin = bound * abs(pmed)
+    beats_all = all((c > p) if higher else (c < p) for c in change for p in parent)
+    if pq3 - pq1 > margin and not beats_all:
+        return "unresolved"
+    cmed = statistics.median(change)
+    worse_by = pmed - cmed if higher else cmed - pmed
+    return "worse than bound" if worse_by > margin else "within bound"
+
+
 def summarize(pairs: list[tuple[int, dict, dict]], end_to_end: list[dict]) -> tuple[list[str], bool]:
     """Report lines for ``(seed, parent result, change result)`` pairs, and whether all was clean."""
     lines, clean = [], True
@@ -99,24 +115,27 @@ def summarize(pairs: list[tuple[int, dict, dict]], end_to_end: list[dict]) -> tu
         for seed, p, c in done:
             pv, cv = p["metrics"][name], c["metrics"][name]
             if pv == cv:
-                ties, verdict = ties + 1, "tie"
+                ties, better = ties + 1, "tie"
             elif (cv > pv) == higher:
-                wins, verdict = wins + 1, "change"
+                wins, better = wins + 1, "change"
             else:
-                verdict = "parent"
-            lines.append(f"  seed {seed}: parent {pv:.6g} change {cv:.6g} -> {verdict}")
+                better = "parent"
+            lines.append(f"  seed {seed}: parent {pv:.6g} change {cv:.6g} -> {better}")
         if not done:
             lines.append("  no complete pair")
             continue
-        stats = {}
+        values, stats = {}, {}
         for side, k in zip(SIDES, (1, 2)):
-            stats[side] = quartiles([pair[k]["metrics"][name] for pair in done])
-            q1, med, q3 = stats[side]
+            values[side] = [pair[k]["metrics"][name] for pair in done]
+            stats[side] = q1, med, q3 = quartiles(values[side])
             lines.append(f"  {side} median {med:.6g} (quartiles {q1:.6g} / {q3:.6g})")
         (pq1, pmed, pq3), cmed = stats["parent"], stats["change"][1]
         ratio = f"{cmed / pmed:.4f}" if pmed else "n/a"
         lines.append(f"  change/parent {ratio}; change wins {wins} of {len(done)} (ties {ties}); "
                      f"median gap {abs(cmed - pmed):.6g} vs parent quartile spread {pq3 - pq1:.6g}")
+        bound = metric["bound"]
+        lines.append(f"  verdict: {verdict(values['parent'], values['change'], bound, higher)} "
+                     f"(bound {bound:g} x parent median = {bound * abs(pmed):.6g})")
     return lines, clean
 
 

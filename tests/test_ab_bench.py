@@ -57,8 +57,10 @@ def test_summary_counts_wins_by_direction_and_flags_problems():
     assert "  change median 12 (quartiles 11.75 / 12.25)" in lines
     assert ("  change/parent 1.2000; change wins 3 of 4 (ties 1); "
             "median gap 2 vs parent quartile spread 0.5") in lines
-    assert lines[-1] == ("  change/parent 0.9625; change wins 2 of 4 (ties 1); "
+    assert lines[-2] == ("  change/parent 0.9625; change wins 2 of 4 (ties 1); "
                          "median gap 7.5 vs parent quartile spread 7.5")
+    # parent steps 180, 200, 200, 210: spread 7.5 is within 0.25 x 200; change 192.5 is better
+    assert lines[-1] == "  verdict: within bound (bound 0.25 x parent median = 50)"
 
 
 def test_summary_of_clean_pairs_is_clean():
@@ -66,6 +68,33 @@ def test_summary_of_clean_pairs_is_clean():
     assert clean and not any(line.startswith("FLAG") for line in lines)
     assert "digests equal in 1 of 1 complete pairs" in lines
     assert "  parent median 10 (quartiles 10 / 10)" in lines
+
+
+@pytest.mark.parametrize("parent, change, higher, expected", [
+    ([10.0, 10.2, 9.8, 10.1], [9.0, 9.2, 8.9, 9.1], True, "within bound"),      # 10% worse
+    ([10.0, 10.2, 9.8, 10.1], [7.0, 7.2, 7.1, 6.9], True, "worse than bound"),  # 30% worse
+    ([100.0, 101.0, 99.0, 100.0], [120.0, 122.0, 121.0, 123.0], False, "within bound"),
+    ([100.0, 101.0, 99.0, 100.0], [127.0, 128.0, 126.0, 129.0], False, "worse than bound"),
+    # parent spread 8.75 .. 16.25 exceeds 0.25 x 12.5, and the runs overlap
+    ([5.0, 10.0, 15.0, 20.0], [11.0, 12.0, 13.0, 14.0], True, "unresolved"),
+    ([5.0, 10.0, 15.0, 20.0], [1.0, 2.0, 3.0, 30.0], False, "unresolved"),
+    # the same spread, but every change run beats every parent run
+    ([5.0, 10.0, 15.0, 20.0], [21.0, 22.0, 23.0, 24.0], True, "within bound"),
+    ([5.0, 10.0, 15.0, 20.0], [1.0, 2.0, 3.0, 4.0], False, "within bound"),
+])
+def test_verdict_compares_the_median_gap_with_the_bound(parent, change, higher, expected):
+    assert ab_bench.verdict(parent, change, 0.25, higher) == expected
+
+
+def test_summary_prints_a_verdict_per_metric():
+    # games: parent 10, 11, 10, 11 and change 6, 7, 6, 7; steps: parent 200, 280, 200, 280
+    # (spread 80 > 0.25 x 240) and change 220 .. 280, which do not all beat the parent's
+    pairs = [(seed, result(10.0 + seed % 2, 200.0 + 80 * (seed % 2)),
+              result(6.0 + seed % 2, 200.0 + 20 * seed)) for seed in range(1, 5)]
+    lines, _ = ab_bench.summarize(pairs, METRICS)
+    verdicts = [line for line in lines if line.startswith("  verdict: ")]
+    assert verdicts == ["  verdict: worse than bound (bound 0.25 x parent median = 2.625)",
+                        "  verdict: unresolved (bound 0.25 x parent median = 60)"]
 
 
 @pytest.mark.parametrize("items", [["x"], ["5-x"], ["110-101"]])
