@@ -73,18 +73,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def verdict(parent: list[float], change: list[float], bound: float, higher: bool) -> str:
+def verdict(parent: list[float], change: list[float], parent_q: tuple[float, float, float],
+            change_med: float, bound: float, higher: bool) -> str:
     """``within bound`` or ``worse than bound``: whether the change's median is worse
     than the parent's by more than ``bound`` x the parent median. ``unresolved``
     instead when the parent's quartile spread exceeds that margin and not every
-    change run beats every parent run."""
-    pq1, pmed, pq3 = quartiles(parent)
+    change run beats every parent run. ``parent_q`` is the parent's
+    ``quartiles`` and ``change_med`` the change's median."""
+    pq1, pmed, pq3 = parent_q
     margin = bound * abs(pmed)
     beats_all = all((c > p) if higher else (c < p) for c in change for p in parent)
     if pq3 - pq1 > margin and not beats_all:
         return "unresolved"
-    cmed = statistics.median(change)
-    worse_by = pmed - cmed if higher else cmed - pmed
+    worse_by = pmed - change_med if higher else change_med - pmed
     return "worse than bound" if worse_by > margin else "within bound"
 
 
@@ -134,7 +135,8 @@ def summarize(pairs: list[tuple[int, dict, dict]], end_to_end: list[dict]) -> tu
         lines.append(f"  change/parent {ratio}; change wins {wins} of {len(done)} (ties {ties}); "
                      f"median gap {abs(cmed - pmed):.6g} vs parent quartile spread {pq3 - pq1:.6g}")
         bound = metric["bound"]
-        lines.append(f"  verdict: {verdict(values['parent'], values['change'], bound, higher)} "
+        label = verdict(values["parent"], values["change"], stats["parent"], cmed, bound, higher)
+        lines.append(f"  verdict: {label} "
                      f"(bound {bound:g} x parent median = {bound * abs(pmed):.6g})")
     return lines, clean
 

@@ -219,8 +219,9 @@ def build_policy(kind: str, net_cfg: TaacNetConfig, rng: np.random.Generator,
     become a policy. ``taac_ablation`` needs at least one flag set (both when
     ``ablation`` is None) and every other kind none; a contradiction raises
     ValueError."""
-    if kind not in POLICY_KINDS + ("inactive",):
-        raise ValueError(f"unknown policy kind {kind!r}, expected one of {POLICY_KINDS}")
+    kinds = POLICY_KINDS + ("inactive",)
+    if kind not in kinds:
+        raise ValueError(f"unknown policy kind {kind!r}, expected one of {kinds}")
     if ablation is None:
         ablation = AblationConfig(True, True) if kind == "taac_ablation" else AblationConfig()
     if any(ablation.to_flags().values()) != (kind == "taac_ablation"):

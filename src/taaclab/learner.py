@@ -479,6 +479,8 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
         for v, path in _existing_snapshots(cfg.out_dir):
             if v <= version:
                 league.add(load_snapshot(path))
+            else:
+                os.remove(path)
         if league.snapshots:
             policy.load_snapshot(league.snapshots[-1])
 

@@ -83,7 +83,8 @@ def test_summary_of_clean_pairs_is_clean():
     ([5.0, 10.0, 15.0, 20.0], [1.0, 2.0, 3.0, 4.0], False, "within bound"),
 ])
 def test_verdict_compares_the_median_gap_with_the_bound(parent, change, higher, expected):
-    assert ab_bench.verdict(parent, change, 0.25, higher) == expected
+    parent_q, change_med = ab_bench.quartiles(parent), ab_bench.quartiles(change)[1]
+    assert ab_bench.verdict(parent, change, parent_q, change_med, 0.25, higher) == expected
 
 
 def test_summary_prints_a_verdict_per_metric():

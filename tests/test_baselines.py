@@ -274,6 +274,14 @@ def test_uniform_interface_across_kinds(kind):
     assert np.all(actions >= 0) and np.all(actions < SMALL.n_actions)
 
 
+def test_policy_from_snapshot_round_trips_ppo():
+    rng = np.random.default_rng(11)
+    policy = PpoTeamPolicy(SMALL, rng)
+    restored = policy_from_snapshot(policy.to_snapshot(1), SMALL)
+    obs = rng.normal(size=(3, 8))
+    np.testing.assert_array_equal(restored.probs_np(obs), policy.probs_np(obs))
+
+
 def test_snapshot_headers_carry_kind_and_flags():
     rng = np.random.default_rng(10)
     ablation = AblationConfig(actor_attention_off=True, critic_V_fixed=False)
@@ -308,6 +316,10 @@ def test_every_kind_round_trips_through_a_snapshot_file(tmp_path, kind, ablation
         assert snap.params == {} and snap.flags == {}
     restored = policy_from_snapshot(snap, SMALL)
     assert type(restored) is type(policy) and restored.config_hash == policy.config_hash
+    restored_params = {k: t.data for k, t in restored.named_parameters().items()}
+    assert restored_params.keys() == policy.named_parameters().keys()
+    for k, t in policy.named_parameters().items():
+        np.testing.assert_array_equal(restored_params[k], t.data)
     obs = np.random.default_rng(13).normal(size=(3, 8))
     rng_a, rng_b = np.random.default_rng(14), np.random.default_rng(14)
     for _ in range(3):

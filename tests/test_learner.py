@@ -518,6 +518,9 @@ def test_resume_ignores_a_snapshot_newer_than_the_saved_state(tmp_path, monkeypa
         assert json.load(fh)["version"] == 2
 
     monkeypatch.setattr(learner, "write_text_atomic", real_write)
+    short = run_curriculum(_tiny_cfg(crashed, stage_games=(4, 0, 0, 0)))
+    assert [snap.version for snap in short.league.snapshots] == [1, 2]
+    assert _snapshot_files(crashed) == ["snapshot_v00001.json", "snapshot_v00002.json"]
     result = run_curriculum(_tiny_cfg(crashed, stage_games=(6, 0, 0, 0)))
     assert (crashed / "training_log.jsonl").read_bytes() == (clean / "training_log.jsonl").read_bytes()
     for r in (result, clean_result):
