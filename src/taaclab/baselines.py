@@ -241,97 +241,3 @@ def policy_from_snapshot(snapshot: PolicySnapshot, net_cfg: TaacNetConfig):
                           AblationConfig.from_flags(snapshot.flags))
     policy.load_snapshot(snapshot)
     return policy
-
-
-# PPO update hyperparameters live here so the learner can drive any policy kind.
-
-
-@dataclass
-class PpoHyper:
-    clip_ratio: float = 0.2
-    epochs: int = 4
-    gae_lambda: float = 0.95
-    gamma: float = 0.99
-    policy_lr: float = 3e-4
-    value_lr: float = 1e-3
-    entropy_coef: float = 0.01
-    grad_clip: float = 5.0
-
-
-@dataclass
-class PpoBatch:
-    """Flattened per-agent streams gathered from rollouts."""
-
-    obs: np.ndarray        # (B, obs_width)
-    actions: np.ndarray    # (B,)
-    behavior_logps: np.ndarray  # (B,)
-    advantages: np.ndarray      # (B,)
-    value_targets: np.ndarray   # (B,)
-
-
-def gae_advantages(rewards: np.ndarray, values: np.ndarray, gamma: float,
-                   lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """GAE over one episode stream; terminal bootstrap is zero.
-
-    ``rewards`` has shape (T,), ``values`` shape (T,). Returns
-    (advantages, value targets) each of shape (T,).
-    """
-    T = rewards.shape[0]
-    adv = np.zeros(T)
-    last = 0.0
-    for t in range(T - 1, -1, -1):
-        next_v = values[t + 1] if t + 1 < T else 0.0
-        delta = rewards[t] + gamma * next_v - values[t]
-        last = delta + gamma * lam * last
-        adv[t] = last
-    return adv, adv + values
-
-
-def ppo_update(batch: PpoBatch, policy: PpoTeamPolicy, policy_opt, value_opt,
-               hyper: PpoHyper) -> dict:
-    """Clipped-surrogate PPO step over multiple epochs on one fixed batch."""
-    from .learner import check_finite_grads  # local import to avoid a cycle
-
-    total_policy_loss = 0.0
-    total_value_loss = 0.0
-    total_entropy = 0.0
-    eps = hyper.clip_ratio
-    adv = Tensor(batch.advantages)
-    # ratio = pi_new(a) / pi_old(a); the behavior side enters as a constant
-    inv_old_prob = Tensor(np.exp(-batch.behavior_logps))
-    targets = Tensor(batch.value_targets)
-
-    for _ in range(hyper.epochs):
-        logdists = policy.dist_forward(batch.obs, log_probs=True)
-        dists = ad.exp(logdists)
-        ratio = ad.mul(ad.gather(dists, batch.actions), inv_old_prob)
-        unclipped = ad.mul(ratio, adv)
-        clipped = ad.mul(ad.clip_const(ratio, 1.0 - eps, 1.0 + eps), adv)
-        surrogate = ad.reduce_mean(ad.minimum(unclipped, clipped))
-        entropy = ad.neg(ad.reduce_mean(ad.reduce_sum(ad.mul(dists, logdists), axis=1)))
-        policy_loss = ad.sub(ad.neg(surrogate), ad.scale(entropy, hyper.entropy_coef))
-
-        values = policy.values_forward(batch.obs)
-        err = ad.sub(values, targets)
-        value_loss = ad.reduce_mean(ad.mul(err, err))
-
-        policy_opt.zero_grad()
-        value_opt.zero_grad()
-        ad.backward(policy_loss)
-        ad.backward(value_loss)
-        check_finite_grads(policy.policy_net.parameters() + policy.value_net.parameters(),
-                           context="ppo_update")
-        policy_opt.step()
-        value_opt.step()
-
-        total_policy_loss += policy_loss.item()
-        total_value_loss += value_loss.item()
-        total_entropy += entropy.item()
-
-    n = hyper.epochs
-    return {
-        "policy_loss": total_policy_loss / n,
-        "value_loss": total_value_loss / n,
-        "entropy": total_entropy / n,
-        "batch_size": int(batch.obs.shape[0]),
-    }

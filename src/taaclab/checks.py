@@ -120,8 +120,7 @@ def case_ppo_surrogate(seed: int):
     actions = rng.integers(0, SMALL_NET.n_actions, size=5)
     adv = Tensor(rng.normal(size=5))
     targets = Tensor(rng.normal(size=5))
-    with ad.no_grad():
-        taken = policy.probs_np(obs)[np.arange(5), actions]
+    taken = policy.probs_np(obs)[np.arange(5), actions]
     inv_old = Tensor(1.0 / taken)
 
     def loss_fn():

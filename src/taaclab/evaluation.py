@@ -57,7 +57,6 @@ class EloTable:
     k: float = 32.0
     initial: float = 1200.0
     ratings: dict = field(default_factory=dict)
-    match_counts: dict = field(default_factory=dict)
 
     def rating(self, name: str) -> float:
         return self.ratings.get(name, self.initial)
@@ -66,8 +65,6 @@ class EloTable:
         r_a, r_b = elo_update(self.rating(name_a), self.rating(name_b), outcome, self.k)
         self.ratings[name_a] = r_a
         self.ratings[name_b] = r_b
-        self.match_counts[name_a] = self.match_counts.get(name_a, 0) + 1
-        self.match_counts[name_b] = self.match_counts.get(name_b, 0) + 1
         return r_a, r_b
 
 

@@ -7,7 +7,9 @@ random spawns, (2) uniformly random opponents with random spawns,
 saved on a fixed game cadence, plus a closing one when the last game is off
 the cadence, and double as both resume points and the self-play opponent
 pool. A resume cuts the log back to the updates the last snapshot holds and
-reads no snapshot newer than the saved state.
+reads no snapshot newer than the saved state. Every policy kind updates and
+logs every ``games_per_update`` games, and once more for the games after the
+last full buffer when training ends.
 
 All per-game randomness is derived statelessly from (run seed, game index),
 so a fixed seed yields identical training logs and interrupted runs can
@@ -20,23 +22,14 @@ import json
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .baselines import (
-    PpoBatch,
-    PpoHyper,
-    PpoTeamPolicy,
-    TaacTeamPolicy,
-    build_policy,
-    gae_advantages,
-    policy_from_snapshot,
-    ppo_update,
-)
+from .baselines import PpoTeamPolicy, TaacTeamPolicy, build_policy, policy_from_snapshot
 from .config import RunConfig
 from .env import N_PLAYERS, TEAM_SIZE, WorldState, observe_team, reset, respawn, reward_components, step
 from .nets import (
@@ -192,14 +185,12 @@ def actor_update(batch: list, policy: TaacTeamPolicy, opt: Adam, learner_cfg) ->
     """
     obs_stack, act_stack, returns = _stacked(batch, learner_cfg.gamma)
     use_conformity = learner_cfg.conformity_enabled and policy.actor.attn is not None
-    with ad.no_grad():
-        probs_stack = policy.actor.probs_np(obs_stack)
-        baselines = counterfactual_baselines_batch(obs_stack, act_stack,
-                                                   probs_stack, policy.critic)
-        if learner_cfg.advantage_mode == "coma":
-            adv_stack = policy.critic.q_np(obs_stack, act_stack) - baselines
-        else:
-            adv_stack = returns - baselines
+    probs_stack = policy.actor.probs_np(obs_stack)
+    baselines = counterfactual_baselines_batch(obs_stack, act_stack, probs_stack, policy.critic)
+    if learner_cfg.advantage_mode == "coma":
+        adv_stack = policy.critic.q_np(obs_stack, act_stack) - baselines
+    else:
+        adv_stack = returns - baselines
 
     T = act_stack.shape[0]
     logp_all, emb = policy.actor.forward(obs_stack, log_probs=True)  # (T, n, A), (T, n, e)
@@ -331,26 +322,58 @@ def play_training_game(team0, team1, env_cfg, rng: np.random.Generator,
     return trajs, stats
 
 
-def build_ppo_batch(batch: list, policy: PpoTeamPolicy, hyper: PpoHyper) -> PpoBatch:
+# ---------------------------------------------------------------------------
+# PPO update
+
+
+@dataclass
+class PpoBatch:
+    """Flattened per-agent streams gathered from rollouts."""
+
+    obs: np.ndarray        # (B, obs_width)
+    actions: np.ndarray    # (B,)
+    behavior_logps: np.ndarray  # (B,)
+    advantages: np.ndarray      # (B,)
+    value_targets: np.ndarray   # (B,)
+
+
+def gae_advantages(rewards: np.ndarray, values: np.ndarray, gamma: float,
+                   lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """GAE over one episode stream; terminal bootstrap is zero.
+
+    ``rewards`` has shape (T,), ``values`` shape (T,). Returns
+    (advantages, value targets) each of shape (T,).
+    """
+    T = rewards.shape[0]
+    adv = np.zeros(T)
+    last = 0.0
+    for t in range(T - 1, -1, -1):
+        next_v = values[t + 1] if t + 1 < T else 0.0
+        delta = rewards[t] + gamma * next_v - values[t]
+        last = delta + gamma * lam * last
+        adv[t] = last
+    return adv, adv + values
+
+
+def build_ppo_batch(batch: list, policy: PpoTeamPolicy, learner_cfg, policy_cfg) -> PpoBatch:
     """Flatten trajectories into per-agent streams with GAE advantages."""
     obs_rows, act_rows, logp_rows, adv_rows, target_rows = [], [], [], [], []
-    with ad.no_grad():
-        for traj in batch:
-            obs = np.stack([tr.obs for tr in traj.transitions])          # (T, n, ow)
-            acts = np.stack([tr.actions for tr in traj.transitions])     # (T, n)
-            rews = np.stack([tr.rewards for tr in traj.transitions])     # (T, n)
-            values = policy.values_np(obs)                               # (T, n)
-            probs = policy.probs_np(obs)                                 # (T, n, A)
-            T, n = acts.shape
-            taken = np.take_along_axis(probs, acts[..., None], axis=-1)[..., 0]
-            for i in range(n):
-                adv, targets = gae_advantages(rews[:, i], values[:, i],
-                                              hyper.gamma, hyper.gae_lambda)
-                obs_rows.append(obs[:, i])
-                act_rows.append(acts[:, i])
-                logp_rows.append(np.log(np.maximum(taken[:, i], 1e-300)))
-                adv_rows.append(adv)
-                target_rows.append(targets)
+    for traj in batch:
+        obs = np.stack([tr.obs for tr in traj.transitions])          # (T, n, ow)
+        acts = np.stack([tr.actions for tr in traj.transitions])     # (T, n)
+        rews = np.stack([tr.rewards for tr in traj.transitions])     # (T, n)
+        values = policy.values_np(obs)                               # (T, n)
+        probs = policy.probs_np(obs)                                 # (T, n, A)
+        T, n = acts.shape
+        taken = np.take_along_axis(probs, acts[..., None], axis=-1)[..., 0]
+        for i in range(n):
+            adv, targets = gae_advantages(rews[:, i], values[:, i],
+                                          learner_cfg.gamma, policy_cfg.gae_lambda)
+            obs_rows.append(obs[:, i])
+            act_rows.append(acts[:, i])
+            logp_rows.append(np.log(np.maximum(taken[:, i], 1e-300)))
+            adv_rows.append(adv)
+            target_rows.append(targets)
     adv = np.concatenate(adv_rows)
     std = adv.std()
     if std > 1e-8:
@@ -364,26 +387,68 @@ def build_ppo_batch(batch: list, policy: PpoTeamPolicy, hyper: PpoHyper) -> PpoB
     )
 
 
+def _ppo_payload(batch: PpoBatch) -> dict:
+    """JSON form of a PPO batch, written next to a NaN abort; ``obs`` replays the forward pass."""
+    return {name: arr.tolist() for name, arr in vars(batch).items()}
+
+
+def ppo_update(batch: PpoBatch, policy: PpoTeamPolicy, policy_opt: Adam, value_opt: Adam,
+               learner_cfg, policy_cfg) -> dict:
+    """Clipped-surrogate PPO step over ``policy_cfg.ppo_epochs`` epochs on one fixed batch."""
+    total_policy_loss = 0.0
+    total_value_loss = 0.0
+    total_entropy = 0.0
+    eps = policy_cfg.ppo_clip
+    adv = Tensor(batch.advantages)
+    # ratio = pi_new(a) / pi_old(a); the behavior side enters as a constant
+    inv_old_prob = Tensor(np.exp(-batch.behavior_logps))
+    targets = Tensor(batch.value_targets)
+
+    for _ in range(policy_cfg.ppo_epochs):
+        logdists = policy.dist_forward(batch.obs, log_probs=True)
+        dists = ad.exp(logdists)
+        ratio = ad.mul(ad.gather(dists, batch.actions), inv_old_prob)
+        unclipped = ad.mul(ratio, adv)
+        clipped = ad.mul(ad.clip_const(ratio, 1.0 - eps, 1.0 + eps), adv)
+        surrogate = ad.reduce_mean(ad.minimum(unclipped, clipped))
+        entropy = ad.neg(ad.reduce_mean(ad.reduce_sum(ad.mul(dists, logdists), axis=1)))
+        policy_loss = ad.sub(ad.neg(surrogate), ad.scale(entropy, learner_cfg.entropy_coef))
+
+        values = policy.values_forward(batch.obs)
+        err = ad.sub(values, targets)
+        value_loss = ad.reduce_mean(ad.mul(err, err))
+
+        policy_opt.zero_grad()
+        value_opt.zero_grad()
+        ad.backward(policy_loss)
+        ad.backward(value_loss)
+        check_finite_grads(policy_opt.params + value_opt.params, "ppo_update",
+                           lambda: _ppo_payload(batch))
+        policy_opt.step()
+        value_opt.step()
+
+        total_policy_loss += policy_loss.item()
+        total_value_loss += value_loss.item()
+        total_entropy += entropy.item()
+
+    n = policy_cfg.ppo_epochs
+    return {
+        "policy_loss": total_policy_loss / n,
+        "value_loss": total_value_loss / n,
+        "entropy": total_entropy / n,
+        "batch_size": int(batch.obs.shape[0]),
+    }
+
+
 # ---------------------------------------------------------------------------
 # snapshot league
 
 
-@dataclass
-class SnapshotLeague:
-    snapshots: list = field(default_factory=list)
-
-    def add(self, snapshot: PolicySnapshot) -> None:
-        self.snapshots.append(snapshot)
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
-
-def sample_opponent(league: SnapshotLeague, rng: np.random.Generator) -> PolicySnapshot:
-    """Uniform draw over stored snapshots; rejects an empty league."""
-    if not league.snapshots:
+def sample_opponent(league: list, rng: np.random.Generator) -> PolicySnapshot:
+    """Uniform draw over the league's snapshots; rejects an empty league."""
+    if not league:
         raise ValueError("cannot sample an opponent from an empty snapshot league")
-    return league.snapshots[int(rng.integers(0, len(league.snapshots)))]
+    return league[int(rng.integers(0, len(league)))]
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +479,7 @@ def curriculum_stages(stage_games) -> list[CurriculumStage]:
 @dataclass
 class TrainResult:
     policy: object
-    league: SnapshotLeague
+    league: list  # the PolicySnapshots saved so far, oldest first
     games_done: int
     out_dir: str
     log_path: str
@@ -459,7 +524,7 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
     log_path = os.path.join(cfg.out_dir, "training_log.jsonl")
     state_path = os.path.join(cfg.out_dir, "train_state.json")
 
-    league = SnapshotLeague()
+    league: list[PolicySnapshot] = []
     games_done = 0
     version = 0
     update_idx = 0
@@ -478,34 +543,17 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
         # a crash between a snapshot's write and the state's leaves a newer snapshot behind
         for v, path in _existing_snapshots(cfg.out_dir):
             if v <= version:
-                league.add(load_snapshot(path))
+                league.append(load_snapshot(path))
             else:
                 os.remove(path)
-        if league.snapshots:
-            policy.load_snapshot(league.snapshots[-1])
-
-    trainable = isinstance(policy, (TaacTeamPolicy, PpoTeamPolicy))
-    actor_opt = critic_opt = policy_opt = value_opt = None
-    ppo_hyper = None
-    if isinstance(policy, TaacTeamPolicy):
-        actor_opt = Adam(policy.actor_parameters(), lrn.actor_lr, clip_norm=lrn.grad_clip)
-        critic_opt = Adam(policy.critic_parameters(), lrn.critic_lr, clip_norm=lrn.grad_clip)
-    elif isinstance(policy, PpoTeamPolicy):
-        ppo_hyper = PpoHyper(
-            clip_ratio=cfg.policy.ppo_clip, epochs=cfg.policy.ppo_epochs,
-            gae_lambda=cfg.policy.gae_lambda, gamma=lrn.gamma,
-            policy_lr=lrn.actor_lr, value_lr=lrn.critic_lr,
-            entropy_coef=lrn.entropy_coef, grad_clip=lrn.grad_clip,
-        )
-        policy_opt = Adam(policy.policy_net.parameters(), ppo_hyper.policy_lr,
-                          clip_norm=ppo_hyper.grad_clip)
-        value_opt = Adam(policy.value_net.parameters(), ppo_hyper.value_lr,
-                         clip_norm=ppo_hyper.grad_clip)
+        if league:
+            policy.load_snapshot(league[-1])
+    update = _update_step(policy, lrn, cfg.policy)
 
     def save_version(v: int) -> None:
         snap = policy.to_snapshot(v)
         save_snapshot(snap, _snapshot_path(cfg.out_dir, v))
-        league.add(snap)
+        league.append(snap)
         write_text_atomic(state_path, json.dumps({"games_done": games_done, "version": v,
                                                   "updates": update_idx}))
 
@@ -524,29 +572,14 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
             for k in buffer_stats:
                 buffer_stats[k] += stats[k]
 
-            if trainable and games_done % lrn.games_per_update == 0 and buffer:
-                for traj in buffer:
-                    compute_returns(traj, lrn.gamma)
-                record = {
-                    "stage": stage.tag,
-                    "games": games_done,
-                    "update": update_idx,
-                    **buffer_stats,
-                }
-                if isinstance(policy, TaacTeamPolicy):
-                    record.update(critic_update(buffer, policy, critic_opt, lrn))
-                    record.update(actor_update(buffer, policy, actor_opt, lrn))
-                else:
-                    ppo_batch = build_ppo_batch(buffer, policy, ppo_hyper)
-                    record.update(ppo_update(ppo_batch, policy, policy_opt, value_opt, ppo_hyper))
+            # the last buffer is used even when training ends before it fills
+            if games_done % lrn.games_per_update == 0 or games_done == total_games:
+                record = {"stage": stage.tag, "games": games_done, "update": update_idx,
+                          **buffer_stats, **update(buffer)}
                 log.write(json.dumps(record) + "\n")
                 update_idx += 1
                 buffer = []
                 buffer_stats = {k: 0 for k in buffer_stats}
-            elif not trainable:
-                record = {"stage": stage.tag, "games": games_done, "update": update_idx, **stats}
-                log.write(json.dumps(record) + "\n")
-                update_idx += 1
 
             if games_done % lrn.snapshot_interval == 0:
                 version += 1
@@ -560,10 +593,29 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
                        out_dir=cfg.out_dir, log_path=log_path, final_version=version)
 
 
-def _stage_opponent(stage: CurriculumStage, league: SnapshotLeague, net_cfg,
+def _update_step(policy, lrn, policy_cfg) -> Callable[[list], dict]:
+    """Build the optimizers of ``policy``'s kind and return its update step:
+    a buffer of trajectories -> the update's log fields (none for ``random``)."""
+    if isinstance(policy, TaacTeamPolicy):
+        actor_opt = Adam(policy.actor_parameters(), lrn.actor_lr, clip_norm=lrn.grad_clip)
+        critic_opt = Adam(policy.critic_parameters(), lrn.critic_lr, clip_norm=lrn.grad_clip)
+        return lambda buffer: {**critic_update(buffer, policy, critic_opt, lrn),
+                               **actor_update(buffer, policy, actor_opt, lrn)}
+    if isinstance(policy, PpoTeamPolicy):
+        policy_opt = Adam(policy.policy_net.parameters(), lrn.actor_lr, clip_norm=lrn.grad_clip)
+        value_opt = Adam(policy.value_net.parameters(), lrn.critic_lr, clip_norm=lrn.grad_clip)
+
+        def ppo_step(buffer: list) -> dict:
+            batch = build_ppo_batch(buffer, policy, lrn, policy_cfg)
+            return ppo_update(batch, policy, policy_opt, value_opt, lrn, policy_cfg)
+        return ppo_step
+    return lambda buffer: {}
+
+
+def _stage_opponent(stage: CurriculumStage, league: list, net_cfg,
                     rng: np.random.Generator):
     if stage.opponent_source != "snapshot_league":
         return build_policy(stage.opponent_source, net_cfg, rng)
-    if not league.snapshots:
+    if not league:
         return build_policy("random", net_cfg, rng)  # empty league: fall back to random
     return policy_from_snapshot(sample_opponent(league, rng), net_cfg)

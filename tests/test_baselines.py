@@ -9,19 +9,16 @@ from taaclab.autodiff import Tensor
 from taaclab.baselines import (
     AblationConfig,
     InactiveTeamPolicy,
-    PpoBatch,
-    PpoHyper,
     PpoTeamPolicy,
     TaacTeamPolicy,
     build_policy,
-    gae_advantages,
     policy_from_snapshot,
     _sample_rows,
-    ppo_update,
     random_action,
 )
+from taaclab.config import LearnerSettings, PolicySettings
 from taaclab.env import N_ACTIONS, NOOP_ACTION
-from taaclab.learner import Adam
+from taaclab.learner import Adam, PpoBatch, gae_advantages, ppo_update
 from taaclab.nets import TaacNetConfig, load_snapshot, save_snapshot
 
 SMALL = TaacNetConfig(obs_width=8, n_actions=6, d_model=8, actor_heads=2, critic_heads=2,
@@ -144,11 +141,11 @@ def test_ppo_ratio_one_zero_advantage_gives_zero_policy_gradient():
     rng = np.random.default_rng(2)
     policy = PpoTeamPolicy(SMALL, rng)
     batch = _ppo_batch(policy, rng)  # advantages all zero, ratio exactly 1
-    hyper = PpoHyper(epochs=1, entropy_coef=0.0)
     before = [p.data.copy() for p in policy.policy_net.parameters()]
     ppo_update(batch, policy,
                Adam(policy.policy_net.parameters(), 1e-3),
-               Adam(policy.value_net.parameters(), 1e-3), hyper)
+               Adam(policy.value_net.parameters(), 1e-3),
+               LearnerSettings(entropy_coef=0.0), PolicySettings(ppo_epochs=1))
     for p, b in zip(policy.policy_net.parameters(), before):
         np.testing.assert_array_equal(p.data, b)
 
@@ -183,10 +180,10 @@ def test_ppo_update_improves_surrogate_on_fixed_batch():
     policy = PpoTeamPolicy(SMALL, rng)
     adv = np.where(rng.random(8) > 0.5, 1.0, -1.0)
     batch = _ppo_batch(policy, rng, batch_size=8, adv=adv)
-    hyper = PpoHyper(epochs=8, entropy_coef=0.0)
     report = ppo_update(batch, policy,
                         Adam(policy.policy_net.parameters(), 3e-3),
-                        Adam(policy.value_net.parameters(), 1e-3), hyper)
+                        Adam(policy.value_net.parameters(), 1e-3),
+                        LearnerSettings(entropy_coef=0.0), PolicySettings(ppo_epochs=8))
     assert np.isfinite(report["policy_loss"])
     with ad.no_grad():
         probs = policy.probs_np(batch.obs)
@@ -239,7 +236,6 @@ def test_critic_v_fixed_freezes_value_matrices_only():
     assert frozen.isdisjoint(trainable)
     assert trainable | frozen == everything
 
-    from taaclab.config import LearnerSettings
     from taaclab.learner import Trajectory, Transition, compute_returns, critic_update
 
     v_before = [t.data.copy() for t in policy.critic.value_matrices()]

@@ -81,11 +81,10 @@ def test_elo_rejects_unknown_outcome():
         elo_update(1200.0, 1200.0, "draw-ish", 32.0)
 
 
-def test_elo_table_tracks_ratings_and_counts():
+def test_elo_table_tracks_ratings():
     table = EloTable(k=32.0, initial=1200.0)
     table.record("a", "b", "win_a")
     assert table.rating("a") == 1216.0 and table.rating("b") == 1184.0
-    assert table.match_counts == {"a": 1, "b": 1}
 
 
 # ---------------------------------------------------------------------------

@@ -8,20 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taaclab import autodiff as ad
-from taaclab.baselines import InactiveTeamPolicy, RandomTeamPolicy, TaacTeamPolicy
-from taaclab.config import CurriculumSettings, LearnerSettings, RunConfig
-from taaclab.env import EnvConfig
+from taaclab.baselines import InactiveTeamPolicy, PpoTeamPolicy, RandomTeamPolicy, TaacTeamPolicy
+from taaclab.config import CurriculumSettings, LearnerSettings, PolicySettings, RunConfig
+from taaclab.env import TEAM_SIZE, EnvConfig
 from taaclab.learner import (
     Adam,
     NumericFailure,
-    SnapshotLeague,
     Trajectory,
     Transition,
     actor_update,
+    build_ppo_batch,
     compute_returns,
     critic_update,
     curriculum_stages,
     play_training_game,
+    ppo_update,
     run_curriculum,
     sample_opponent,
 )
@@ -225,6 +226,26 @@ def test_nan_gradient_aborts_update_and_dumps_batch():
     os.unlink(err.value.dump_path)
 
 
+def _ppo_opts(policy):
+    return Adam(policy.policy_net.parameters(), 1e-3), Adam(policy.value_net.parameters(), 1e-3)
+
+
+def test_nan_gradient_aborts_ppo_update_and_dumps_batch():
+    rng = np.random.default_rng(10)
+    policy = PpoTeamPolicy(SMALL, rng)
+    batch = build_ppo_batch([make_traj(rng)], policy, LearnerSettings(), PolicySettings())
+    policy.policy_net.layers[-1].w.data[0, 0] = np.nan
+    with pytest.raises(NumericFailure) as err:
+        ppo_update(batch, policy, *_ppo_opts(policy), LearnerSettings(), PolicySettings())
+    assert err.value.dump_path is not None and os.path.exists(err.value.dump_path)
+    with open(err.value.dump_path) as fh:
+        dump = json.load(fh)
+    assert set(dump) == {"obs", "actions", "behavior_logps", "advantages", "value_targets"}
+    np.testing.assert_array_equal(np.asarray(dump["obs"]), batch.obs)
+    np.testing.assert_array_equal(np.asarray(dump["actions"]), batch.actions)
+    os.unlink(err.value.dump_path)
+
+
 def test_finite_update_builds_no_dump(monkeypatch):
     from taaclab import learner
 
@@ -232,12 +253,16 @@ def test_finite_update_builds_no_dump(monkeypatch):
         raise AssertionError("dump payload built for a finite update")
 
     monkeypatch.setattr(learner, "_trajectory_payload", fail)
+    monkeypatch.setattr(learner, "_ppo_payload", fail)
     rng = np.random.default_rng(10)
     policy = _taac(10)
     traj = make_traj(rng)
     lrn = LearnerSettings()
     critic_update([traj], policy, Adam(policy.critic_parameters(), 1e-3), lrn)
     actor_update([traj], policy, Adam(policy.actor_parameters(), 1e-3), lrn)
+    ppo = PpoTeamPolicy(SMALL, rng)
+    batch = build_ppo_batch([traj], ppo, lrn, PolicySettings())
+    ppo_update(batch, ppo, *_ppo_opts(ppo), lrn, PolicySettings())
 
 
 def test_coma_advantage_mode_runs():
@@ -335,14 +360,14 @@ def test_play_training_game_observes_each_state_once(monkeypatch):
 
 def test_sample_opponent_single_snapshot():
     policy = _taac(14)
-    league = SnapshotLeague([policy.to_snapshot(1)])
+    league = [policy.to_snapshot(1)]
     rng = np.random.default_rng(0)
     for _ in range(5):
         assert sample_opponent(league, rng).version == 1
 
 
 def test_sample_opponent_uniform_frequencies():
-    league = SnapshotLeague([_taac(15).to_snapshot(1), _taac(16).to_snapshot(2)])
+    league = [_taac(15).to_snapshot(1), _taac(16).to_snapshot(2)]
     rng = np.random.default_rng(1)
     draws = [sample_opponent(league, rng).version for _ in range(10_000)]
     freq = draws.count(1) / len(draws)
@@ -351,12 +376,12 @@ def test_sample_opponent_uniform_frequencies():
 
 def test_sample_opponent_rejects_empty_league():
     with pytest.raises(ValueError):
-        sample_opponent(SnapshotLeague(), np.random.default_rng(0))
+        sample_opponent([], np.random.default_rng(0))
 
 
 def test_sampled_snapshot_does_not_alias_live_parameters():
     policy = _taac(17)
-    league = SnapshotLeague([policy.to_snapshot(1)])
+    league = [policy.to_snapshot(1)]
     snap = sample_opponent(league, np.random.default_rng(0))
     frozen = {k: v.copy() for k, v in snap.params.items()}
     for p in policy.actor.parameters():
@@ -401,7 +426,7 @@ def test_zero_games_yields_snapshot_equal_to_initialization(tmp_path):
     from taaclab.baselines import build_policy
 
     reference = build_policy("taac", cfg.net, init_rng)
-    snap = result.league.snapshots[-1]
+    snap = result.league[-1]
     for key, arr in reference.to_snapshot(0).params.items():
         np.testing.assert_array_equal(snap.params[key], arr)
 
@@ -457,8 +482,8 @@ def test_closing_snapshot_is_not_a_duplicate(tmp_path):
         "snapshot_v00001.json", "snapshot_v00002.json"]
     for result in (straight, split):
         assert result.final_version == 2
-        assert [snap.version for snap in result.league.snapshots] == [1, 2]
-        first, second = result.league.snapshots
+        assert [snap.version for snap in result.league] == [1, 2]
+        first, second = result.league
         assert any(not np.array_equal(first.params[k], second.params[k]) for k in first.params)
 
     # nothing left to play: the resume adds no snapshot
@@ -519,12 +544,12 @@ def test_resume_ignores_a_snapshot_newer_than_the_saved_state(tmp_path, monkeypa
 
     monkeypatch.setattr(learner, "write_text_atomic", real_write)
     short = run_curriculum(_tiny_cfg(crashed, stage_games=(4, 0, 0, 0)))
-    assert [snap.version for snap in short.league.snapshots] == [1, 2]
+    assert [snap.version for snap in short.league] == [1, 2]
     assert _snapshot_files(crashed) == ["snapshot_v00001.json", "snapshot_v00002.json"]
     result = run_curriculum(_tiny_cfg(crashed, stage_games=(6, 0, 0, 0)))
     assert (crashed / "training_log.jsonl").read_bytes() == (clean / "training_log.jsonl").read_bytes()
     for r in (result, clean_result):
-        assert [snap.version for snap in r.league.snapshots] == [1, 2, 3]
+        assert [snap.version for snap in r.league] == [1, 2, 3]
     assert ({name: (crashed / "snapshots" / name).read_bytes() for name in _snapshot_files(crashed)}
             == {name: (clean / "snapshots" / name).read_bytes() for name in _snapshot_files(clean)})
 
@@ -533,7 +558,38 @@ def test_curriculum_random_kind_trains_without_updates(tmp_path):
     cfg = _tiny_cfg(tmp_path / "run", stage_games=(2, 0, 0, 0), kind="random")
     result = run_curriculum(cfg)
     assert result.games_done == 2
-    assert result.league.snapshots[-1].params == {}
+    assert result.league[-1].params == {}
+    with open(result.log_path) as fh:
+        records = [json.loads(line) for line in fh]
+    assert [r["games"] for r in records] == [1, 2]  # one record per game at the default cadence
+    assert all(list(r) == ["stage", "games", "update", "goals_for", "goals_against", "episodes"]
+               for r in records)
+
+
+@pytest.mark.parametrize("kind", ["taac", "ppo", "random"])
+def test_games_after_the_last_full_buffer_are_logged(tmp_path, monkeypatch, kind):
+    from taaclab import learner
+
+    real_play, episodes = learner.play_training_game, []
+
+    def play(*args):
+        trajs, stats = real_play(*args)
+        episodes.append(stats["episodes"])
+        return trajs, stats
+
+    monkeypatch.setattr(learner, "play_training_game", play)
+    cfg = _tiny_cfg(tmp_path / "run", stage_games=(3, 0, 0, 0), kind=kind)
+    cfg = dataclasses.replace(cfg, learner=dataclasses.replace(cfg.learner, games_per_update=2))
+    result = run_curriculum(cfg)
+    with open(result.log_path) as fh:
+        records = [json.loads(line) for line in fh]
+    assert [r["games"] for r in records] == [2, 3]
+    assert sum(r["episodes"] for r in records) == sum(episodes) and len(episodes) == 3
+    steps = 3 * TINY_ENV.steps_per_game
+    if kind == "taac":
+        assert sum(r["transitions"] for r in records) == steps
+    elif kind == "ppo":
+        assert sum(r["batch_size"] for r in records) == steps * TEAM_SIZE
 
 
 def test_curriculum_ppo_kind_trains(tmp_path):
