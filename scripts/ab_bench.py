@@ -1,13 +1,15 @@
-"""A/B benchmark of two checkouts: alternating perfbench runs, summarized per metric.
+"""A/B benchmark of two git revisions: alternating perfbench runs, summarized per metric.
 
-Usage:
-    git worktree add ../parent HEAD~1
-    python3 scripts/ab_bench.py ../parent . --workload train_taac league_desk selfplay_ppo \
+Usage, from inside the repository:
+    python3 scripts/ab_bench.py HEAD~1 HEAD --workload train_taac league_desk selfplay_ppo \
         --seeds 101-110 --seconds 30
 
-For each seed and each named workload, one pair of runs of
-``perfbench/run.py --trace 0``, one in each checkout; the parent goes first
-in the first seed's pairs and the sides take turns from seed to seed. One
+Both revisions are extracted with ``git archive`` into sibling directories
+under one temporary directory, so both sides are built the same way; the
+directory is deleted on exit and the working tree is never read. Commit the
+change before comparing it. For each seed and each named workload, one pair
+of runs of ``perfbench/run.py --trace 0``, one in each copy; the parent goes
+first in the first seed's pairs and the sides take turns from seed to seed. One
 summary per workload gives, for every end-to-end metric that the change's
 BENCHMARK.json declares, each pair's values, each side's median and
 quartiles, the change's win count (ties count for neither side) and a
@@ -15,17 +17,20 @@ no-regression verdict against the metric's ``bound`` (see ``verdict``). Digests
 that differ within a pair, failed calls and runs that did not finish are
 flagged. Exits 0 only when every workload has a complete pair, every run
 finished with no failed call and every pair's digests are equal; a malformed
-or reversed ``--seeds`` range is a usage error (exit 2). Uses the standard library only.
+or reversed ``--seeds`` range and a revision that names no commit are usage
+errors (exit 2). Uses the standard library and the git and tar commands only.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 SIDES = ("parent", "change")
@@ -64,6 +69,29 @@ def run_side(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     except (ValueError, LookupError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
         tail = proc.stderr.strip().splitlines()[-1:] or ["no output"]
         return {"error": f"{exc}: {tail[0]}"}
+
+
+def is_commit(revision: str) -> bool:
+    return subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{revision}^{{commit}}"],
+                          capture_output=True).returncode == 0
+
+
+@contextlib.contextmanager
+def extracted(revisions: dict[str, str]):
+    """Yields {side: directory}: each side's revision extracted by ``git archive``
+    into a sibling directory under one temporary directory, deleted on exit."""
+    # from a subdirectory, git archive would take that subdirectory only
+    top = subprocess.run(["git", "rev-parse", "--show-toplevel"], capture_output=True, text=True,
+                         check=True).stdout.strip()
+    with tempfile.TemporaryDirectory(prefix="ab_bench-") as tmp:
+        dirs = {}
+        for side, revision in revisions.items():
+            dirs[side] = os.path.join(tmp, side)
+            os.mkdir(dirs[side])
+            archive = subprocess.run(["git", "-C", top, "archive", revision],
+                                     capture_output=True, check=True)
+            subprocess.run(["tar", "-x", "-C", dirs[side]], input=archive.stdout, check=True)
+        yield dirs
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -144,8 +172,8 @@ def summarize(pairs: list[tuple[int, dict, dict]], end_to_end: list[dict]) -> tu
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("parent", help="checkout directory of the parent commit")
-    parser.add_argument("change", help="checkout directory of the change")
+    parser.add_argument("parent", help="git revision of the parent")
+    parser.add_argument("change", help="git revision of the change")
     parser.add_argument("--workload", nargs="+", required=True, help="one or more workload names")
     parser.add_argument("--seeds", nargs="+", required=True, help="seeds or inclusive ranges (101-110)")
     parser.add_argument("--seconds", type=float, default=30.0)
@@ -154,16 +182,25 @@ def main(argv=None) -> int:
         seeds = parse_seeds(args.seeds)
     except ValueError as exc:
         parser.error(f"--seeds: {exc}")
-    with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
+    for revision in (args.parent, args.change):
+        if not is_commit(revision):
+            parser.error(f"{revision} names no commit of the repository here")
+    with extracted({"parent": args.parent, "change": args.change}) as dirs:
+        return compare(dirs, args.workload, seeds, args.seconds)
+
+
+def compare(dirs: dict[str, str], workloads: list[str], seeds: list[int], seconds: float) -> int:
+    """Runs the alternating pairs in the two copies, prints one summary per workload
+    and returns the exit code."""
+    with open(os.path.join(dirs["change"], "BENCHMARK.json")) as fh:
         end_to_end = json.load(fh)["end_to_end"]
-    dirs = {"parent": args.parent, "change": args.change}
-    pairs: dict[str, list] = {workload: [] for workload in args.workload}
+    pairs: dict[str, list] = {workload: [] for workload in workloads}
     for i, seed in enumerate(seeds):
         for workload, done in pairs.items():
             results = {}
             for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
                 start = time.monotonic()
-                results[side] = res = run_side(dirs[side], workload, seed, args.seconds)
+                results[side] = res = run_side(dirs[side], workload, seed, seconds)
                 shown = res.get("error") or f"{json.dumps(res['metrics'])} digest {res['digest']}"
                 print(f"seed {seed} {workload} {side} ({time.monotonic() - start:.0f} s): {shown}",
                       file=sys.stderr, flush=True)
@@ -172,7 +209,7 @@ def main(argv=None) -> int:
     for workload, done in pairs.items():
         lines, clean = summarize(done, end_to_end)
         all_clean = all_clean and clean
-        print(f"workload {workload}, {len(done)} pairs, {args.seconds:g} s runs")
+        print(f"workload {workload}, {len(done)} pairs, {seconds:g} s runs")
         print("\n".join(lines))
     return 0 if all_clean else 1
 

@@ -1,6 +1,10 @@
 import importlib.util
 import json
+import os
 import pathlib
+import shutil
+import subprocess
+import textwrap
 
 import pytest
 
@@ -104,23 +108,81 @@ def test_parse_seeds_rejects_non_numbers(items):
         ab_bench.parse_seeds(items)
 
 
-def test_main_runs_one_alternating_pair_per_seed_and_workload(tmp_path, monkeypatch, capsys):
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+# Stands in for perfbench/run.py: reports the commit's games/s from marker.txt and
+# appends the directory it ran in to the file that $AB_BENCH_CWDS names.
+STUB_RUN = textwrap.dedent("""
+    import json, os
+    with open(os.environ["AB_BENCH_CWDS"], "a") as fh:
+        fh.write(os.getcwd() + "\\n")
+    games = float(open("marker.txt").read())
+    print("digest same")
+    print(json.dumps({"attempted": 3, "failed": 0, "metrics": {
+        "games_per_s": {"value": games}, "step_us_p50": {"value": 200.0}}}))
+""")
+
+
+@pytest.fixture
+def two_commits(tmp_path, monkeypatch):
+    """A throwaway repository whose HEAD~1 reports 10 games/s and HEAD 12; the
+    test runs in a subdirectory of it."""
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    (repo / "perfbench" / "run.py").write_text(STUB_RUN)
+    (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    git("init", "-q")
+    for games in ("10", "12"):
+        (repo / "marker.txt").write_text(games)
+        git("add", "-A")
+        git("commit", "-q", "-m", f"{games} games/s")
+    monkeypatch.chdir(repo / "perfbench")
+    monkeypatch.setenv("AB_BENCH_CWDS", str(tmp_path / "cwds.txt"))
+    return repo
+
+
+def test_main_runs_each_revision_from_its_own_extracted_copy(two_commits, tmp_path, capsys):
+    (two_commits / "marker.txt").write_text("99")  # the working tree is never read
+    assert ab_bench.main(["HEAD~1", "HEAD", "--workload", "wa", "--seeds", "1-2",
+                          "--seconds", "1"]) == 0
+    assert "  seed 1: parent 10 change 12 -> change" in capsys.readouterr().out.splitlines()
+    cwds = (tmp_path / "cwds.txt").read_text().split()
+    assert [os.path.basename(d) for d in cwds] == ["parent", "change", "change", "parent"]
+    (tmp,) = {os.path.dirname(d) for d in cwds}  # sibling directories
+    assert not tmp.startswith(str(two_commits))
+    assert not any(os.path.exists(d) for d in [tmp, *cwds])  # nothing is left behind
+    status = subprocess.run(["git", "status", "--porcelain"], capture_output=True, text=True)
+    assert status.stdout == " M marker.txt\n"
+
+
+def test_main_rejects_a_revision_that_names_no_commit(two_commits, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        ab_bench.main(["HEAD~5", "HEAD", "--workload", "wa", "--seeds", "1"])
+    assert exit_info.value.code == 2
+    assert "HEAD~5 names no commit" in capsys.readouterr().err
+
+
+def test_main_runs_one_alternating_pair_per_seed_and_workload(two_commits, monkeypatch, capsys):
     runs = []
 
     def fake_run_side(checkout, workload, seed, seconds):
-        runs.append((seed, workload, checkout))
-        side = "change" if checkout == str(tmp_path) else "parent"
+        side = os.path.basename(checkout)
+        runs.append((seed, workload, side))
         games = {"wa": {"parent": 10.0, "change": 12.0}, "wb": {"parent": 20.0, "change": 19.0}}
         return result(games[workload][side] + seed, 200.0)
 
     monkeypatch.setattr(ab_bench, "run_side", fake_run_side)
-    code = ab_bench.main(["old", str(tmp_path), "--workload", "wa", "wb", "--seeds", "1-2",
+    code = ab_bench.main(["HEAD~1", "HEAD", "--workload", "wa", "wb", "--seeds", "1-2",
                           "--seconds", "5"])
     assert code == 0
-    new = str(tmp_path)
-    assert runs == [(1, "wa", "old"), (1, "wa", new), (1, "wb", "old"), (1, "wb", new),
-                    (2, "wa", new), (2, "wa", "old"), (2, "wb", new), (2, "wb", "old")]
+    assert runs == [(1, "wa", "parent"), (1, "wa", "change"), (1, "wb", "parent"),
+                    (1, "wb", "change"), (2, "wa", "change"), (2, "wa", "parent"),
+                    (2, "wb", "change"), (2, "wb", "parent")]
     lines = capsys.readouterr().out.splitlines()
     first, second = lines.index("workload wa, 2 pairs, 5 s runs"), lines.index("workload wb, 2 pairs, 5 s runs")
     assert first < second
@@ -128,19 +190,17 @@ def test_main_runs_one_alternating_pair_per_seed_and_workload(tmp_path, monkeypa
     assert "  seed 2: parent 22 change 21 -> parent" in lines[second:]
 
 
-def test_main_rejects_a_reversed_seed_range_as_a_usage_error(tmp_path, monkeypatch, capsys):
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+def test_main_rejects_a_reversed_seed_range_as_a_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(ab_bench, "run_side", lambda *args: pytest.fail("a run started"))
     with pytest.raises(SystemExit) as exit_info:
-        ab_bench.main(["old", str(tmp_path), "--workload", "wa", "--seeds", "110-101"])
+        ab_bench.main(["HEAD~1", "HEAD", "--workload", "wa", "--seeds", "110-101"])
     assert exit_info.value.code == 2
     assert "110-101 is reversed" in capsys.readouterr().err
 
 
-def test_main_fails_when_no_pair_completed(tmp_path, monkeypatch, capsys):
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+def test_main_fails_when_no_pair_completed(two_commits, monkeypatch, capsys):
     monkeypatch.setattr(ab_bench, "run_side", lambda *args: {"error": "exit 1: boom"})
-    assert ab_bench.main(["old", str(tmp_path), "--workload", "wa", "--seeds", "3"]) == 1
+    assert ab_bench.main(["HEAD~1", "HEAD", "--workload", "wa", "--seeds", "3"]) == 1
     assert "  no complete pair" in capsys.readouterr().out.splitlines()
     lines, clean = ab_bench.summarize([], METRICS)
     assert not clean and "digests equal in 0 of 0 complete pairs" in lines
