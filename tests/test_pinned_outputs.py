@@ -1,0 +1,107 @@
+"""Checked-in digests of the benchmark workloads and of one league's files.
+
+One full-size call of each perfbench workload at seed 7, and one small
+league with replays, run in a fresh process with BLAS pinned to one thread
+(``hostenv.prepare_process``), must write exactly the bytes recorded here.
+A change that moves outputs on purpose updates these values and names
+old -> new in CHANGES.md.
+
+The bytes depend on the host's BLAS kernels, so the host fields they were
+recorded on are checked in too: on a host whose fields differ the test is
+skipped with a reason that names the field, since there is nothing to
+compare against.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+HOST = {"machine": "x86_64", "numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
+
+WORKLOAD_DIGESTS = {
+    "train_taac": "ee656ecd300503708b147ba51074f1d796079fab7eb4838ec7626aa5794ce078",
+    "league_desk": "8ab8a4c0dbc13b0bbaed930ef90aee8364fffe00eff542ba6edca53962633984",
+    "selfplay_ppo": "6b5caa692fa86c21e721c7a36646b96ae143515020fe7531fc04eaf6a723a877",
+}
+
+LEAGUE_FILE_DIGESTS = {
+    "league_report.json": "ae5de00d9078574763a9b91d9f4a92222a507d4259a9a2b3306b2868130abd33",
+    "matches.csv": "ef6ad99dd168f119846189c47ff5d4008632b3ebe63b40f1eaac7aa7d462be21",
+    "replays/game_00000.jsonl": "259731743ae1f9f7840a98adfc0d20ff721c0eb42f66be04b2cec8c693cd32d2",
+    "replays/game_00001.jsonl": "e64e644d675845731bade23d8763f32e2928ea70989a7e8ccbda12f879ed8ec8",
+    "replays/game_00002.jsonl": "6471cae44bfac3f6020cc9fca96004c6d9d78fcd7258b384b1983e5d37c2f070",
+}
+
+# Runs in a fresh interpreter: the BLAS thread count is read when numpy loads.
+_PROBE = r"""
+import hashlib, json, os, sys, tempfile
+sys.path.insert(0, os.path.join(sys.argv[1], "perfbench"))
+import hostenv
+hostenv.prepare_process()
+import numpy as np
+import workloads
+from taaclab.baselines import build_policy
+from taaclab.config import LeagueSettings
+from taaclab.env import EnvConfig
+from taaclab.evaluation import run_league
+
+def sha(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+out = {"host": hostenv.host_record(), "workloads": {}, "league": {}}
+with tempfile.TemporaryDirectory() as tmp:
+    for name, cls in sorted(workloads.WORKLOADS.items()):
+        wl = cls(7, "full")
+        run_dir = os.path.join(tmp, name)
+        wl.call(run_dir)
+        out["workloads"][name] = wl.digest(run_dir)
+
+    # small pitch and short games, so goals and respawns happen
+    env = EnvConfig(pitch_length=20.0, pitch_width=14.0, goal_width=10.0, steps_per_game=60)
+    league = LeagueSettings(n_games=3, teams_per_kind=1, spawn_mode="random_spawns",
+                            save_replays=True).validate()
+    teams = [(kind, build_policy(kind, workloads.SMOKE_NET, np.random.default_rng([7, k])))
+             for k, kind in enumerate(league.kinds)]
+    os.chdir(tmp)  # matches.csv names each replay by its path under the league directory
+    league_dir = "league"
+    run_league(teams, env, league, 7, league_dir)
+    for root, _, files in os.walk(league_dir):
+        for f in files:
+            path = os.path.join(root, f)
+            out["league"][os.path.relpath(path, league_dir)] = sha(path)
+    goals = 0
+    for f in os.listdir(os.path.join(league_dir, "replays")):
+        with open(os.path.join(league_dir, "replays", f)) as fh:
+            goals += sum(json.loads(line)["goal"] is not None for line in fh)
+    out["replay_goals"] = goals
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def pinned_run() -> dict:
+    proc = subprocess.run([sys.executable, "-c", _PROBE, str(ROOT)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    run = json.loads(proc.stdout.strip().splitlines()[-1])
+    for field, recorded in HOST.items():
+        if run["host"][field] != recorded:
+            pytest.skip(f"digests were recorded with {field} {recorded!r}; "
+                        f"this host has {run['host'][field]!r}")
+    return run
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_DIGESTS))
+def test_seed_7_workload_digest_is_pinned(pinned_run, workload):
+    assert pinned_run["workloads"][workload] == WORKLOAD_DIGESTS[workload]
+
+
+def test_league_report_matches_and_replays_are_pinned(pinned_run):
+    assert pinned_run["replay_goals"] > 0  # the replays cover respawns after goals
+    assert pinned_run["league"] == LEAGUE_FILE_DIGESTS
