@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -140,7 +141,7 @@ def _cmd_league(args) -> int:
 def _cmd_eval(args) -> int:
     from .baselines import policy_from_snapshot
     from .evaluation import head_to_head
-    from .nets import load_snapshot
+    from .nets import load_snapshot, write_text_atomic
 
     cfg = _load_run_config(args.config, args.seed)
     policy_a = policy_from_snapshot(load_snapshot(args.a), cfg.net)
@@ -149,8 +150,7 @@ def _cmd_eval(args) -> int:
                           spawn_mode=cfg.league.spawn_mode)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        write_text_atomic(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -172,6 +172,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_replay(args) -> int:
     from .env import N_PLAYERS, team_of
     from .evaluation import match_metrics, read_replay
+    from .nets import write_text_atomic
 
     cfg = _load_run_config(args.config, None)
     frames = read_replay(args.match)
@@ -207,10 +208,11 @@ def _cmd_replay(args) -> int:
             row[f"pairdist_{team}"] = f"{per_step['pairwise_distance'][team, k]:.6f}"
             row[f"conn_{team}"] = f"{per_step['connectivity'][team, k]:.6f}"
             row[f"swaps_{team}"] = int(per_step["possession_swaps"][team, k])
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    table = io.StringIO()
+    writer = csv.DictWriter(table, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    writer.writerows(rows)
+    write_text_atomic(args.out, table.getvalue())
     print(f"wrote {len(rows)} frames to {args.out}")
     return EXIT_OK
 

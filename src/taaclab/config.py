@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .baselines import POLICY_KINDS, AblationConfig
 from .env import SPAWN_MODES, EnvConfig
-from .nets import TaacNetConfig
+from .nets import TaacNetConfig, write_text_atomic
 
 OUT_DIR_ENV = "TAACLAB_OUT_DIR"
 
@@ -243,9 +243,7 @@ def echo_config(cfg: RunConfig) -> str:
     """Write the full effective config into the output directory; returns the path."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, "config_echo.json")
-    with open(path, "w") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text_atomic(path, json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
     return path
 
 

@@ -1,15 +1,18 @@
-"""Match play, Elo ratings, and collaboration metrics for league evaluation.
+"""The game loop, match play, Elo ratings, and collaboration metrics.
 
-A match is one full game of ``steps_per_game`` steps with episode respawns
-after goals. Matches are deterministic given (policies, seed). The league
-runner draws uniformly random pairings, plays them (optionally on a thread
-pool over immutable policies), and applies Elo updates serially in schedule
-order so results are reproducible.
+``play_game`` is the one game loop (observe -> act -> step, respawning after
+goals) for training and match play alike; it returns a ``GameRecord`` of
+arrays. ``play_match`` and ``learner.play_training_game`` are two views of it.
+Matches are deterministic given (policies, seed). The league runner draws
+uniformly random pairings, plays them (optionally on a thread pool over
+immutable policies), and applies Elo updates serially in schedule order so
+results are reproducible.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -21,16 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .env import (
-    EnvConfig,
-    frame_dict,
-    observe_team,
-    reset,
-    respawn,
-    rowdot,
-    step,
-    team_players,
-)
+from .env import (N_PLAYERS, OBS_WIDTH, TEAM_SIZE, EnvConfig, WorldState, frame_dict, observe_team,
+                  reset, respawn, rowdot, step, team_players)
 from .nets import write_text_atomic
 
 # ---------------------------------------------------------------------------
@@ -164,6 +159,84 @@ def match_metrics(positions: np.ndarray, touches: Sequence[Sequence], episode_do
 
 
 # ---------------------------------------------------------------------------
+# the game loop
+
+
+class _StateTrail:
+    """Every state a game passes through, in order, in per-game arrays: each
+    episode's opening state, then the state after each of its steps."""
+
+    def __init__(self, rows: int):
+        self.stack = WorldState(player_pos=np.empty((rows, N_PLAYERS, 2)),
+                                player_vel=np.empty((rows, N_PLAYERS, 2)),
+                                kicking=np.empty((rows, N_PLAYERS), dtype=bool),
+                                ball_pos=np.empty((rows, 2)), ball_vel=np.empty((rows, 2)),
+                                scores=np.empty((rows, 2), dtype=np.int64))
+        self.rows = 0
+
+    def add(self, s: WorldState) -> int:
+        """Append ``s``; returns its row."""
+        k, st = self.rows, self.stack
+        (st.player_pos[k], st.player_vel[k], st.kicking[k],
+         st.ball_pos[k], st.ball_vel[k], st.scores[k]) = (s.player_pos, s.player_vel, s.kicking,
+                                                           s.ball_pos, s.ball_vel, s.scores)
+        self.rows += 1
+        return k
+
+    def take(self, rows) -> WorldState:
+        """The states at ``rows``, stacked along a leading axis."""
+        st = self.stack
+        return WorldState(st.player_pos[rows], st.player_vel[rows], st.kicking[rows],
+                          st.ball_pos[rows], st.ball_vel[rows], st.scores[rows])
+
+
+@dataclass
+class GameRecord:
+    """One game as arrays. Step t takes the joint ``actions[t]`` from trail row
+    ``after[t] - 1`` to trail row ``after[t]`` and raises ``events[t]``."""
+
+    trail: _StateTrail
+    obs0: np.ndarray     # (trail rows, TEAM_SIZE, OBS_WIDTH): team 0's observation of each row
+    actions: np.ndarray  # (T, 6) joint action ids, team 0 first
+    after: np.ndarray    # (T,) trail row after each step
+    events: list         # T StepEvents
+
+    @property
+    def scores(self) -> np.ndarray:
+        return self.trail.stack.scores[self.after[-1]]
+
+
+def play_game(team0, team1, cfg: EnvConfig, spawn_mode: str, env_rng: np.random.Generator,
+              rng0: np.random.Generator, rng1: np.random.Generator) -> GameRecord:
+    """Play one full game and record it. ``env_rng`` draws the spawns, ``rng0``
+    and ``rng1`` the teams' actions (training passes one generator three
+    times). Team 0 is observed once per state, team 1 once per step."""
+    T = cfg.steps_per_game
+    trail = _StateTrail(2 * T)  # each episode has at least one step
+    obs0 = np.empty((2 * T, TEAM_SIZE, OBS_WIDTH))
+    actions = np.empty((T, N_PLAYERS), dtype=np.int64)
+    after = np.empty(T, dtype=np.int64)
+    events = []
+    state = reset(cfg, spawn_mode, env_rng)
+    row = trail.add(state)
+    obs0[row] = observe_team(state, 0, cfg)
+    while True:
+        t = state.t
+        a0 = team0.act(obs0[row], rng0)
+        a1 = team1.act(observe_team(state, 1, cfg), rng1)
+        state, ev = step(state, np.concatenate([a0, a1], out=actions[t]), cfg)
+        events.append(ev)
+        row = after[t] = trail.add(state)
+        obs0[row] = observe_team(state, 0, cfg)
+        if ev.episode_done:
+            if ev.game_done:
+                return GameRecord(trail, obs0[:trail.rows], actions, after, events)
+            state = respawn(state, cfg, spawn_mode, env_rng)
+            row = trail.add(state)
+            obs0[row] = observe_team(state, 0, cfg)
+
+
+# ---------------------------------------------------------------------------
 # match play
 
 
@@ -172,10 +245,8 @@ class MatchRecord:
     team_a: str
     team_b: str
     score: tuple[int, int]
-    goals: list  # (step, scoring team) pairs
     episode_lengths: list
     metrics: dict  # per-team collaboration aggregates
-    seed: int
     frames: Optional[list] = None
 
     @property
@@ -191,44 +262,24 @@ class MatchRecord:
         return self.score[0] - self.score[1]
 
 
+def _replay_frames(game: GameRecord) -> list[dict]:
+    """One ``frame_dict`` per step, of the state after it."""
+    episodes = np.cumsum([0] + [ev.episode_done for ev in game.events[:-1]]).tolist()
+    return [frame_dict(dataclasses.replace(game.trail.take(row), t=t + 1, episode=episode), ev)
+            for t, (row, episode, ev) in enumerate(zip(game.after, episodes, game.events))]
+
+
 def play_match(team_a, team_b, cfg: EnvConfig, seed: int,
                spawn_mode: str = "fixed_formation",
                record_frames: bool = True,
                conn_d_min: float = 5.0, conn_d_max: float = 40.0,
                name_a: str = "a", name_b: str = "b") -> MatchRecord:
     """One full deterministic game between two team policies."""
-    env_rng, rng_a, rng_b = (np.random.default_rng(s)
-                             for s in np.random.SeedSequence(seed).spawn(3))
-    state = reset(cfg, spawn_mode, env_rng)
-    frames: list[dict] = []
-    positions = np.empty((cfg.steps_per_game, *state.player_pos.shape))
-    touches: list[list] = []
-    episode_done: list[bool] = []
-    goals: list[tuple[int, int]] = []
-    episode_lengths: list[int] = []
-    episode_start = 0
-
-    while True:
-        obs0 = observe_team(state, 0, cfg)
-        obs1 = observe_team(state, 1, cfg)
-        a0 = team_a.act(obs0, rng_a)
-        a1 = team_b.act(obs1, rng_b)
-        state, ev = step(state, np.concatenate([a0, a1]), cfg)
-        if record_frames:
-            frames.append(frame_dict(state, ev))
-        positions[state.t - 1] = state.player_pos
-        touches.append(ev.ball_touches)
-        episode_done.append(ev.episode_done)
-        if ev.goal_scored is not None:
-            goals.append((state.t, ev.goal_scored))
-        if ev.episode_done:
-            episode_lengths.append(state.t - episode_start)
-            episode_start = state.t
-            if ev.game_done:
-                break
-            state = respawn(state, cfg, spawn_mode, env_rng)
-
-    per_step = match_metrics(positions, touches, episode_done, cfg.player_radius, conn_d_min, conn_d_max)
+    game = play_game(team_a, team_b, cfg, spawn_mode,
+                     *(np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)))
+    episode_done = [ev.episode_done for ev in game.events]
+    per_step = match_metrics(game.trail.stack.player_pos[game.after], [ev.ball_touches for ev in game.events],
+                             episode_done, cfg.player_radius, conn_d_min, conn_d_max)
     metrics = {
         str(team): {
             "pairwise_distance": float(np.mean(per_step["pairwise_distance"][team])),
@@ -237,19 +288,13 @@ def play_match(team_a, team_b, cfg: EnvConfig, seed: int,
         }
         for team in range(2)
     }
-    return MatchRecord(
-        team_a=name_a, team_b=name_b,
-        score=(int(state.scores[0]), int(state.scores[1])),
-        goals=goals, episode_lengths=episode_lengths,
-        metrics=metrics, seed=seed,
-        frames=frames if record_frames else None,
-    )
+    return MatchRecord(team_a=name_a, team_b=name_b, score=tuple(game.scores.tolist()),
+                       episode_lengths=np.diff(np.flatnonzero(episode_done) + 1, prepend=0).tolist(),
+                       metrics=metrics, frames=_replay_frames(game) if record_frames else None)
 
 
 def write_replay(frames: Sequence[dict], path: str) -> None:
-    with open(path, "w") as fh:
-        for frame in frames:
-            fh.write(json.dumps(frame) + "\n")
+    write_text_atomic(path, "".join(json.dumps(frame) + "\n" for frame in frames))
 
 
 def read_replay(path: str) -> list[dict]:
@@ -333,10 +378,8 @@ def run_league(teams: Sequence[tuple[str, object]], env_cfg: EnvConfig, league_c
         diff_sum[i, j] += rec.goal_diff
         diff_sum[j, i] -= rec.goal_diff
         for team, name in ((0, rec.team_a), (1, rec.team_b)):
-            m = rec.metrics[str(team)]
-            collab[name]["pairwise_distance"].append(m["pairwise_distance"])
-            collab[name]["connectivity"].append(m["connectivity"])
-            collab[name]["possession_swaps"].append(m["possession_swaps"])
+            for metric, value in rec.metrics[str(team)].items():
+                collab[name][metric].append(value)
         replay_path = ""
         if save_replays:
             replay_path = os.path.join(replay_dir, f"game_{g:05d}.jsonl")

@@ -322,3 +322,45 @@ def test_cli_numeric_failure_maps_to_exit_3(tmp_path, monkeypatch):
     monkeypatch.setattr(learner, "run_curriculum", explode)
     cfg_path = tiny_config(tmp_path)
     assert main(["train", "--config", cfg_path]) == 3
+
+
+@pytest.mark.parametrize("writer", ["write_replay", "echo_config", "eval_out", "replay_csv"])
+def test_a_failed_write_keeps_the_old_file_and_leaves_no_partial_file(tmp_path, monkeypatch, writer):
+    from taaclab.baselines import RandomTeamPolicy
+    from taaclab.env import EnvConfig
+    from taaclab.evaluation import play_match, write_replay
+
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    out.mkdir()
+    frames = play_match(RandomTeamPolicy(), RandomTeamPolicy(), EnvConfig(steps_per_game=3), seed=0).frames
+    replay = inputs / "replay.jsonl"
+    replay.write_text("".join(json.dumps(frame) + "\n" for frame in frames))
+    snap = write_json(inputs / "random.json", RandomTeamPolicy().to_snapshot(1).to_doc())
+    target = out / ("config_echo.json" if writer == "echo_config" else "target")
+    target.write_text("old\n")
+
+    def write():
+        if writer == "write_replay":
+            write_replay(frames, str(target))
+        elif writer == "echo_config":
+            echo_config(RunConfig(out_dir=str(out)))
+        else:
+            args = (["eval", "--a", snap, "--b", snap, "--games", "1"] if writer == "eval_out"
+                    else ["replay", "--match", str(replay)])
+            if main(args + ["--out", str(target)]) != 0:
+                raise OSError("the command exited non-zero")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    # the new text is complete in the temporary file when the final move fails
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        write()
+    assert target.read_text() == "old\n"
+    assert os.listdir(out) == [target.name]
+    monkeypatch.undo()
+    write()
+    assert target.read_text() != "old\n"
+    assert os.listdir(out) == [target.name]

@@ -386,10 +386,10 @@ def test_step_and_match_compute_no_rewards(monkeypatch):
 
 
 def test_training_rewards_equal_per_step_rewards(monkeypatch):
-    from taaclab import learner
+    from taaclab import evaluation, learner
 
     seen, calls = [], []
-    real_step, real_rewards = learner.step, learner.reward_components
+    real_step, real_rewards = evaluation.step, learner.reward_components
 
     def recording_step(state, actions, cfg):
         nxt, ev = real_step(state, actions, cfg)
@@ -400,7 +400,7 @@ def test_training_rewards_equal_per_step_rewards(monkeypatch):
         calls.append(1)
         return real_rewards(*args)
 
-    monkeypatch.setattr(learner, "step", recording_step)
+    monkeypatch.setattr(evaluation, "step", recording_step)
     monkeypatch.setattr(learner, "reward_components", counting_rewards)
     cfg = EnvConfig(pitch_length=20.0, pitch_width=14.0, goal_width=10.0, steps_per_game=300).validate()
     trajs, stats = learner.play_training_game(RandomTeamPolicy(), RandomTeamPolicy(), cfg,

@@ -325,10 +325,10 @@ def test_play_training_game_episode_lengths_sum_to_T():
 
 
 def test_play_training_game_observes_each_state_once(monkeypatch):
-    from taaclab import learner
+    from taaclab import evaluation
 
     terminal, calls = [], []
-    real_step, real_observe = learner.step, learner.observe_team
+    real_step, real_observe = evaluation.step, evaluation.observe_team
 
     def step(state, actions, cfg):
         nxt, ev = real_step(state, actions, cfg)
@@ -340,8 +340,8 @@ def test_play_training_game_observes_each_state_once(monkeypatch):
         calls.append(team)
         return real_observe(state, team, cfg)
 
-    monkeypatch.setattr(learner, "step", step)
-    monkeypatch.setattr(learner, "observe_team", observe_team)
+    monkeypatch.setattr(evaluation, "step", step)
+    monkeypatch.setattr(evaluation, "observe_team", observe_team)
     env = EnvConfig(pitch_length=20.0, pitch_width=14.0, goal_width=10.0, steps_per_game=300)
     trajs, _ = play_training_game(RandomTeamPolicy(), RandomTeamPolicy(), env,
                                   np.random.default_rng(5), "random_spawns")
