@@ -6,12 +6,12 @@ gradient to per-parent gradients. ``backward`` walks that graph once in
 reverse topological order and accumulates gradients additively into the
 leaves (tensors created with ``requires_grad=True``).
 
-The op set is deliberately small: matmul, bmm (matmul over a leading
-batch axis), add (with row-vector bias broadcast), sub, mul, neg, scale,
-reshape, relu, exp, softmax_rows and log_softmax (both over the last
-axis), gather, concat, reduce_sum, reduce_mean, mean_pairwise_cosine,
-maximum_const, minimum, clip_const. Everything the networks in this package
-need composes from these, for one (n, .) matrix or a (T, n, .) stack.
+The op set is deliberately small: add, sub, mul, neg, scale, reshape,
+exp, softmax_rows and log_softmax (both over the last axis), gather,
+concat, reduce_sum, reduce_mean, mean_pairwise_cosine, maximum_const,
+minimum, clip_const. The losses compose from these. The layers in ``nn``
+(dense, multi-head attention) are one node each, added through ``record``
+with a hand-derived backward.
 """
 
 from __future__ import annotations
@@ -77,7 +77,9 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _result(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+def record(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """A tensor holding ``data``; while recording and some parent needs a gradient,
+    also a tape node whose ``backward_fn(g)`` gives one gradient (or None) per parent."""
     out = Tensor(data)
     if grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -147,47 +149,14 @@ def zero_grads(params: Sequence[Tensor]) -> None:
 # ops
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D product. A 1-column product is a row-wise multiply-sum, so each of its
-    rows is bit-identical whatever the row count; BLAS matrix-vector is not."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul requires 2-D tensors with matching inner dims, got {a.shape} x {b.shape}")
-
-    def bw(g: np.ndarray):
-        return g @ b.data.T, a.data.T @ g
-
-    if b.shape[1] == 1:
-        return _result((a.data * b.data[:, 0]).sum(axis=1, keepdims=True), (a, b), bw)
-    return _result(a.data @ b.data, (a, b), bw)
-
-
-def bmm(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    """Matrix product over a leading batch axis: (B, m, k) x (B, k, p) -> (B, m, p).
-
-    With ``transpose_b`` the second operand is given as (B, p, k).
-    """
-    bt = np.swapaxes(b.data, 1, 2) if transpose_b else b.data
-    if a.data.ndim != 3 or bt.ndim != 3 or a.shape[0] != bt.shape[0] or a.shape[2] != bt.shape[1]:
-        raise ShapeError(f"bmm requires (B, m, k) x (B, k, p) tensors, got {a.shape} x {bt.shape}")
-
-    def bw(g: np.ndarray):
-        gb = np.swapaxes(a.data, 1, 2) @ g
-        return g @ np.swapaxes(bt, 1, 2), (np.swapaxes(gb, 1, 2) if transpose_b else gb)
-
-    return _result(a.data @ bt, (a, b), bw)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also accepts a 1-D bias broadcast over the rows of a matrix."""
-    bias_broadcast = a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]
-    if not bias_broadcast and a.shape != b.shape:
+    if a.shape != b.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
 
     def bw(g: np.ndarray):
-        gb = g.sum(axis=0) if bias_broadcast else g
-        return g, gb
+        return g, g
 
-    return _result(a.data + b.data, (a, b), bw)
+    return record(a.data + b.data, (a, b), bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -197,7 +166,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def bw(g: np.ndarray):
         return g, -g
 
-    return _result(a.data - b.data, (a, b), bw)
+    return record(a.data - b.data, (a, b), bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -207,35 +176,26 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def bw(g: np.ndarray):
         return g * b.data, g * a.data
 
-    return _result(a.data * b.data, (a, b), bw)
+    return record(a.data * b.data, (a, b), bw)
 
 
 def neg(a: Tensor) -> Tensor:
-    return _result(-a.data, (a,), lambda g: (-g,))
+    return record(-a.data, (a,), lambda g: (-g,))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    return _result(a.data * s, (a,), lambda g: (g * s,))
+    return record(a.data * s, (a,), lambda g: (g * s,))
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = a.data.reshape(shape)
-    return _result(data.copy(), (a,), lambda g: (g.reshape(a.shape),))
-
-
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
-    def bw(g: np.ndarray):
-        return (g * mask,)
-
-    return _result(np.where(mask, a.data, 0.0), (a,), bw)
+    return record(data.copy(), (a,), lambda g: (g.reshape(a.shape),))
 
 
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
-    return _result(out, (a,), lambda g: (g * out,))
+    return record(out, (a,), lambda g: (g * out,))
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -248,7 +208,7 @@ def softmax_rows(a: Tensor) -> Tensor:
         dot = (g * out).sum(axis=-1, keepdims=True)
         return (out * (g - dot),)
 
-    return _result(out, (a,), bw)
+    return record(out, (a,), bw)
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -260,7 +220,7 @@ def log_softmax(a: Tensor) -> Tensor:
     def bw(g: np.ndarray):
         return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
 
-    return _result(out, (a,), bw)
+    return record(out, (a,), bw)
 
 
 def gather(a: Tensor, cols: np.ndarray) -> Tensor:
@@ -277,7 +237,7 @@ def gather(a: Tensor, cols: np.ndarray) -> Tensor:
         np.add.at(ga, (rows, cols), g)
         return (ga,)
 
-    return _result(a.data[rows, cols], (a,), bw)
+    return record(a.data[rows, cols], (a,), bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -297,7 +257,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             out.append(g[tuple(sl)])
         return tuple(out)
 
-    return _result(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bw)
+    return record(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), bw)
 
 
 def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
@@ -306,7 +266,7 @@ def reduce_sum(a: Tensor, axis: int | None = None) -> Tensor:
             return (np.full_like(a.data, float(g)),)
         return (np.broadcast_to(np.expand_dims(g, axis), a.shape).copy(),)
 
-    return _result(a.data.sum(axis=axis), (a,), bw)
+    return record(a.data.sum(axis=axis), (a,), bw)
 
 
 def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
@@ -317,7 +277,7 @@ def reduce_mean(a: Tensor, axis: int | None = None) -> Tensor:
             return (np.full_like(a.data, float(g) / count),)
         return (np.broadcast_to(np.expand_dims(g, axis), a.shape) / count,)
 
-    return _result(a.data.mean(axis=axis), (a,), bw)
+    return record(a.data.mean(axis=axis), (a,), bw)
 
 
 def mean_pairwise_cosine(a: Tensor, eps: float = 1e-8) -> Tensor:
@@ -343,7 +303,7 @@ def mean_pairwise_cosine(a: Tensor, eps: float = 1e-8) -> Tensor:
         row_cos = (cos * off_diag).sum(axis=-1, keepdims=True)
         return (g * (others - row_cos * unit) / (norm + eps),)
 
-    return _result(cos[..., upper[0], upper[1]].mean(axis=-1), (a,), bw)
+    return record(cos[..., upper[0], upper[1]].mean(axis=-1), (a,), bw)
 
 
 def maximum_const(a: Tensor, floor: float) -> Tensor:
@@ -353,7 +313,7 @@ def maximum_const(a: Tensor, floor: float) -> Tensor:
     def bw(g: np.ndarray):
         return (g * mask,)
 
-    return _result(np.maximum(a.data, floor), (a,), bw)
+    return record(np.maximum(a.data, floor), (a,), bw)
 
 
 def minimum(a: Tensor, b: Tensor) -> Tensor:
@@ -365,7 +325,7 @@ def minimum(a: Tensor, b: Tensor) -> Tensor:
     def bw(g: np.ndarray):
         return g * take_a, g * ~take_a
 
-    return _result(np.minimum(a.data, b.data), (a, b), bw)
+    return record(np.minimum(a.data, b.data), (a, b), bw)
 
 
 def clip_const(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -375,7 +335,7 @@ def clip_const(a: Tensor, lo: float, hi: float) -> Tensor:
     def bw(g: np.ndarray):
         return (g * inside,)
 
-    return _result(np.clip(a.data, lo, hi), (a,), bw)
+    return record(np.clip(a.data, lo, hi), (a,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ class PpoTeamPolicy(_SnapshotCodec):
 
     def values_forward(self, obs: np.ndarray) -> Tensor:
         v = self.value_net.forward(Tensor(self._scaled(obs)))
-        return ad.reshape(v, (v.shape[0],))
+        return ad.reshape(v, v.shape[:-1])
 
     def values_np(self, obs: np.ndarray) -> np.ndarray:
         return self.value_net.forward_np(self._scaled(obs))[..., 0]

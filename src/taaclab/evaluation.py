@@ -326,9 +326,8 @@ def run_league(teams: Sequence[tuple[str, object]], env_cfg: EnvConfig, league_c
     match_seeds = schedule_rng.integers(0, 2**62, size=n_games)
 
     save_replays = bool(league_cfg.save_replays and out_dir)
-    replay_dir = os.path.join(out_dir, "replays") if save_replays else None
-    if replay_dir:
-        os.makedirs(replay_dir, exist_ok=True)
+    if save_replays:
+        os.makedirs(os.path.join(out_dir, "replays"), exist_ok=True)
 
     def run_one(g: int) -> MatchRecord:
         i, j = schedule[g]
@@ -380,10 +379,10 @@ def run_league(teams: Sequence[tuple[str, object]], env_cfg: EnvConfig, league_c
         for team, name in ((0, rec.team_a), (1, rec.team_b)):
             for metric, value in rec.metrics[str(team)].items():
                 collab[name][metric].append(value)
-        replay_path = ""
+        replay_path = ""  # relative to out_dir, so the bundle can move
         if save_replays:
-            replay_path = os.path.join(replay_dir, f"game_{g:05d}.jsonl")
-            write_replay(rec.frames, replay_path)
+            replay_path = f"replays/game_{g:05d}.jsonl"
+            write_replay(rec.frames, os.path.join(out_dir, replay_path))
         m_a, m_b = rec.metrics["0"], rec.metrics["1"]
         rows.append({
             "game": g, "team_a": rec.team_a, "team_b": rec.team_b,

@@ -189,15 +189,14 @@ def actor_update(batch: list, policy: TaacTeamPolicy, opt: Adam, learner_cfg) ->
     """
     obs_stack, act_stack, returns = _stacked(batch, learner_cfg.gamma)
     use_conformity = learner_cfg.conformity_enabled and policy.actor.attn is not None
-    probs_stack = policy.actor.probs_np(obs_stack)
-    baselines = counterfactual_baselines_batch(obs_stack, act_stack, probs_stack, policy.critic)
+    logp_all, emb = policy.actor.forward(obs_stack, log_probs=True)  # (T, n, A), (T, n, e)
+    baselines = counterfactual_baselines_batch(obs_stack, act_stack, np.exp(logp_all.data), policy.critic)
     if learner_cfg.advantage_mode == "coma":
         adv_stack = policy.critic.q_np(obs_stack, act_stack) - baselines
     else:
         adv_stack = returns - baselines
 
     T = act_stack.shape[0]
-    logp_all, emb = policy.actor.forward(obs_stack, log_probs=True)  # (T, n, A), (T, n, e)
     logp_rows = ad.reshape(logp_all, (-1, logp_all.shape[-1]))       # (T*n, A)
     logp = ad.gather(logp_rows, act_stack.reshape(-1))
     pg_loss = ad.neg(ad.scale(ad.reduce_sum(ad.mul(logp, Tensor(adv_stack.reshape(-1)))), 1.0 / T))

@@ -1,7 +1,11 @@
-"""MLP and multi-head scaled-dot-product attention built on the autodiff tape.
+"""MLP and multi-head scaled-dot-product attention, each layer one tape node.
 
-Weights use Xavier-uniform initialization with zero biases. All parameters
-are float64 leaf tensors; ``nets`` owns their file format.
+Each layer has one array kernel, ``_dense`` or ``_attend``. ``forward``
+records the kernel's result as one autodiff node with a hand-derived
+backward; ``forward_np`` runs the same kernel without the tape, so the two
+give the same bits. Weights use Xavier-uniform initialization with zero
+biases. All parameters are float64 leaf tensors; ``nets`` owns their file
+format.
 """
 
 from __future__ import annotations
@@ -12,18 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import (
-    ShapeError,
-    Tensor,
-    add,
-    bmm,
-    concat,
-    matmul,
-    relu,
-    reshape,
-    scale,
-    softmax_rows,
-)
+from .autodiff import ShapeError, Tensor, record
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -31,14 +24,6 @@ ACTIVATIONS = ("relu", "identity")
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
-def _apply_activation(x: Tensor, tag: str) -> Tensor:
-    if tag == "relu":
-        return relu(x)
-    if tag == "identity":
-        return x
-    raise ValueError(f"unknown activation {tag!r}, expected one of {ACTIVATIONS}")
 
 
 @dataclass
@@ -76,15 +61,12 @@ class Mlp:
         return self.layers[0].w.shape[0]
 
     def forward(self, x: Tensor) -> Tensor:
-        """Forward for (rows, in_width) or stacked (..., in_width) inputs."""
+        """Forward for (rows, in_width) or stacked (..., in_width) inputs: one tape node per layer."""
         if x.data.ndim < 2 or x.shape[-1] != self.in_width:
             raise ShapeError(f"mlp input shape {x.shape} does not match first layer width {self.in_width}")
-        lead = x.shape[:-1]
-        if len(lead) > 1:
-            x = reshape(x, (-1, self.in_width))  # collapse to one GEMM per layer
         for layer in self.layers:
-            x = _apply_activation(add(matmul(x, layer.w), layer.b), layer.activation)
-        return reshape(x, lead + (x.shape[-1],)) if len(lead) > 1 else x
+            x = _dense_node(x, layer)
+        return x
 
     def forward_np(self, x: np.ndarray, relu_preacts: list | None = None) -> np.ndarray:
         """Tape-free forward for stacked inputs (..., in_width).
@@ -95,12 +77,7 @@ class Mlp:
         lead = x.shape[:-1]
         x = x.reshape(-1, x.shape[-1])  # collapse to one GEMM per layer
         for layer in self.layers:
-            x = x @ layer.w.data  # a fresh array: the rest of the layer works in place
-            x += layer.b.data
-            if layer.activation == "relu":
-                if relu_preacts is not None:
-                    relu_preacts.append(x.copy())
-                np.maximum(x, 0.0, out=x)
+            x = _dense(x, layer, relu_preacts)
         return x.reshape(lead + (x.shape[-1],))
 
     def parameters(self) -> list[Tensor]:
@@ -117,6 +94,34 @@ class Mlp:
         return out
 
 
+def _dense(x: np.ndarray, layer: DenseLayer, relu_preacts: list | None = None) -> np.ndarray:
+    """One layer over (rows, in) rows, into a fresh array. A one-column layer is a per-row
+    dot (einsum), so each row is bit-identical whatever the row count; BLAS gemv is not."""
+    w = layer.w.data
+    y = np.einsum("ij,jk->ik", x, w) if w.shape[1] == 1 else x @ w
+    y += layer.b.data
+    if layer.activation == "relu":
+        if relu_preacts is not None:
+            relu_preacts.append(y.copy())
+        np.maximum(y, 0.0, out=y)
+    return y
+
+
+def _dense_node(x: Tensor, layer: DenseLayer) -> Tensor:
+    """``_dense`` over (..., in) as one tape node: relu mask, then g @ w.T, x.T @ g, g.sum(0)."""
+    rows, w = x.data.reshape(-1, x.shape[-1]), layer.w.data
+    y = _dense(rows, layer)
+
+    def bw(g: np.ndarray):
+        g = g.reshape(y.shape)
+        if layer.activation == "relu":
+            g = g * (y > 0)
+        gx = (g @ w.T).reshape(x.shape) if x.requires_grad else None
+        return gx, rows.T @ g, g.sum(axis=0)
+
+    return record(y.reshape(x.shape[:-1] + y.shape[1:]), (x, layer.w, layer.b), bw)
+
+
 @dataclass
 class AttentionHead:
     wq: Tensor
@@ -125,24 +130,38 @@ class AttentionHead:
 
 
 def attention(m: Tensor, head: AttentionHead) -> tuple[Tensor, Tensor]:
-    """Scaled dot-product attention over the rows of ``m``: one (n, d_model)
-    matrix, or each matrix of a (T, n, d_model) stack.
+    """Single-head scaled dot-product attention over the rows of ``m``: one
+    (n, d_model) matrix, or each matrix of a (T, n, d_model) stack.
 
     Returns ``(weights, out)`` where ``weights`` is the row-stochastic
-    n x n matrix softmax(m Wq (m Wk)^T / sqrt(d_k)) and ``out`` is
-    ``weights @ (m Wv)``, each with the leading axis of ``m`` if it has one.
+    n x n matrix softmax(m Wq (m Wk)^T / sqrt(d_k)), a constant, and ``out``
+    is ``weights @ (m Wv)``, each with the leading axis of ``m`` if it has one.
     """
-    d_model = head.wq.shape[0]
-    if m.data.ndim not in (2, 3) or m.shape[-1] != d_model:
-        raise ShapeError(f"attention input shape {m.shape} does not match head width {d_model}")
-    n = m.shape[-2]
-    rows = reshape(m, (-1, d_model))  # one GEMM per projection over every row
-    q, k, v = (reshape(matmul(rows, w), (-1, n, w.shape[1])) for w in (head.wq, head.wk, head.wv))
-    d_k = head.wk.shape[1]
-    weights = softmax_rows(scale(bmm(q, k, transpose_b=True), 1.0 / math.sqrt(d_k)))
-    out = bmm(weights, v)
-    lead = m.shape[:-1]
-    return reshape(weights, lead + (n,)), reshape(out, lead + (out.shape[-1],))
+    out, (weights,) = MultiHeadAttention([head]).forward(m)
+    return weights, out
+
+
+def _attend(m: np.ndarray, packed: np.ndarray, n_heads: int):
+    """Attention of every head over the rows of each (n, d_model) matrix of ``m``
+    (..., n, d_model), from the packed projection (``_packed_weights``).
+
+    Returns ``(qkv, weights, out)``: the (B, n, 3, H, d_k) projections, the
+    (B, H, n, n) weights and the (..., n, H * d_k) head outputs side by side.
+    One GEMM projects every head, and the 4-D einsums equal per-head ones bit
+    for bit (``q @ k.T`` does not).
+    """
+    lead = m.shape[:-2]
+    n, d_model = m.shape[-2:]
+    d_k = packed.shape[1] // (3 * n_heads)
+    qkv = (m.reshape(-1, d_model) @ packed).reshape(-1, n, 3, n_heads, d_k)
+    q, k, v = qkv[:, :, 0], qkv[:, :, 1], qkv[:, :, 2]
+    w = np.einsum("bihk,bjhk->bhij", q, k)
+    w /= math.sqrt(d_k)
+    w -= w.max(axis=-1, keepdims=True)  # softmax in place
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    out = np.einsum("bhij,bjhk->bihk", w, v)
+    return qkv, w, out.reshape(lead + (n, n_heads * d_k))
 
 
 class MultiHeadAttention:
@@ -177,15 +196,43 @@ class MultiHeadAttention:
     def out_width(self) -> int:
         return sum(h.wv.shape[1] for h in self.heads)
 
+    def _projections(self) -> list[Tensor]:
+        """Every head's wq, then wk, then wv: the column order of the packed projection."""
+        return [h.wq for h in self.heads] + [h.wk for h in self.heads] + [h.wv for h in self.heads]
+
     def forward(self, m: Tensor) -> tuple[Tensor, list[Tensor]]:
-        """Returns (per-row concatenation of head outputs, per-head weights)
-        for an (n, d_model) matrix or a (T, n, d_model) stack."""
-        outs, weights = [], []
-        for head in self.heads:
-            w, o = attention(m, head)
-            weights.append(w)
-            outs.append(o)
-        return concat(outs, axis=-1), weights
+        """Returns (per-row concatenation of head outputs, per-head weights as
+        constants) for an (n, d_model) matrix or a (T, n, d_model) stack.
+
+        One tape node; its backward is the softmax Jacobian, then dQKV, split
+        back into each head's wq, wk and wv. The projection is packed afresh,
+        so an in-place edit of a weight array is seen.
+        """
+        params = self._projections()
+        d_model = params[0].shape[0]
+        if m.data.ndim not in (2, 3) or m.shape[-1] != d_model:
+            raise ShapeError(f"attention input shape {m.shape} does not match head width {d_model}")
+        packed = np.concatenate([p.data for p in params], axis=1)
+        rows, n_heads = m.data.reshape(-1, d_model), len(self.heads)
+        qkv, w, out = _attend(m.data, packed, n_heads)
+
+        def bw(g: np.ndarray):
+            # stacked matmuls over (B, H, n, d_k) views: ~3x faster than einsums at 720 rows
+            q, k, v = qkv.transpose(2, 0, 3, 1, 4)
+            g = g.reshape(qkv[:, :, 0].shape).transpose(0, 2, 1, 3)
+            dqkv = np.empty((3,) + q.shape)
+            np.matmul(w.swapaxes(-1, -2), g, out=dqkv[2])
+            dw = g @ v.swapaxes(-1, -2)
+            ds = w * (dw - (dw * w).sum(axis=-1, keepdims=True))  # softmax Jacobian
+            ds /= math.sqrt(q.shape[-1])
+            np.matmul(ds, k, out=dqkv[0])
+            np.matmul(ds.swapaxes(-1, -2), q, out=dqkv[1])
+            dqkv = dqkv.transpose(1, 3, 0, 2, 4).reshape(rows.shape[0], -1)
+            dm = (dqkv @ packed.T).reshape(m.shape) if m.requires_grad else None
+            return (dm, *np.split(rows.T @ dqkv, len(params), axis=1))
+
+        weights = [Tensor(w[:, h].reshape(m.shape[:-1] + (m.shape[-2],))) for h in range(n_heads)]
+        return record(out, (m, *params), bw), weights
 
     def _packed_weights(self) -> np.ndarray:
         """Every head's wq, then wk, then wv side by side: (d_model, 3 * H * d_k).
@@ -194,8 +241,7 @@ class MultiHeadAttention:
         the last build, as after ``Adam.step`` or ``restore_params``; an in-place
         edit of a weight array is not seen.
         """
-        arrays = ([h.wq.data for h in self.heads] + [h.wk.data for h in self.heads]
-                  + [h.wv.data for h in self.heads])
+        arrays = [p.data for p in self._projections()]
         # the arrays are held, not their ids: a freed array's id can come back
         if self._packed is None or any(a is not b for a, b in zip(arrays, self._packed_from)):
             self._packed = np.concatenate(arrays, axis=1)
@@ -203,22 +249,10 @@ class MultiHeadAttention:
         return self._packed
 
     def forward_np(self, m: np.ndarray) -> np.ndarray:
-        """Tape-free forward for stacked inputs (..., n, d_model): one GEMM projects
-        every head, and the 4-D einsums equal per-head ones bit for bit (``q @ k.T``
-        does not). The packed projection is cached (``_packed_weights``): replace a
-        weight's ``.data`` to change it; an in-place edit is not seen."""
-        lead = m.shape[:-2]
-        n, d_model = m.shape[-2:]
-        d_k = self.heads[0].wk.shape[1]
-        qkv = (m.reshape(-1, d_model) @ self._packed_weights()).reshape(-1, n, 3, len(self.heads), d_k)
-        q, k, v = qkv[:, :, 0], qkv[:, :, 1], qkv[:, :, 2]
-        w = np.einsum("bihk,bjhk->bhij", q, k)
-        w /= math.sqrt(d_k)
-        w -= w.max(axis=-1, keepdims=True)  # softmax in place
-        np.exp(w, out=w)
-        w /= w.sum(axis=-1, keepdims=True)
-        out = np.einsum("bhij,bjhk->bihk", w, v)
-        return out.reshape(lead + (n, self.out_width))
+        """Tape-free forward for stacked inputs (..., n, d_model): ``forward``'s kernel.
+        The packed projection is cached (``_packed_weights``): replace a weight's
+        ``.data`` to change it; an in-place edit is not seen."""
+        return _attend(m, self._packed_weights(), len(self.heads))[2]
 
     def parameters(self) -> list[Tensor]:
         out = []

@@ -373,6 +373,19 @@ def test_run_league_saves_replays_when_asked(tmp_path):
     assert len(frames) == CFG.steps_per_game
 
 
+def test_league_bundle_is_relocatable(tmp_path):
+    teams = [("a", RandomTeamPolicy()), ("b", RandomTeamPolicy())]
+    dirs = [tmp_path / "first", tmp_path / "elsewhere" / "second"]
+    for out in dirs:
+        run_league(teams, CFG, _league_cfg(n_games=2, save_replays=True), seed=1, out_dir=str(out))
+    first, second = ((out / "matches.csv").read_bytes() for out in dirs)
+    assert first == second
+    with open(dirs[1] / "matches.csv") as fh:
+        paths = [row["replay"] for row in csv.DictReader(fh)]
+    assert paths == ["replays/game_00000.jsonl", "replays/game_00001.jsonl"]
+    assert all((dirs[1] / p).is_file() for p in paths)
+
+
 def test_failed_replace_keeps_the_previous_league_report_and_leaves_no_temp_file(tmp_path, monkeypatch):
     teams = [("a", RandomTeamPolicy()), ("b", RandomTeamPolicy())]
     run_league(teams, CFG, _league_cfg(n_games=2), seed=1, out_dir=str(tmp_path))

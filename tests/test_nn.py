@@ -5,6 +5,8 @@ import pytest
 
 from taaclab import autodiff as ad
 from taaclab.autodiff import ShapeError, Tensor
+from taaclab.baselines import PpoTeamPolicy
+from taaclab.nets import ActorNet, CriticNet, TaacNetConfig
 from taaclab.nn import (
     AttentionHead,
     DenseLayer,
@@ -13,6 +15,8 @@ from taaclab.nn import (
     attention,
     xavier_uniform,
 )
+
+import tape_reference as ref
 
 
 def test_identity_layer_passes_input_through():
@@ -68,13 +72,15 @@ def test_mlp_rejects_nonchaining_layers():
         Mlp(layers)
 
 
-def test_forward_np_matches_tape_forward():
-    rng = np.random.default_rng(3)
-    net = Mlp.create([4, 6, 3], ("relu", "identity"), rng)
-    x = rng.normal(size=(7, 4))
-    before = x.copy()
-    np.testing.assert_array_equal(net.forward_np(x), net.forward(Tensor(x)).data)
-    np.testing.assert_array_equal(x, before)  # the in-place layers never touch the input
+def test_one_column_layer_rows_do_not_depend_on_row_count():
+    rng = np.random.default_rng(6)
+    net = Mlp.create([8, 1], ("identity",), rng)
+    x = rng.normal(size=(199, 8))
+    full = net.forward_np(x)
+    np.testing.assert_allclose(full, x @ net.layers[0].w.data, atol=1e-12)
+    for rows in range(1, 200):
+        np.testing.assert_array_equal(net.forward_np(x[:rows]), full[:rows])
+        np.testing.assert_array_equal(net.forward(Tensor(x[:rows])).data, full[:rows])
 
 
 def test_forward_np_reports_relu_preactivations_before_the_relu():
@@ -117,7 +123,9 @@ def test_attention_single_token_is_value_projection():
     m = Tensor(rng.normal(size=(1, 6)))
     weights, out = attention(m, head)
     np.testing.assert_array_equal(weights.data, [[1.0]])
-    np.testing.assert_array_equal(out.data, m.data @ head.wv.data)
+    # v as the kernel projects it: one GEMM over the packed wq | wk | wv columns
+    packed = np.concatenate([head.wq.data, head.wk.data, head.wv.data], axis=1)
+    np.testing.assert_array_equal(out.data, (m.data @ packed)[:, 6:])
 
 
 def test_attention_identical_rows_get_identical_outputs():
@@ -224,14 +232,101 @@ def test_multihead_rejects_heads_of_different_shapes():
         MultiHeadAttention([_head(rng, 6, 3), _head(rng, 6, 2)])
 
 
-def test_multihead_forward_np_matches_tape():
-    rng = np.random.default_rng(10)
+# ---------------------------------------------------------------------------
+# one forward path: the tape forward and the tape-free one are one kernel
+
+NET = TaacNetConfig(obs_width=6, n_actions=5, d_model=8, actor_heads=2, critic_heads=4,
+                    embed_hidden=7, post_hidden=9, obs_scale=3.0)
+
+
+def _forward_pairs(rng, lead):
+    """(name, tape forward's data, tape-free forward) for one input of leading shape ``lead``."""
+    mlp = Mlp.create([6, 7, 1], ("relu", "identity"), rng)
     mha = MultiHeadAttention.create(8, 4, rng)
-    m = rng.normal(size=(3, 8))
-    tape_out, _ = mha.forward(Tensor(m))
-    np.testing.assert_allclose(mha.forward_np(m), tape_out.data, atol=1e-14)
-    stacked = rng.normal(size=(6, 3, 8))
-    batch = mha.forward_np(stacked)
-    for b in range(6):
-        single, _ = mha.forward(Tensor(stacked[b]))
-        np.testing.assert_allclose(batch[b], single.data, atol=1e-12)
+    actor, critic = ActorNet(NET, rng), CriticNet(NET, rng)
+    ppo = PpoTeamPolicy(NET, rng)
+    x, m = rng.normal(size=lead + (3, 6)), rng.normal(size=lead + (3, 8))
+    obs, acts = rng.normal(size=lead + (3, 6)) * 5.0, rng.integers(0, 5, size=lead + (3,))
+    return [
+        ("mlp", mlp.forward(Tensor(x)).data, mlp.forward_np(x)),
+        ("attention", mha.forward(Tensor(m))[0].data, mha.forward_np(m)),
+        ("actor", actor.forward(obs)[0].data, actor.probs_np(obs)),
+        ("critic", critic.forward(obs, acts).data, critic.q_np(obs, acts)),
+        ("ppo_dist", ppo.dist_forward(obs).data, ppo.probs_np(obs)),
+        ("ppo_values", ppo.values_forward(obs).data, ppo.values_np(obs)),
+    ]
+
+
+@pytest.mark.parametrize("lead", [(), (7,)], ids=["n", "T-n"])
+def test_tape_forward_equals_tape_free_forward_bit_for_bit(lead):
+    rng = np.random.default_rng(10)
+    for name, tape, free in _forward_pairs(rng, lead):
+        assert tape.shape == free.shape, name
+        assert tape.tobytes() == free.tobytes(), name
+    net = Mlp.create([4, 6, 3], ("relu", "identity"), rng)
+    x = rng.normal(size=(7, 4))
+    before = x.copy()
+    net.forward_np(x)
+    np.testing.assert_array_equal(x, before)  # the in-place layers never touch the input
+
+
+def test_tape_forward_sees_in_place_weight_edits():
+    rng = np.random.default_rng(11)
+    actor = ActorNet(NET, rng)
+    obs = rng.normal(size=(3, 6))
+    m = actor.embed.forward(Tensor(obs / NET.obs_scale))
+    head = actor.attn.heads[0]
+    out_before, dists_before = actor.attn.forward(m)[0].data, actor.forward(obs)[0].data
+    head.wq.data[0, 0] += 1.0
+    fresh = MultiHeadAttention([AttentionHead(*(Tensor(w.data.copy()) for w in (h.wq, h.wk, h.wv)))
+                                for h in actor.attn.heads])
+    out_after = actor.attn.forward(m)[0].data
+    assert out_after.tobytes() == fresh.forward_np(m.data).tobytes()
+    assert out_after.tobytes() != out_before.tobytes()
+    assert actor.forward(obs)[0].data.tobytes() != dists_before.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the one-node layers against the op compositions they replaced
+
+
+def _grads(loss_fn, params):
+    ad.zero_grads(params)
+    ad.backward(loss_fn())
+    return [p.grad.copy() for p in params]
+
+
+@pytest.mark.parametrize("activation", ["relu", "identity"])
+@pytest.mark.parametrize("lead", [(5,), (4, 3)], ids=["n", "T-n"])
+def test_dense_node_matches_the_op_composition(activation, lead):
+    rng = np.random.default_rng(12)
+    net = Mlp.create([6, 9, 1], (activation, "identity"), rng)
+    x = Tensor(rng.normal(size=lead + (6,)), requires_grad=True)
+    c = Tensor(rng.normal(size=lead + (1,)))
+    new, old = net.forward(x), ref.mlp_forward(net, x)
+    np.testing.assert_allclose(new.data, old.data, rtol=0, atol=1e-12)
+    params = net.parameters() + [x]
+    got = _grads(lambda: ad.reduce_sum(ad.mul(net.forward(x), c)), params)
+    want = _grads(lambda: ad.reduce_sum(ad.mul(ref.mlp_forward(net, x), c)), params)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("lead", [(), (6,)], ids=["n", "T-n"])
+def test_attention_node_matches_the_op_composition(n_heads, lead):
+    rng = np.random.default_rng(13 + n_heads)
+    mha = MultiHeadAttention.create(8, n_heads, rng)
+    for p in mha.parameters():  # unit scale, so the softmax is far from flat
+        p.data = rng.normal(size=p.shape)
+    m = Tensor(rng.normal(size=lead + (3, 8)), requires_grad=True)
+    c = Tensor(rng.normal(size=lead + (3, 8)))
+    (new, new_w), (old, old_w) = mha.forward(m), ref.multihead_forward(mha, m)
+    np.testing.assert_allclose(new.data, old.data, rtol=0, atol=1e-12)
+    for a, b in zip(new_w, old_w):
+        np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-12)
+    params = mha.parameters() + [m]
+    got = _grads(lambda: ad.reduce_sum(ad.mul(mha.forward(m)[0], c)), params)
+    want = _grads(lambda: ad.reduce_sum(ad.mul(ref.multihead_forward(mha, m)[0], c)), params)
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)

@@ -6,6 +6,10 @@ globals of ``learner`` and ``evaluation``, and games by wrapping
 names up anywhere else runs unseen, and the benchmark's step timings read
 nothing. This plays one tiny call of each workload with the probes
 installed on the real modules and counts their events.
+
+The same call is traced: ``instrument.Tracer`` wraps methods and functions
+by name, so installing it fails if one of them was renamed or moved, and a
+span that never opens shows that a traced method is no longer called.
 """
 
 import importlib.util
@@ -15,7 +19,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from taaclab import autodiff, evaluation, learner, nn
+from taaclab import autodiff, baselines, evaluation, learner, nets, nn
 
 _PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -39,7 +43,7 @@ def _log(out_dir) -> list[dict]:
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_probes_see_one_game_event_per_game_and_one_step_event_per_step(name, tmp_path):
     wl = workloads.WORKLOADS[name](3, "tiny")
-    probes = instrument.Probes()
+    probes, tracer = instrument.Probes(), instrument.Tracer()
     matches = []
 
     def keep_record(play_match):
@@ -49,10 +53,13 @@ def test_probes_see_one_game_event_per_game_and_one_step_event_per_step(name, tm
         return wrapper
 
     with instrument.Patcher() as patcher:
-        probes.install(patcher, {"learner": learner, "evaluation": evaluation,
-                                 "nn": nn, "autodiff": autodiff})
+        modules = {"learner": learner, "evaluation": evaluation, "nn": nn, "autodiff": autodiff,
+                   "nets": nets, "baselines": baselines}
+        probes.install(patcher, modules)
+        tracer.install(patcher, modules)
         patcher.wrap(evaluation, "play_match", keep_record)
-        wl.call(str(tmp_path))
+        with tracer.tracing(0):
+            wl.call(str(tmp_path))
 
     kinds = np.asarray(probes.kinds)
     if name == "train_taac":
@@ -64,3 +71,7 @@ def test_probes_see_one_game_event_per_game_and_one_step_event_per_step(name, tm
     assert steps == wl.games * wl.sizes()["steps_per_game"]
     assert np.count_nonzero(kinds == instrument.GAME) == wl.games
     assert np.count_nonzero(kinds == instrument.STEP) == steps
+    spans = {rec[instrument.NAME] for rec in tracer.spans}
+    if name == "train_taac":
+        assert {"nn.attention_forward", "nets.actor_forward", "nets.critic_forward",
+                "nets.actor_probs_np"} <= spans

@@ -24,14 +24,14 @@ ROOT = Path(__file__).resolve().parent.parent
 HOST = {"machine": "x86_64", "numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
 
 WORKLOAD_DIGESTS = {
-    "train_taac": "ee656ecd300503708b147ba51074f1d796079fab7eb4838ec7626aa5794ce078",
+    "train_taac": "9a777a48076357ee52c3d1d15aed7ab2fccbe44d5ab8c37f0d6dac477de7aedc",
     "league_desk": "8ab8a4c0dbc13b0bbaed930ef90aee8364fffe00eff542ba6edca53962633984",
-    "selfplay_ppo": "6b5caa692fa86c21e721c7a36646b96ae143515020fe7531fc04eaf6a723a877",
+    "selfplay_ppo": "3a607978bda163524b03b42edb14a326e81709a569e959b3a61350bd3a72c364",
 }
 
 LEAGUE_FILE_DIGESTS = {
     "league_report.json": "ae5de00d9078574763a9b91d9f4a92222a507d4259a9a2b3306b2868130abd33",
-    "matches.csv": "ef6ad99dd168f119846189c47ff5d4008632b3ebe63b40f1eaac7aa7d462be21",
+    "matches.csv": "f99a2cba1905457fab6a122a12aa20a3b239d41c7c5c541dd0dbd54ce8be7052",
     "replays/game_00000.jsonl": "259731743ae1f9f7840a98adfc0d20ff721c0eb42f66be04b2cec8c693cd32d2",
     "replays/game_00001.jsonl": "e64e644d675845731bade23d8763f32e2928ea70989a7e8ccbda12f879ed8ec8",
     "replays/game_00002.jsonl": "6471cae44bfac3f6020cc9fca96004c6d9d78fcd7258b384b1983e5d37c2f070",
@@ -68,8 +68,7 @@ with tempfile.TemporaryDirectory() as tmp:
                             save_replays=True).validate()
     teams = [(kind, build_policy(kind, workloads.SMOKE_NET, np.random.default_rng([7, k])))
              for k, kind in enumerate(league.kinds)]
-    os.chdir(tmp)  # matches.csv names each replay by its path under the league directory
-    league_dir = "league"
+    league_dir = os.path.join(tmp, "league")
     run_league(teams, env, league, 7, league_dir)
     for root, _, files in os.walk(league_dir):
         for f in files:
