@@ -15,7 +15,8 @@ from taaclab.autodiff import ShapeError, concat, record, reshape, scale, softmax
 
 
 def matmul(a, b):
-    """2-D product. A 1-column product is a row-wise multiply-sum, as in the dense layer."""
+    """2-D product. A 1-column product is a row-wise multiply-sum, so its rows do not
+    depend on the row count."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul requires 2-D tensors with matching inner dims, got {a.shape} x {b.shape}")
 
