@@ -347,12 +347,13 @@ def grad_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor], eps: flo
 
     ``loss_fn`` must rebuild the same scalar loss from the current contents
     of ``params`` on every call. Returns the max over all parameter entries
-    of |analytic - numeric| / (|analytic| + |numeric| + 1e-12).
+    of |analytic - numeric| / (|analytic| + |numeric| + 1e-12), which is NaN
+    when any entry's error is.
     """
     zero_grads(params)
     backward(loss_fn())
     analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
-    max_err = 0.0
+    errors = [0.0]
     with no_grad():
         for p, ga in zip(params, analytic):
             flat = p.data.reshape(-1)
@@ -366,7 +367,5 @@ def grad_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor], eps: flo
                 flat[i] = orig
                 numeric = (lp - lm) / (2.0 * eps)
                 a = gflat[i]
-                err = abs(a - numeric) / (abs(a) + abs(numeric) + 1e-12)
-                if err > max_err:
-                    max_err = err
-    return max_err
+                errors.append(abs(a - numeric) / (abs(a) + abs(numeric) + 1e-12))
+    return float(np.max(errors))

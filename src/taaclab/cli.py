@@ -49,7 +49,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--fresh", action="store_true", help="ignore existing snapshots instead of resuming")
 
     p_league = sub.add_parser("league", help="run a league of random pairings")
-    p_league.add_argument("--config", required=True)
+    p_league.add_argument("--config", default=None)
     p_league.add_argument("--teams", default=None, help="directory of snapshot files; fresh teams when omitted")
     p_league.add_argument("--seed", type=int, default=None)
     p_league.add_argument("--threads", type=int, default=None, help="cap match worker parallelism")
@@ -74,21 +74,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_run_config(path, seed_override):
-    from .config import RunConfig, parse_config
-
-    if path is None:
-        cfg = RunConfig().validate()
-        if seed_override is not None:
-            cfg = dataclasses.replace(cfg, seed=int(seed_override))
-        return cfg
-    return parse_config(path, override_seed=seed_override)
-
-
 def _cmd_train(args) -> int:
+    from .config import echo_config, parse_config
     from .learner import run_curriculum
 
-    cfg = _load_run_config(args.config, args.seed)
+    cfg = parse_config(args.config, args.seed)
+    echo_config(cfg)
     result = run_curriculum(cfg, resume=not args.fresh)
     print(f"trained {result.games_done} games; final snapshot version {result.final_version}")
     print(f"log: {result.log_path}")
@@ -123,27 +114,34 @@ def _teams_from_dir(path, cfg):
 
 
 def _cmd_league(args) -> int:
+    from .config import echo_config, parse_config
     from .evaluation import run_league
 
-    cfg = _load_run_config(args.config, args.seed)
+    cfg = parse_config(args.config, args.seed)
     if args.threads is not None:
         cfg = dataclasses.replace(cfg, league=dataclasses.replace(cfg.league, threads=args.threads))
     cfg.validate()
     teams = _teams_from_dir(args.teams, cfg) if args.teams else _default_league_teams(cfg)
     out_dir = os.path.join(cfg.out_dir, "league")
+    echo_config(cfg, out_dir)
     report = run_league(teams, cfg.env, cfg.league, cfg.seed, out_dir)
-    for name in report["teams"]:
-        print(f"{name}: elo {report['elo_final'][name]:.1f}")
+    print(f"{'team':<18} {'elo':>8} {'pairdist':>9} {'conn':>6} {'swaps':>6}")
+    for name in sorted(report["teams"], key=lambda n: -report["elo_final"][n]):
+        means = [report["collaboration"][name][metric]["mean"]
+                 for metric in ("pairwise_distance", "connectivity", "possession_swaps")]
+        cells = ["-" if m is None else format(m, fmt) for m, fmt in zip(means, (".2f", ".3f", ".2f"))]
+        print(f"{name:<18} {report['elo_final'][name]:>8.1f} {cells[0]:>9} {cells[1]:>6} {cells[2]:>6}")
     print(f"report: {os.path.join(out_dir, 'league_report.json')}")
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
     from .baselines import policy_from_snapshot
+    from .config import parse_config
     from .evaluation import head_to_head
     from .nets import load_snapshot, write_text_atomic
 
-    cfg = _load_run_config(args.config, args.seed)
+    cfg = parse_config(args.config, args.seed)
     policy_a = policy_from_snapshot(load_snapshot(args.a), cfg.net)
     policy_b = policy_from_snapshot(load_snapshot(args.b), cfg.net)
     report = head_to_head(policy_a, policy_b, cfg.env, args.games, cfg.seed,
@@ -160,21 +158,21 @@ def _cmd_gradcheck(args) -> int:
     from .checks import run_gradient_suite
 
     results = run_gradient_suite(n_seeds=args.seeds, eps=args.eps)
-    worst = 0.0
-    for r in results:
-        status = "ok" if r.error < GRAD_TOLERANCE else "FAIL"
-        print(f"{status}  {r.name:<16} seed={r.seed:<9} max_rel_err={r.error:.3e}")
-        worst = max(worst, r.error)
+    passed = [r.error < GRAD_TOLERANCE for r in results]  # a NaN error fails
+    for r, ok in zip(results, passed):
+        print(f"{'ok' if ok else 'FAIL'}  {r.name:<16} seed={r.seed:<9} max_rel_err={r.error:.3e}")
+    worst = np.max([r.error for r in results])  # unlike max(), keeps a NaN
     print(f"worst max_rel_err={worst:.3e} (tolerance {GRAD_TOLERANCE:.0e})")
-    return EXIT_OK if worst < GRAD_TOLERANCE else EXIT_VALIDATION
+    return EXIT_OK if all(passed) else EXIT_VALIDATION
 
 
 def _cmd_replay(args) -> int:
+    from .config import parse_config
     from .env import N_PLAYERS, team_of
     from .evaluation import match_metrics, read_replay
     from .nets import write_text_atomic
 
-    cfg = _load_run_config(args.config, None)
+    cfg = parse_config(args.config)
     frames = read_replay(args.match)
     if not frames:
         raise ValueError(f"replay {args.match} holds no frames")

@@ -1,8 +1,8 @@
 """Run configuration: nested dataclass sections parsed from strict JSON.
 
 Every field has a default; unknown keys are rejected with their full key
-path; the effective config is echoed into the output directory so a run
-can be reproduced from its artifacts alone. The TAACLAB_OUT_DIR
+path; ``echo_config`` writes the effective config beside a command's output
+so a run can be reproduced from its artifacts alone. The TAACLAB_OUT_DIR
 environment variable overrides the configured output directory.
 """
 
@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 
 from .baselines import POLICY_KINDS, AblationConfig
-from .env import SPAWN_MODES, EnvConfig
+from .env import N_ACTIONS, OBS_WIDTH, SPAWN_MODES, EnvConfig
 from .nets import TaacNetConfig, write_text_atomic
 
 OUT_DIR_ENV = "TAACLAB_OUT_DIR"
@@ -146,6 +146,10 @@ class RunConfig:
                 getattr(self, section).validate()
             except ValueError as exc:
                 raise ConfigError(f"{section}: {exc}") from exc
+        for key, width in (("obs_width", OBS_WIDTH), ("n_actions", N_ACTIONS)):
+            if getattr(self.net, key) != width:
+                raise ConfigError(f"net.{key} must be {width} to fit the environment, "
+                                  f"got {getattr(self.net, key)}")
         if not self.out_dir:
             raise ConfigError("out_dir must be a nonempty path")
         return self
@@ -239,26 +243,29 @@ def _plain(value):
     return value
 
 
-def echo_config(cfg: RunConfig) -> str:
-    """Write the full effective config into the output directory; returns the path."""
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, "config_echo.json")
+def echo_config(cfg: RunConfig, directory: str | None = None) -> str:
+    """Write the full effective config into ``directory`` (default: the output
+    directory); returns the path."""
+    directory = cfg.out_dir if directory is None else directory
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, "config_echo.json")
     write_text_atomic(path, json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n")
     return path
 
 
-def parse_config(path: str, override_seed: int | None = None, echo: bool = True) -> RunConfig:
-    """Load, validate, and (by default) echo a JSON run configuration."""
-    if not os.path.exists(path):
+def parse_config(path: str | None, override_seed: int | None = None) -> RunConfig:
+    """Load and validate a JSON run configuration; no path means the defaults."""
+    if path is None:
+        data = {}
+    elif not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    else:
+        with open(path) as fh:
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"config is not valid JSON: {exc}") from exc
     cfg = build_config(data)
     if override_seed is not None:
         cfg = dataclasses.replace(cfg, seed=int(override_seed))
-    if echo:
-        echo_config(cfg)
     return cfg

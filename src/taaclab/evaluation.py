@@ -3,10 +3,10 @@
 ``play_game`` is the one game loop (observe -> act -> step, respawning after
 goals) for training and match play alike; it returns a ``GameRecord`` of
 arrays. ``play_match`` and ``learner.play_training_game`` are two views of it.
-Matches are deterministic given (policies, seed). The league runner draws
-uniformly random pairings, plays them (optionally on a thread pool over
-immutable policies), and applies Elo updates serially in schedule order so
-results are reproducible.
+Matches are deterministic given (policies, seed). ``play_fixtures`` is the one
+match driver: the league runner plays its uniformly random pairings through it
+(optionally on a thread pool over immutable policies) and applies Elo updates
+serially in schedule order, and ``head_to_head`` plays its side-swapped games.
 """
 
 from __future__ import annotations
@@ -306,6 +306,23 @@ def read_replay(path: str) -> list[dict]:
 # league
 
 
+def play_fixtures(fixtures: Sequence, seeds: Sequence[int], env_cfg: EnvConfig,
+                  threads: int = 1, **match_kw) -> list[MatchRecord]:
+    """Play each ``((name_a, policy_a), (name_b, policy_b))`` fixture with its
+    seed and return the records in fixture order. ``threads > 1`` plays them on
+    a thread pool, which only reads the policies; ``match_kw`` go to ``play_match``."""
+
+    def run_one(g: int) -> MatchRecord:
+        (name_a, team_a), (name_b, team_b) = fixtures[g]
+        return play_match(team_a, team_b, env_cfg, int(seeds[g]),
+                          name_a=name_a, name_b=name_b, **match_kw)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run_one, range(len(fixtures))))
+    return [run_one(g) for g in range(len(fixtures))]
+
+
 def run_league(teams: Sequence[tuple[str, object]], env_cfg: EnvConfig, league_cfg,
                seed: int, out_dir: Optional[str] = None) -> dict:
     """Round of uniformly random pairings with Elo scoring and collab metrics.
@@ -328,21 +345,10 @@ def run_league(teams: Sequence[tuple[str, object]], env_cfg: EnvConfig, league_c
     save_replays = bool(league_cfg.save_replays and out_dir)
     if save_replays:
         os.makedirs(os.path.join(out_dir, "replays"), exist_ok=True)
-
-    def run_one(g: int) -> MatchRecord:
-        i, j = schedule[g]
-        return play_match(
-            teams[i][1], teams[j][1], env_cfg, int(match_seeds[g]),
-            spawn_mode=league_cfg.spawn_mode, record_frames=save_replays,
-            conn_d_min=league_cfg.conn_d_min, conn_d_max=league_cfg.conn_d_max,
-            name_a=names[i], name_b=names[j],
-        )
-
-    if league_cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=league_cfg.threads) as pool:
-            records = list(pool.map(run_one, range(n_games)))
-    else:
-        records = [run_one(g) for g in range(n_games)]
+    records = play_fixtures([(teams[i], teams[j]) for i, j in schedule], match_seeds, env_cfg,
+                            threads=league_cfg.threads, spawn_mode=league_cfg.spawn_mode,
+                            record_frames=save_replays, conn_d_min=league_cfg.conn_d_min,
+                            conn_d_max=league_cfg.conn_d_max)
 
     table = EloTable(k=league_cfg.elo_k, initial=league_cfg.elo_initial)
     trajectories: dict[str, list] = {name: [] for name in names}
@@ -357,8 +363,7 @@ def run_league(teams: Sequence[tuple[str, object]], env_cfg: EnvConfig, league_c
     # game outcomes from the first-listed team's perspective
     totals = {"wins": 0, "losses": 0, "ties": 0}
 
-    for g, rec in enumerate(records):
-        i, j = schedule[g]
+    for g, (rec, (i, j)) in enumerate(zip(records, schedule)):
         r_a, r_b = table.record(rec.team_a, rec.team_b, rec.outcome)
         trajectories[rec.team_a].append([g, r_a])
         trajectories[rec.team_b].append([g, r_b])
@@ -437,34 +442,21 @@ def head_to_head(policy_a, policy_b, env_cfg: EnvConfig, games: int, seed: int,
     """Fixed number of matches between two policies; sides swap every game."""
     if games < 1:
         raise ValueError(f"games must be >= 1, got {games}")
-    seeds = np.random.SeedSequence([seed, 3]).generate_state(games, dtype=np.uint64)
-    results = []
-    wins_a = wins_b = tie_count = 0
-    goals_a = goals_b = 0
-    for g in range(games):
-        swap = g % 2 == 1
-        first, second = (policy_b, policy_a) if swap else (policy_a, policy_b)
-        rec = play_match(first, second, env_cfg, int(seeds[g] % (2**62)),
-                         spawn_mode=spawn_mode, record_frames=False)
-        score_a, score_b = (rec.score[1], rec.score[0]) if swap else rec.score
-        goals_a += score_a
-        goals_b += score_b
-        if score_a > score_b:
-            wins_a += 1
-        elif score_b > score_a:
-            wins_b += 1
-        else:
-            tie_count += 1
-        results.append({"game": g, "score_a": score_a, "score_b": score_b,
-                        "swapped_sides": swap})
+    seeds = np.random.SeedSequence([seed, 3]).generate_state(games, dtype=np.uint64) % (2**62)
+    sides = (("a", policy_a), ("b", policy_b))
+    records = play_fixtures([sides[::-1] if g % 2 else sides for g in range(games)], seeds, env_cfg,
+                            spawn_mode=spawn_mode, record_frames=False)
+    scores = [rec.score[::-1] if rec.team_a == "b" else rec.score for rec in records]
+    goals_a, goals_b = map(sum, zip(*scores))
     return {
         "games": games,
         "seed": seed,
-        "wins_a": wins_a,
-        "wins_b": wins_b,
-        "ties": tie_count,
+        "wins_a": sum(a > b for a, b in scores),
+        "wins_b": sum(b > a for a, b in scores),
+        "ties": sum(a == b for a, b in scores),
         "goals_a": goals_a,
         "goals_b": goals_b,
         "mean_goal_diff": (goals_a - goals_b) / games,
-        "per_game": results,
+        "per_game": [{"game": g, "score_a": a, "score_b": b, "swapped_sides": rec.team_a == "b"}
+                     for g, (rec, (a, b)) in enumerate(zip(records, scores))],
     }

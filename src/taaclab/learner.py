@@ -465,9 +465,8 @@ def _game_rng(seed: int, game_index: int) -> np.random.Generator:
 
 def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
     """Train one team through the four curriculum stages, snapshotting as it goes."""
-    env_cfg = cfg.env.validate()
-    net_cfg = cfg.net.validate()
-    lrn = cfg.learner.validate()
+    cfg.validate()
+    env_cfg, net_cfg, lrn = cfg.env, cfg.net, cfg.learner
     stages = curriculum_stages(cfg.curriculum.stage_games)
     total_games = sum(s.games for s in stages)
 

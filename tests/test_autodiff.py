@@ -302,6 +302,19 @@ def test_grad_check_quadratic_is_tight():
     assert grad_check(lambda: ad.reduce_sum(ad.mul(theta, theta)), [theta]) < 1e-8
 
 
+def test_grad_check_reports_a_nan_or_wrong_gradient():
+    x = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+
+    def doubled(backward_fn):
+        return lambda: ad.reduce_sum(ad.record(x.data * 2.0, (x,), lambda g: (backward_fn(g),)))
+
+    # one NaN entry among finite ones makes the whole check NaN
+    assert np.isnan(grad_check(doubled(lambda g: np.where(np.arange(3) == 0, np.nan, 2.0 * g)), [x]))
+    assert np.isnan(grad_check(doubled(lambda g: np.full_like(g, np.nan)), [x]))
+    assert abs(grad_check(doubled(lambda g: 4.0 * g), [x]) - 1.0 / 3.0) < 1e-9  # 2x too large
+    assert grad_check(doubled(lambda g: 2.0 * g), [x]) < 1e-8
+
+
 def test_grad_check_attention_cross_entropy():
     from taaclab.nn import MultiHeadAttention
 

@@ -68,8 +68,9 @@ def test_round_trip_parse_echo_parse_is_identical(tmp_path):
         "out_dir": str(out),
     })
     cfg = parse_config(path)
+    assert not out.exists()  # loading writes nothing
     echo_path = out / "config_echo.json"
-    assert echo_path.exists()
+    assert echo_config(cfg) == str(echo_path)
     cfg2 = parse_config(str(echo_path))
     assert cfg == cfg2
     assert config_to_dict(cfg) == config_to_dict(cfg2)
@@ -93,6 +94,41 @@ def test_env_var_overrides_out_dir(tmp_path, monkeypatch):
     path = write_json(tmp_path / "cfg.json", {"out_dir": str(tmp_path / "ignored")})
     cfg = parse_config(path)
     assert cfg.out_dir == str(override)
+
+
+def test_no_config_path_means_the_defaults_under_the_env_out_dir(tmp_path, monkeypatch):
+    monkeypatch.setenv("TAACLAB_OUT_DIR", str(tmp_path / "env_out"))
+    cfg = parse_config(None, override_seed=4)
+    assert cfg == dataclasses.replace(RunConfig(), seed=4, out_dir=str(tmp_path / "env_out"))
+
+
+@pytest.mark.parametrize("net, key", [
+    ({"obs_width": 10}, "net.obs_width"),
+    ({"n_actions": 24}, "net.n_actions"),
+    ({"n_actions": 10}, "net.n_actions"),
+], ids=["narrow_obs", "too_many_actions", "too_few_actions"])
+def test_a_net_that_does_not_fit_the_env_is_refused_before_any_file(tmp_path, capsys, net, key):
+    from taaclab.learner import run_curriculum
+    from taaclab.nets import TaacNetConfig
+
+    cfg_path = write_json(tmp_path / "cfg.json", {"net": net, "out_dir": str(tmp_path / "out")})
+    assert main(["train", "--config", cfg_path]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    api = dataclasses.replace(RunConfig(out_dir=str(tmp_path / "api")), net=TaacNetConfig(**net))
+    with pytest.raises(ConfigError, match=key):
+        run_curriculum(api)
+    assert not (tmp_path / "api").exists()
+
+
+def test_run_curriculum_validates_every_section(tmp_path):
+    from taaclab.config import PolicySettings
+    from taaclab.learner import run_curriculum
+
+    cfg = RunConfig(policy=PolicySettings(kind="ppo", ppo_clip=1.5), out_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="policy: ppo_clip"):
+        run_curriculum(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_override(tmp_path):
@@ -194,7 +230,7 @@ def test_cli_train_zero_games_snapshot_equals_initialization(tmp_path):
     from taaclab.config import parse_config as pc
     from taaclab.nets import load_snapshot
 
-    cfg = pc(cfg_path, echo=False)
+    cfg = pc(cfg_path)
     snap_dir = tmp_path / "out" / "snapshots"
     snap = load_snapshot(snap_dir / sorted(os.listdir(snap_dir))[-1])
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
@@ -208,6 +244,83 @@ def test_cli_gradcheck_small_run_exits_zero(capsys):
     out = capsys.readouterr().out
     assert "worst max_rel_err" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("args", [["--eps", "nan"], ["--eps", "inf"], ["--eps", "0"], ["--eps=-1e-5"],
+                                  ["--seeds", "0"], ["--seeds", "-3"]])
+def test_cli_gradcheck_refuses_bad_arguments_with_exit_2(capsys, args):
+    assert main(["gradcheck"] + args) == 2
+    assert "validation failure" in capsys.readouterr().err
+
+
+def test_gradient_suite_refuses_bad_arguments():
+    from taaclab.checks import run_gradient_suite
+
+    with pytest.raises(ValueError, match="n_seeds"):
+        run_gradient_suite(n_seeds=0)
+    for eps in (float("nan"), float("inf"), 0.0, -1e-5):
+        with pytest.raises(ValueError, match="eps"):
+            run_gradient_suite(n_seeds=1, eps=eps)
+
+
+def test_cli_gradcheck_fails_on_a_nan_error(capsys, monkeypatch):
+    from taaclab import checks
+
+    results = [checks.GradCaseResult("fine", 0, 1e-7), checks.GradCaseResult("broken", 1, float("nan"))]
+    monkeypatch.setattr(checks, "run_gradient_suite", lambda n_seeds, eps: results)
+    assert main(["gradcheck"]) == 2
+    out = capsys.readouterr().out
+    assert "FAIL  broken" in out and "worst max_rel_err=nan" in out
+
+
+def test_each_command_echoes_its_config_only_into_its_own_output(tmp_path):
+    from taaclab.baselines import RandomTeamPolicy
+    from taaclab.env import EnvConfig
+    from taaclab.evaluation import play_match, write_replay
+
+    cfg_path = tiny_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg_path]) == 0
+    train_echo = (out / "config_echo.json").read_bytes()
+    assert json.loads(train_echo)["seed"] == 11
+    listing = sorted(os.listdir(out))
+
+    snap = str(out / "snapshots" / sorted(os.listdir(out / "snapshots"))[-1])
+    assert main(["eval", "--a", snap, "--b", snap, "--games", "1", "--config", cfg_path,
+                 "--seed", "99", "--out", str(tmp_path / "eval.json")]) == 0
+    replay = tmp_path / "replay.jsonl"
+    write_replay(play_match(RandomTeamPolicy(), RandomTeamPolicy(), EnvConfig(steps_per_game=3), seed=0).frames,
+                 replay)
+    assert main(["replay", "--match", str(replay), "--out", str(tmp_path / "frames.csv"),
+                 "--config", cfg_path]) == 0
+    assert sorted(os.listdir(out)) == listing  # eval and replay write no echo
+    assert main(["league", "--config", cfg_path, "--seed", "42"]) == 0
+    assert (out / "config_echo.json").read_bytes() == train_echo
+    with open(out / "league" / "config_echo.json") as fh:
+        assert json.load(fh)["seed"] == 42
+
+
+def test_cli_league_prints_one_row_per_team_sorted_by_elo(tmp_path, capsys):
+    # a small pitch, so goals decide games and the ratings spread
+    cfg_path = tiny_config(tmp_path, env={"pitch_length": 20.0, "pitch_width": 14.0, "goal_width": 10.0,
+                                          "steps_per_game": 60},
+                           league={"n_games": 8, "teams_per_kind": 2, "kinds": ["random", "taac"],
+                                   "spawn_mode": "random_spawns"})
+    assert main(["league", "--config", cfg_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    with open(tmp_path / "out" / "league" / "league_report.json") as fh:
+        report = json.load(fh)
+    assert lines[0].split() == ["team", "elo", "pairdist", "conn", "swaps"]
+    assert lines[-1] == f"report: {tmp_path / 'out' / 'league' / 'league_report.json'}"
+    rows = [line.split() for line in lines[1:-1]]
+    assert sorted(row[0] for row in rows) == sorted(report["teams"])
+    assert [row[1] for row in rows] == [f"{report['elo_final'][row[0]]:.1f}" for row in rows]
+    elos = [report["elo_final"][row[0]] for row in rows]
+    assert elos == sorted(elos, reverse=True) and len(set(elos)) > 1
+    for row in rows:
+        collab = report["collaboration"][row[0]]
+        assert row[2:] == [f"{collab['pairwise_distance']['mean']:.2f}", f"{collab['connectivity']['mean']:.3f}",
+                           f"{collab['possession_swaps']['mean']:.2f}"]
 
 
 def test_cli_league_from_snapshot_directory(tmp_path):
@@ -230,7 +343,7 @@ def test_cli_league_rejects_a_text_format_snapshot(tmp_path, capsys):
     from taaclab.config import parse_config as pc
 
     cfg_path = tiny_config(tmp_path)
-    cfg = pc(cfg_path, echo=False)
+    cfg = pc(cfg_path)
     snap = build_policy("taac", cfg.net, np.random.default_rng(0)).to_snapshot(1)
     doc = snap.to_doc()
     for path, arr in snap.params.items():  # the decimal-list format of earlier versions

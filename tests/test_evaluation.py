@@ -2,9 +2,6 @@ import csv
 import dataclasses
 import json
 import os
-import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -23,6 +20,7 @@ from taaclab.evaluation import (
     head_to_head,
     match_metrics,
     mean_pairwise_distance,
+    play_fixtures,
     play_match,
     read_replay,
     run_league,
@@ -401,17 +399,6 @@ def test_failed_replace_keeps_the_previous_league_report_and_leaves_no_temp_file
     assert sorted(os.listdir(tmp_path)) == ["league_report.json", "matches.csv"]
 
 
-def test_league_demo_script_runs(tmp_path):
-    root = pathlib.Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    out = tmp_path / "league"
-    done = subprocess.run([sys.executable, str(root / "scripts" / "league_demo.py"),
-                           "--games", "2", "--steps", "40", "--out", str(out)],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert (out / "league_report.json").exists()
-
-
 def test_run_league_rejects_duplicate_names():
     teams = [("x", RandomTeamPolicy()), ("x", RandomTeamPolicy())]
     with pytest.raises(ValueError):
@@ -425,3 +412,36 @@ def test_head_to_head_symmetric_and_deterministic():
     assert r1 == r2
     assert r1["wins_a"] + r1["wins_b"] + r1["ties"] == 4
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+
+def test_head_to_head_unswaps_the_scores_of_its_side_swapped_matches():
+    # the tally of the old per-game loop, over play_match directly
+    a, b = RandomTeamPolicy(), RandomTeamPolicy()
+    report = head_to_head(a, b, CRAMPED, games=5, seed=4, spawn_mode="random_spawns")
+    seeds = np.random.SeedSequence([4, 3]).generate_state(5, dtype=np.uint64)
+    per_game = []
+    for g in range(5):
+        first, second = (b, a) if g % 2 else (a, b)
+        score = play_match(first, second, CRAMPED, int(seeds[g] % (2**62)), spawn_mode="random_spawns",
+                           record_frames=False).score
+        score_a, score_b = score[::-1] if g % 2 else score
+        per_game.append({"game": g, "score_a": score_a, "score_b": score_b, "swapped_sides": g % 2 == 1})
+    assert report["per_game"] == per_game
+    assert any(g["score_a"] != g["score_b"] for g in per_game if g["swapped_sides"])
+    assert report["goals_a"] == sum(g["score_a"] for g in per_game)
+    assert report["goals_b"] == sum(g["score_b"] for g in per_game)
+    assert report["wins_a"] == sum(g["score_a"] > g["score_b"] for g in per_game)
+    assert report["wins_b"] == sum(g["score_b"] > g["score_a"] for g in per_game)
+    assert report["ties"] == 5 - report["wins_a"] - report["wins_b"]
+
+
+def test_play_fixtures_returns_records_in_fixture_order():
+    a, b = RandomTeamPolicy(), RandomTeamPolicy()
+    fixtures = [(("x", a), ("y", b)), (("y", b), ("x", a)), (("x", a), ("y", b))]
+    seeds = [5, 6, 7]
+    for threads in (1, 2):
+        records = play_fixtures(fixtures, seeds, CRAMPED, threads=threads, record_frames=False)
+        assert [(rec.team_a, rec.team_b) for rec in records] == [("x", "y"), ("y", "x"), ("x", "y")]
+        for rec, (first, second), seed in zip(records, fixtures, seeds):
+            assert rec == play_match(first[1], second[1], CRAMPED, seed, record_frames=False,
+                                     name_a=first[0], name_b=second[0])

@@ -1,9 +1,10 @@
-"""Checked-in digests of the benchmark workloads and of one league's files.
+"""Checked-in digests of the benchmark workloads, and of league and eval files.
 
-One full-size call of each perfbench workload at seed 7, and one small
-league with replays, run in a fresh process with BLAS pinned to one thread
-(``hostenv.prepare_process``), must write exactly the bytes recorded here.
-A change that moves outputs on purpose updates these values and names
+One full-size call of each perfbench workload at seed 7, one small league
+with replays, one head-to-head on the same pitch and one default desk league
+run by ``taaclab league``, all in a fresh process with BLAS pinned to one
+thread (``hostenv.prepare_process``), must write exactly the bytes recorded
+here. A change that moves outputs on purpose updates these values and names
 old -> new in CHANGES.md.
 
 The bytes depend on the host's BLAS kernels, so the host fields they were
@@ -37,18 +38,30 @@ LEAGUE_FILE_DIGESTS = {
     "replays/game_00002.jsonl": "6471cae44bfac3f6020cc9fca96004c6d9d78fcd7258b384b1983e5d37c2f070",
 }
 
+# `taaclab league --config C` with C = {"env": {"steps_per_game": 60}, "league":
+# {"n_games": 4}, "seed": 3}: the files the deleted scripts/league_demo.py wrote
+# for `--games 4 --steps 60 --seed 3`
+DESK_LEAGUE_DIGESTS = {
+    "league_report.json": "725f7ad17a73b95a14f75c1a8885d7d0e5399836c3652ad0572db75250ab22f2",
+    "matches.csv": "02774a832e34352f093220de19b4da382bce33d592318c22d99a89a03529d6aa",
+}
+
+# `taaclab eval`'s report: taac against ppo, 4 games on the small pitch, seed 7
+HEAD_TO_HEAD_DIGEST = "60b24a04d8abedd71fe245b98daa1468b3c8b2516b116135e9d5ace873d18ea3"
+
 # Runs in a fresh interpreter: the BLAS thread count is read when numpy loads.
 _PROBE = r"""
-import hashlib, json, os, sys, tempfile
+import contextlib, hashlib, io, json, os, sys, tempfile
 sys.path.insert(0, os.path.join(sys.argv[1], "perfbench"))
 import hostenv
 hostenv.prepare_process()
 import numpy as np
 import workloads
+from taaclab import cli
 from taaclab.baselines import build_policy
 from taaclab.config import LeagueSettings
 from taaclab.env import EnvConfig
-from taaclab.evaluation import run_league
+from taaclab.evaluation import head_to_head, run_league
 
 def sha(path):
     with open(path, "rb") as fh:
@@ -79,6 +92,24 @@ with tempfile.TemporaryDirectory() as tmp:
         with open(os.path.join(league_dir, "replays", f)) as fh:
             goals += sum(json.loads(line)["goal"] is not None for line in fh)
     out["replay_goals"] = goals
+
+    # the default desk league through `taaclab league`
+    desk_cfg = os.path.join(tmp, "desk.json")
+    with open(desk_cfg, "w") as fh:
+        json.dump({"env": {"steps_per_game": 60}, "league": {"n_games": 4}, "seed": 3,
+                   "out_dir": os.path.join(tmp, "desk")}, fh)
+    os.environ.pop("TAACLAB_OUT_DIR", None)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["league", "--config", desk_cfg]) == 0
+    out["desk_league"] = {f: sha(os.path.join(tmp, "desk", "league", f))
+                          for f in ("league_report.json", "matches.csv")}
+
+# the report exactly as `taaclab eval` writes it
+report = head_to_head(teams[0][1], teams[2][1], env, 4, 7, spawn_mode="random_spawns")
+text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+out["head_to_head"] = hashlib.sha256(text.encode()).hexdigest()
+out["head_to_head_swapped_decisive"] = any(g["swapped_sides"] and g["score_a"] != g["score_b"]
+                                           for g in report["per_game"])
 print(json.dumps(out))
 """
 
@@ -104,3 +135,12 @@ def test_seed_7_workload_digest_is_pinned(pinned_run, workload):
 def test_league_report_matches_and_replays_are_pinned(pinned_run):
     assert pinned_run["replay_goals"] > 0  # the replays cover respawns after goals
     assert pinned_run["league"] == LEAGUE_FILE_DIGESTS
+
+
+def test_head_to_head_report_is_pinned(pinned_run):
+    assert pinned_run["head_to_head_swapped_decisive"]  # the side swap moves a result
+    assert pinned_run["head_to_head"] == HEAD_TO_HEAD_DIGEST
+
+
+def test_cli_desk_league_files_are_pinned(pinned_run):
+    assert pinned_run["desk_league"] == DESK_LEAGUE_DIGESTS
