@@ -166,7 +166,7 @@ def run_case(name: str, seed: int, eps: float = 1e-5) -> GradCaseResult:
 
 
 def run_gradient_suite(n_seeds: int = 10, eps: float = 1e-5) -> list[GradCaseResult]:
-    """All cases over ``n_seeds`` base seeds; sorted worst-first within input order."""
+    """All cases over ``n_seeds`` base seeds, in case order, then seed order."""
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
     if not (np.isfinite(eps) and eps > 0):

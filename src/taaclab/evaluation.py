@@ -310,7 +310,7 @@ def play_fixtures(fixtures: Sequence, seeds: Sequence[int], env_cfg: EnvConfig,
                   threads: int = 1, **match_kw) -> list[MatchRecord]:
     """Play each ``((name_a, policy_a), (name_b, policy_b))`` fixture with its
     seed and return the records in fixture order. ``threads > 1`` plays them on
-    a thread pool, which only reads the policies; ``match_kw`` go to ``play_match``."""
+    a thread pool, which only reads the policies; ``match_kw`` are passed to ``play_match``."""
 
     def run_one(g: int) -> MatchRecord:
         (name_a, team_a), (name_b, team_b) = fixtures[g]

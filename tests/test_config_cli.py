@@ -289,8 +289,8 @@ def test_each_command_echoes_its_config_only_into_its_own_output(tmp_path):
     assert main(["eval", "--a", snap, "--b", snap, "--games", "1", "--config", cfg_path,
                  "--seed", "99", "--out", str(tmp_path / "eval.json")]) == 0
     replay = tmp_path / "replay.jsonl"
-    write_replay(play_match(RandomTeamPolicy(), RandomTeamPolicy(), EnvConfig(steps_per_game=3), seed=0).frames,
-                 replay)
+    rec = play_match(RandomTeamPolicy(), RandomTeamPolicy(), EnvConfig(steps_per_game=3), seed=0)
+    write_replay(rec.frames, replay)
     assert main(["replay", "--match", str(replay), "--out", str(tmp_path / "frames.csv"),
                  "--config", cfg_path]) == 0
     assert sorted(os.listdir(out)) == listing  # eval and replay write no echo
@@ -319,7 +319,8 @@ def test_cli_league_prints_one_row_per_team_sorted_by_elo(tmp_path, capsys):
     assert elos == sorted(elos, reverse=True) and len(set(elos)) > 1
     for row in rows:
         collab = report["collaboration"][row[0]]
-        assert row[2:] == [f"{collab['pairwise_distance']['mean']:.2f}", f"{collab['connectivity']['mean']:.3f}",
+        assert row[2:] == [f"{collab['pairwise_distance']['mean']:.2f}",
+                           f"{collab['connectivity']['mean']:.3f}",
                            f"{collab['possession_swaps']['mean']:.2f}"]
 
 

@@ -415,7 +415,7 @@ def test_head_to_head_symmetric_and_deterministic():
 
 
 def test_head_to_head_unswaps_the_scores_of_its_side_swapped_matches():
-    # the tally of the old per-game loop, over play_match directly
+    # reference: each game played directly, with sides swapped on odd games
     a, b = RandomTeamPolicy(), RandomTeamPolicy()
     report = head_to_head(a, b, CRAMPED, games=5, seed=4, spawn_mode="random_spawns")
     seeds = np.random.SeedSequence([4, 3]).generate_state(5, dtype=np.uint64)

@@ -39,8 +39,7 @@ LEAGUE_FILE_DIGESTS = {
 }
 
 # `taaclab league --config C` with C = {"env": {"steps_per_game": 60}, "league":
-# {"n_games": 4}, "seed": 3}: the files the deleted scripts/league_demo.py wrote
-# for `--games 4 --steps 60 --seed 3`
+# {"n_games": 4}, "seed": 3}: the default desk league, 4 games of 60 steps
 DESK_LEAGUE_DIGESTS = {
     "league_report.json": "725f7ad17a73b95a14f75c1a8885d7d0e5399836c3652ad0572db75250ab22f2",
     "matches.csv": "02774a832e34352f093220de19b4da382bce33d592318c22d99a89a03529d6aa",
