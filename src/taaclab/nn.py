@@ -1,11 +1,11 @@
 """MLP and multi-head scaled-dot-product attention, each layer one tape node.
 
-Each layer has one array kernel, ``_dense`` or ``_attend``. ``forward``
-records the kernel's result as one autodiff node with a hand-derived
-backward; ``forward_np`` runs the same kernel without the tape, so the two
-give the same bits. Weights use Xavier-uniform initialization with zero
-biases. All parameters are float64 leaf tensors; ``nets`` owns their file
-format.
+Each layer has one array kernel: ``_dense``, or ``_attend``, whose stacked
+matmuls over (B, H, n, d_k) views its backward shares. ``forward`` records
+the kernel's result as one autodiff node with a hand-derived backward;
+``forward_np`` runs the same kernel without the tape, so the two give the
+same bits. Weights use Xavier-uniform initialization with zero biases. All
+parameters are float64 leaf tensors; ``nets`` owns their file format.
 """
 
 from __future__ import annotations
@@ -147,20 +147,20 @@ def _attend(m: np.ndarray, packed: np.ndarray, n_heads: int):
 
     Returns ``(qkv, weights, out)``: the (B, n, 3, H, d_k) projections, the
     (B, H, n, n) weights and the (..., n, H * d_k) head outputs side by side.
-    One GEMM projects every head, and the 4-D einsums equal per-head ones bit
-    for bit (``q @ k.T`` does not).
+    One GEMM projects every head; the scores and outputs are stacked matmuls
+    over (B, H, n, d_k) views of it, the views the backward uses.
     """
     lead = m.shape[:-2]
     n, d_model = m.shape[-2:]
     d_k = packed.shape[1] // (3 * n_heads)
     qkv = (m.reshape(-1, d_model) @ packed).reshape(-1, n, 3, n_heads, d_k)
-    q, k, v = qkv[:, :, 0], qkv[:, :, 1], qkv[:, :, 2]
-    w = np.einsum("bihk,bjhk->bhij", q, k)
+    q, k, v = qkv.transpose(2, 0, 3, 1, 4)
+    w = q @ k.swapaxes(-1, -2)
     w /= math.sqrt(d_k)
     w -= w.max(axis=-1, keepdims=True)  # softmax in place
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
-    out = np.einsum("bhij,bjhk->bihk", w, v)
+    out = (w @ v).transpose(0, 2, 1, 3)
     return qkv, w, out.reshape(lead + (n, n_heads * d_k))
 
 
@@ -217,7 +217,7 @@ class MultiHeadAttention:
         qkv, w, out = _attend(m.data, packed, n_heads)
 
         def bw(g: np.ndarray):
-            # stacked matmuls over (B, H, n, d_k) views: ~3x faster than einsums at 720 rows
+            # the forward's stacked matmuls over (B, H, n, d_k) views, transposed
             q, k, v = qkv.transpose(2, 0, 3, 1, 4)
             g = g.reshape(qkv[:, :, 0].shape).transpose(0, 2, 1, 3)
             dqkv = np.empty((3,) + q.shape)

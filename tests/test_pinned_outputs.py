@@ -25,7 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 HOST = {"machine": "x86_64", "numpy": "2.4.6", "blas": "scipy-openblas 0.3.31.188.0"}
 
 WORKLOAD_DIGESTS = {
-    "train_taac": "9a777a48076357ee52c3d1d15aed7ab2fccbe44d5ab8c37f0d6dac477de7aedc",
+    "train_taac": "ee656ecd300503708b147ba51074f1d796079fab7eb4838ec7626aa5794ce078",
     "league_desk": "8ab8a4c0dbc13b0bbaed930ef90aee8364fffe00eff542ba6edca53962633984",
     "selfplay_ppo": "3a607978bda163524b03b42edb14a326e81709a569e959b3a61350bd3a72c364",
 }
