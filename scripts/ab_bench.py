@@ -17,8 +17,9 @@ no-regression verdict against the metric's ``bound`` (see ``verdict``). Digests
 that differ within a pair, failed calls and runs that did not finish are
 flagged. Exits 0 only when every workload has a complete pair, every run
 finished with no failed call and every pair's digests are equal; a malformed
-or reversed ``--seeds`` range and a revision that names no commit are usage
-errors (exit 2). Uses the standard library and the git and tar commands only.
+or reversed ``--seeds`` range, a non-positive ``--seconds``, a revision that
+names no commit and a ``--workload`` that the change's BENCHMARK.json does not
+list are usage errors (exit 2), refused before any run. Uses the standard library and the git and tar commands only.
 """
 
 from __future__ import annotations
@@ -182,18 +183,26 @@ def main(argv=None) -> int:
         seeds = parse_seeds(args.seeds)
     except ValueError as exc:
         parser.error(f"--seeds: {exc}")
+    if not args.seconds > 0:  # NaN too
+        parser.error(f"--seconds must be positive, got {args.seconds:g}")
     for revision in (args.parent, args.change):
         if not is_commit(revision):
             parser.error(f"{revision} names no commit of the repository here")
     with extracted({"parent": args.parent, "change": args.change}) as dirs:
-        return compare(dirs, args.workload, seeds, args.seconds)
+        with open(os.path.join(dirs["change"], "BENCHMARK.json")) as fh:
+            benchmark = json.load(fh)
+        known = [w["name"] for w in benchmark["workloads"]]
+        unknown = [w for w in args.workload if w not in known]
+        if unknown:
+            parser.error(f"--workload {' '.join(unknown)}: the change's BENCHMARK.json lists only "
+                         f"{', '.join(known)}")
+        return compare(dirs, args.workload, seeds, args.seconds, benchmark["end_to_end"])
 
 
-def compare(dirs: dict[str, str], workloads: list[str], seeds: list[int], seconds: float) -> int:
+def compare(dirs: dict[str, str], workloads: list[str], seeds: list[int], seconds: float,
+            end_to_end: list[dict]) -> int:
     """Runs the alternating pairs in the two copies, prints one summary per workload
     and returns the exit code."""
-    with open(os.path.join(dirs["change"], "BENCHMARK.json")) as fh:
-        end_to_end = json.load(fh)["end_to_end"]
     pairs: dict[str, list] = {workload: [] for workload in workloads}
     for i, seed in enumerate(seeds):
         for workload, done in pairs.items():

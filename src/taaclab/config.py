@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -167,6 +168,8 @@ _SECTION_TYPES = {
 
 def _coerce(value, default, path: str):
     """Coerce a JSON value to the type of the field default."""
+    if isinstance(value, float) and not math.isfinite(value):  # json reads NaN, Infinity and 1e400
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     if isinstance(default, bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected a boolean, got {value!r}")

@@ -10,11 +10,17 @@ overlapping players, resolve kicks and ball contact, integrate the ball
 (damping then position), then resolve wall and goal-box collisions. The
 shaped rewards are not part of the step: ``reward_components`` computes them
 from the before/after states, one transition or a whole game at once.
+
+A ``WorldState`` keeps its floats in one float64 array, ``packed``: along its
+last axis, 12 player coordinates, ball position, ball velocity and 7 pitch
+constants (``observe_team``'s gather source; it writes the constants), then
+12 player-velocity values, ``STATE_WIDTH`` in all. Leading axes stack states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -68,17 +74,45 @@ class EnvConfig:
             raise ValueError(f"steps_per_game must be >= 1, got {self.steps_per_game}")
         return self
 
+    @cached_property
+    def pitch_constants(self) -> np.ndarray:
+        """A packed state's pitch slots: west and east goal centers, pitch width and length, and 0."""
+        L, W = self.pitch_length, self.pitch_width
+        return np.array((0.0, W / 2.0, L, W / 2.0, W, L, 0.0))
 
-@dataclass
+
+# the packed state layout along the last axis (module docstring)
+_POS, _BALL, _BALL_VEL, _PITCH, _VEL = slice(0, 12), slice(12, 14), slice(14, 16), slice(16, 23), slice(23, 35)
+STATE_WIDTH = 35
+
+
+def _field(cols: slice, shape: tuple) -> property:
+    """A float field as a view of ``packed``; assigning to it writes into ``packed``."""
+    def view(s: WorldState) -> np.ndarray:
+        return s.packed[..., cols].reshape(s.packed.shape[:-1] + shape)
+    return property(view, lambda s, value: np.copyto(view(s), value))
+
+
 class WorldState:
-    player_pos: np.ndarray  # (6, 2)
-    player_vel: np.ndarray  # (6, 2)
-    kicking: np.ndarray     # (6,) bool
-    ball_pos: np.ndarray    # (2,)
-    ball_vel: np.ndarray    # (2,)
-    scores: np.ndarray      # (2,) int
-    t: int = 0
-    episode: int = 0
+    """One game state, or a stack of them along leading axes: ``player_pos`` (..., 6, 2),
+    ``ball_pos``, ``ball_vel`` (..., 2) and ``player_vel`` (..., 6, 2) are views of
+    ``packed``; ``kicking`` (..., 6) bool and ``scores`` (..., 2) int are separate arrays."""
+
+    __slots__ = ("packed", "kicking", "scores", "t", "episode")
+    player_pos, ball_pos = _field(_POS, (N_PLAYERS, 2)), _field(_BALL, (2,))
+    ball_vel, player_vel = _field(_BALL_VEL, (2,)), _field(_VEL, (N_PLAYERS, 2))
+
+    def __init__(self, player_pos, player_vel, kicking, ball_pos, ball_vel, scores, t: int = 0, episode: int = 0):
+        self.packed = np.zeros(np.shape(player_pos)[:-2] + (STATE_WIDTH,))
+        self.player_pos, self.player_vel, self.ball_pos, self.ball_vel = player_pos, player_vel, ball_pos, ball_vel
+        self.kicking, self.scores, self.t, self.episode = kicking, scores, t, episode
+
+    @classmethod
+    def of(cls, packed, kicking, scores, t: int = 0, episode: int = 0) -> WorldState:
+        """The state over ``packed`` itself, not a copy of it."""
+        s = cls.__new__(cls)
+        s.packed, s.kicking, s.scores, s.t, s.episode = packed, kicking, scores, t, episode
+        return s
 
 
 @dataclass
@@ -141,9 +175,9 @@ OBS_WIDTH = 2 * (TEAM_SIZE - 1) + 2 * TEAM_SIZE + 2 + 2 + 2 + 2 + 4  # 22 for 3v
 
 
 def _obs_gather() -> tuple[np.ndarray, np.ndarray]:
-    """Per-player indices such that observation = src[plus] - src[minus], where
-    src is 12 player coordinates, ball position (12), ball velocity (14), west
-    and east goal centers (16, 18), pitch width and length (20, 21), and 0."""
+    """Per-team (3, 22) indices such that observation = src[plus] - src[minus], where
+    src is a packed state: 12 player coordinates, ball position (12), ball velocity
+    (14), west and east goal centers (16, 18), pitch width and length (20, 21), and 0."""
     plus, minus = [], []
     for p in range(N_PLAYERS):
         team, x, y = team_of(p), 2 * p, 2 * p + 1
@@ -152,7 +186,7 @@ def _obs_gather() -> tuple[np.ndarray, np.ndarray]:
         plus.append([2 * j + k for j in others for k in (0, 1)] + [12, 13, 14, 15]
                     + [g + k for g in goals for k in (0, 1)] + [20, 21, x, y])  # rays N, E, W, S
         minus.append([x, y] * 6 + [22, 22] + [x, y] * 2 + [y, x, 22, 22])
-    return np.array(plus), np.array(minus)
+    return np.array(plus).reshape(2, TEAM_SIZE, -1), np.array(minus).reshape(2, TEAM_SIZE, -1)
 
 
 _OBS_PLUS, _OBS_MINUS = _obs_gather()
@@ -164,11 +198,9 @@ def observe_team(state: WorldState, team: int, cfg: EnvConfig) -> np.ndarray:
     raycast distances to the boundary."""
     if team not in (0, 1):
         raise ValueError(f"team id {team} out of range")
-    L, W = cfg.pitch_length, cfg.pitch_width
-    src = np.concatenate((state.player_pos.ravel(), state.ball_pos, state.ball_vel,
-                          (0.0, W / 2.0, L, W / 2.0, W, L, 0.0)))
-    rows = slice(team * TEAM_SIZE, (team + 1) * TEAM_SIZE)
-    return src[_OBS_PLUS[rows]] - src[_OBS_MINUS[rows]]
+    src = state.packed
+    src[_PITCH] = cfg.pitch_constants
+    return src[_OBS_PLUS[team]] - src[_OBS_MINUS[team]]
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +229,7 @@ def _sample_positions(cfg: EnvConfig, rng: np.random.Generator) -> tuple[np.ndar
                          f"{cfg.pitch_length} x {cfg.pitch_width} pitch (player_radius {rp}, "
                          f"ball_radius {rb}); use a larger pitch or smaller radii")
 
-    players = np.stack([place(rp) for _ in range(N_PLAYERS)])
-    ball = place(rb)
-    return players, ball
+    return np.stack([place(rp) for _ in range(N_PLAYERS)]), place(rb)  # players first
 
 
 def _fixed_positions(cfg: EnvConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -212,9 +242,7 @@ def _fixed_positions(cfg: EnvConfig) -> tuple[np.ndarray, np.ndarray]:
     ])
     east = west.copy()
     east[:, 0] = L - east[:, 0]
-    players = np.vstack([west, east])
-    ball = np.array([L / 2.0, W / 2.0])
-    return players, ball
+    return np.vstack([west, east]), np.array([L / 2.0, W / 2.0])
 
 
 def reset(cfg: EnvConfig, mode: str, rng: Optional[np.random.Generator] = None) -> WorldState:
@@ -227,25 +255,15 @@ def reset(cfg: EnvConfig, mode: str, rng: Optional[np.random.Generator] = None) 
         players, ball = _sample_positions(cfg, rng)
     else:
         players, ball = _fixed_positions(cfg)
-    return WorldState(
-        player_pos=players,
-        player_vel=np.zeros((N_PLAYERS, 2)),
-        kicking=np.zeros(N_PLAYERS, dtype=bool),
-        ball_pos=ball,
-        ball_vel=np.zeros(2),
-        scores=np.zeros(2, dtype=np.int64),
-        t=0,
-        episode=0,
-    )
+    return WorldState(players, np.zeros((N_PLAYERS, 2)), np.zeros(N_PLAYERS, dtype=bool),
+                      ball, np.zeros(2), np.zeros(2, dtype=np.int64))
 
 
 def respawn(state: WorldState, cfg: EnvConfig, mode: str,
             rng: Optional[np.random.Generator] = None) -> WorldState:
     """New episode within the same game: fresh positions, kept score and clock."""
     fresh = reset(cfg, mode, rng)
-    fresh.scores = state.scores.copy()
-    fresh.t = state.t
-    fresh.episode = state.episode + 1
+    fresh.scores, fresh.t, fresh.episode = state.scores.copy(), state.t, state.episode + 1
     return fresh
 
 
@@ -300,7 +318,8 @@ def _resolve_ball_walls(state: WorldState, cfg: EnvConfig) -> Optional[int]:
     open onto goal boxes wherever the whole ball fits through the mouth;
     mouth fit is judged at the crossing, before any y reflection.
     """
-    (x, y), (vx, vy) = state.ball_pos.tolist(), state.ball_vel.tolist()  # IEEE doubles, same bits
+    ball = state.packed[_BALL.start:_BALL_VEL.stop]  # position, then velocity
+    x, y, vx, vy = ball.tolist()  # IEEE doubles, same bits
     r, rest = cfg.ball_radius, cfg.wall_restitution
     L, W, depth = cfg.pitch_length, cfg.pitch_width, cfg.goal_depth
     lo, hi = _mouth_band(cfg)
@@ -334,8 +353,7 @@ def _resolve_ball_walls(state: WorldState, cfg: EnvConfig) -> Optional[int]:
         y, vy = 2.0 * y_lo - y, -rest * vy
     elif y > y_hi:
         y, vy = 2.0 * y_hi - y, -rest * vy
-    state.ball_pos[0], state.ball_pos[1] = x, y
-    state.ball_vel[0], state.ball_vel[1] = vx, vy
+    ball[0], ball[1], ball[2], ball[3] = x, y, vx, vy
     return goal
 
 
@@ -348,52 +366,49 @@ def step(state: WorldState, actions: np.ndarray, cfg: EnvConfig) -> tuple[WorldS
     if state.t >= cfg.steps_per_game:
         raise GameOverError(f"game already finished at step {state.t} (limit {cfg.steps_per_game})")
     actions = _action_ids(actions)
-    events = StepEvents()
+
+    # one copy of the packed state, updated in place through views
+    s = WorldState.of(state.packed.copy(), actions >= 9, state.scores.copy(), state.t + 1, state.episode)
+    pos, vel = s.packed[_POS].reshape(N_PLAYERS, 2), s.packed[_VEL].reshape(N_PLAYERS, 2)
+    ball, ball_vel = s.packed[_BALL], s.packed[_BALL_VEL]
 
     # movement
-    vel = cfg.player_speed * _MOVE_VECS[actions] / _MOVE_DIVISORS[actions, None]
-    s = WorldState(player_pos=state.player_pos + vel, player_vel=vel, kicking=actions >= 9,
-                   ball_pos=state.ball_pos.copy(), ball_vel=state.ball_vel.copy(),
-                   scores=state.scores.copy(), t=state.t + 1, episode=state.episode)
-    _clamp_players(s.player_pos, cfg)
+    np.divide(cfg.player_speed * _MOVE_VECS[actions], _MOVE_DIVISORS[actions, None], out=vel)
+    pos += vel
+    _clamp_players(pos, cfg)
 
     # player-player overlap: the order-dependent pass runs only if some pair overlaps
-    gap = s.player_pos[_PAIR_J] - s.player_pos[_PAIR_I]
+    gap = pos[_PAIR_J] - pos[_PAIR_I]
     if (np.hypot(gap[:, 0], gap[:, 1]) < 2.0 * cfg.player_radius).any():
-        _separate_players(s.player_pos, cfg)
+        _separate_players(pos, cfg)
 
     # kicks and ball contact (fixed ascending player order), from the first
     # player in contact; each contact moves the ball for the players after it
     contact = cfg.player_radius + cfg.ball_radius
-    to_ball = s.ball_pos - s.player_pos
+    to_ball = ball - pos
     touching = np.hypot(to_ball[:, 0], to_ball[:, 1]) < contact
-    first = int(touching.argmax())
+    first, touches = int(touching.argmax()), []
     for i in range(first if touching[first] else N_PLAYERS, N_PLAYERS):
-        d = s.ball_pos - s.player_pos[i]
+        d = ball - pos[i]
         dist = float(np.hypot(d[0], d[1]))
         if dist >= contact:
             continue
         direction = d / dist if dist > 1e-12 else np.array([1.0, 0.0])
-        events.ball_touches.append((i, team_of(i)))
+        touches.append((i, team_of(i)))
         if s.kicking[i]:
-            s.ball_vel += cfg.kick_impulse * direction
-        s.ball_pos = s.player_pos[i] + contact * direction
+            ball_vel += cfg.kick_impulse * direction
+        ball[:] = pos[i] + contact * direction
 
     # integrate ball: damping then movement
-    s.ball_vel *= cfg.ball_damping
-    s.ball_pos += s.ball_vel
+    ball_vel *= cfg.ball_damping
+    ball += ball_vel
 
     goal = _resolve_ball_walls(s, cfg)
-
-    events.game_done = s.t >= cfg.steps_per_game
     if goal is not None:
         s.scores[goal] += 1
-        events.goal_scored = goal
-        events.episode_done = True
-    elif events.game_done:
-        events.episode_done = True
-
-    return s, events
+    game_done = s.t >= cfg.steps_per_game
+    return s, StepEvents(goal_scored=goal, ball_touches=touches,
+                         episode_done=goal is not None or game_done, game_done=game_done)
 
 
 # ---------------------------------------------------------------------------
@@ -453,24 +468,15 @@ def reward_components(prev: WorldState, actions: np.ndarray, nxt: WorldState,
 
 def frame_dict(state: WorldState, events: StepEvents) -> dict:
     """One replay frame: the schema consumed by evaluation and the CLI."""
+    pos, vel, kick = state.player_pos.tolist(), state.player_vel.tolist(), state.kicking.tolist()
     return {
         "t": state.t,
         "episode": state.episode,
-        "players": [
-            {
-                "team": team_of(i),
-                "pos": [float(state.player_pos[i, 0]), float(state.player_pos[i, 1])],
-                "vel": [float(state.player_vel[i, 0]), float(state.player_vel[i, 1])],
-                "kick": bool(state.kicking[i]),
-            }
-            for i in range(N_PLAYERS)
-        ],
-        "ball": {
-            "pos": [float(state.ball_pos[0]), float(state.ball_pos[1])],
-            "vel": [float(state.ball_vel[0]), float(state.ball_vel[1])],
-        },
+        "players": [{"team": team_of(i), "pos": pos[i], "vel": vel[i], "kick": kick[i]}
+                    for i in range(N_PLAYERS)],
+        "ball": {"pos": state.ball_pos.tolist(), "vel": state.ball_vel.tolist()},
         "touches": [[int(p), int(t)] for p, t in events.ball_touches],
-        "scores": [int(state.scores[0]), int(state.scores[1])],
+        "scores": state.scores.tolist(),
         "goal": events.goal_scored,
         "episode_done": events.episode_done,
         "game_done": events.game_done,

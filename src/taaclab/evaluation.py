@@ -12,7 +12,6 @@ serially in schedule order, and ``head_to_head`` plays its side-swapped games.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import itertools
 import json
@@ -24,8 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .env import (N_PLAYERS, OBS_WIDTH, TEAM_SIZE, EnvConfig, WorldState, frame_dict, observe_team,
-                  reset, respawn, rowdot, step, team_players)
+from .env import (N_PLAYERS, OBS_WIDTH, STATE_WIDTH, TEAM_SIZE, EnvConfig, WorldState, frame_dict,
+                  observe_team, reset, respawn, rowdot, step, team_players)
 from .nets import write_text_atomic
 
 # ---------------------------------------------------------------------------
@@ -167,27 +166,21 @@ class _StateTrail:
     episode's opening state, then the state after each of its steps."""
 
     def __init__(self, rows: int):
-        self.stack = WorldState(player_pos=np.empty((rows, N_PLAYERS, 2)),
-                                player_vel=np.empty((rows, N_PLAYERS, 2)),
-                                kicking=np.empty((rows, N_PLAYERS), dtype=bool),
-                                ball_pos=np.empty((rows, 2)), ball_vel=np.empty((rows, 2)),
-                                scores=np.empty((rows, 2), dtype=np.int64))
+        self.packed = np.empty((rows, STATE_WIDTH))
+        self.kicking = np.empty((rows, N_PLAYERS), dtype=bool)
+        self.scores = np.empty((rows, 2), dtype=np.int64)
         self.rows = 0
 
     def add(self, s: WorldState) -> int:
         """Append ``s``; returns its row."""
-        k, st = self.rows, self.stack
-        (st.player_pos[k], st.player_vel[k], st.kicking[k],
-         st.ball_pos[k], st.ball_vel[k], st.scores[k]) = (s.player_pos, s.player_vel, s.kicking,
-                                                           s.ball_pos, s.ball_vel, s.scores)
+        k = self.rows
+        self.packed[k], self.kicking[k], self.scores[k] = s.packed, s.kicking, s.scores
         self.rows += 1
         return k
 
-    def take(self, rows) -> WorldState:
-        """The states at ``rows``, stacked along a leading axis."""
-        st = self.stack
-        return WorldState(st.player_pos[rows], st.player_vel[rows], st.kicking[rows],
-                          st.ball_pos[rows], st.ball_vel[rows], st.scores[rows])
+    def take(self, rows, t: int = 0, episode: int = 0) -> WorldState:
+        """The states at ``rows``, stacked along a leading axis; for one row, views of it."""
+        return WorldState.of(self.packed[rows], self.kicking[rows], self.scores[rows], t, episode)
 
 
 @dataclass
@@ -203,7 +196,7 @@ class GameRecord:
 
     @property
     def scores(self) -> np.ndarray:
-        return self.trail.stack.scores[self.after[-1]]
+        return self.trail.scores[self.after[-1]]
 
 
 def play_game(team0, team1, cfg: EnvConfig, spawn_mode: str, env_rng: np.random.Generator,
@@ -265,7 +258,7 @@ class MatchRecord:
 def _replay_frames(game: GameRecord) -> list[dict]:
     """One ``frame_dict`` per step, of the state after it."""
     episodes = np.cumsum([0] + [ev.episode_done for ev in game.events[:-1]]).tolist()
-    return [frame_dict(dataclasses.replace(game.trail.take(row), t=t + 1, episode=episode), ev)
+    return [frame_dict(game.trail.take(row, t + 1, episode), ev)
             for t, (row, episode, ev) in enumerate(zip(game.after, episodes, game.events))]
 
 
@@ -278,7 +271,7 @@ def play_match(team_a, team_b, cfg: EnvConfig, seed: int,
     game = play_game(team_a, team_b, cfg, spawn_mode,
                      *(np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)))
     episode_done = [ev.episode_done for ev in game.events]
-    per_step = match_metrics(game.trail.stack.player_pos[game.after], [ev.ball_touches for ev in game.events],
+    per_step = match_metrics(game.trail.take(game.after).player_pos, [ev.ball_touches for ev in game.events],
                              episode_done, cfg.player_radius, conn_d_min, conn_d_max)
     metrics = {
         str(team): {

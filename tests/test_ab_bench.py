@@ -123,14 +123,15 @@ STUB_RUN = textwrap.dedent("""
 
 @pytest.fixture
 def two_commits(tmp_path, monkeypatch):
-    """A throwaway repository whose HEAD~1 reports 10 games/s and HEAD 12; the
-    test runs in a subdirectory of it."""
+    """A throwaway repository whose HEAD~1 reports 10 games/s and HEAD 12 on its
+    workloads ``wa`` and ``wb``; the test runs in a subdirectory of it."""
     if shutil.which("git") is None:
         pytest.skip("git is not installed")
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "perfbench" / "run.py").write_text(STUB_RUN)
-    (repo / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    (repo / "BENCHMARK.json").write_text(json.dumps({"workloads": [{"name": "wa"}, {"name": "wb"}],
+                                                     "end_to_end": METRICS}))
 
     def git(*args):
         subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
@@ -196,6 +197,23 @@ def test_main_rejects_a_reversed_seed_range_as_a_usage_error(monkeypatch, capsys
         ab_bench.main(["HEAD~1", "HEAD", "--workload", "wa", "--seeds", "110-101"])
     assert exit_info.value.code == 2
     assert "110-101 is reversed" in capsys.readouterr().err
+
+
+def test_main_rejects_a_workload_the_benchmark_does_not_list(two_commits, monkeypatch, capsys):
+    monkeypatch.setattr(ab_bench, "run_side", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as exit_info:
+        ab_bench.main(["HEAD~1", "HEAD", "--workload", "wa", "wc", "--seeds", "1"])
+    assert exit_info.value.code == 2
+    assert "--workload wc: the change's BENCHMARK.json lists only wa, wb" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seconds", ["0", "-5", "nan"])
+def test_main_rejects_non_positive_seconds(two_commits, monkeypatch, capsys, seconds):
+    monkeypatch.setattr(ab_bench, "run_side", lambda *args: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as exit_info:
+        ab_bench.main(["HEAD~1", "HEAD", "--workload", "wa", "--seeds", "1", "--seconds", seconds])
+    assert exit_info.value.code == 2
+    assert "--seconds must be positive" in capsys.readouterr().err
 
 
 def test_main_fails_when_no_pair_completed(two_commits, monkeypatch, capsys):

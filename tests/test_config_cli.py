@@ -57,6 +57,29 @@ def test_type_mismatch_rejected_with_path():
         build_config({"league": {"kinds": [3]}})
 
 
+# json reads NaN, Infinity and overflowing literals such as 1e400 (as inf)
+@pytest.mark.parametrize("text, key", [
+    ('{"env": {"pitch_length": NaN}}', "env.pitch_length"),
+    ('{"learner": {"actor_lr": Infinity}}', "learner.actor_lr"),
+    ('{"net": {"obs_scale": NaN}}', "net.obs_scale"),
+    ('{"env": {"steps_per_game": -Infinity}}', "env.steps_per_game"),
+    ('{"seed": Infinity}', "seed"),
+    ('{"seed": 1e400}', "seed"),
+], ids=["float-nan", "float-inf", "net-nan", "int-minus-inf", "seed-inf", "seed-overflow"])
+def test_non_finite_numbers_rejected_with_path(tmp_path, text, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{key}: expected a finite number"):
+        parse_config(str(path))
+
+
+def test_cli_non_finite_seed_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"seed": Infinity}')
+    assert main(["train", "--config", str(path)]) == 2
+    assert "seed: expected a finite number, got inf" in capsys.readouterr().err
+
+
 def test_round_trip_parse_echo_parse_is_identical(tmp_path):
     out = tmp_path / "out"
     path = write_json(tmp_path / "cfg.json", {

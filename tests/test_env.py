@@ -387,6 +387,40 @@ def test_total_reward_is_sum_of_components():
 
 
 # ---------------------------------------------------------------------------
+# the packed state: assigning a field writes into the state's one float array
+
+FIELDS = ("player_pos", "player_vel", "kicking", "ball_pos", "ball_vel", "scores")
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_an_assigned_field_plays_like_a_state_built_from_the_arrays(name):
+    s = reset(CFG, "fixed_formation")
+    value = {"player_pos": np.vstack([[49.0, 29.5], s.player_pos[1:]]),  # player 0 kicks the ball
+             "player_vel": np.full((6, 2), 0.75),
+             "kicking": np.array([True, False, True, False, False, True]),
+             "ball_pos": s.player_pos[3] + [1.0, -1.5],  # player 3 kicks it
+             "ball_vel": np.array([-1.5, 0.25]),
+             "scores": np.array([2, 1])}[name]
+    built = WorldState(**{f: value if f == name else getattr(s, f).copy() for f in FIELDS})
+    setattr(s, name, value)
+    assert_same_bits(getattr(s, name), value)
+    actions = np.array([9, 13, 17, 10, 4, 0])
+    for team in (0, 1):
+        assert_same_bits(observe_team(s, team, CFG), observe_team(built, team, CFG))
+    (got, got_ev), (want, want_ev) = step(s, actions, CFG), step(built, actions, CFG)
+    for f in FIELDS:
+        assert_same_bits(getattr(got, f), getattr(want, f))
+    assert got_ev == want_ev
+    assert bool(got_ev.ball_touches) == (name in ("player_pos", "ball_pos"))
+    assert_same_bits(reward_components(s, actions, got, CFG), reward_components(built, actions, want, CFG))
+
+
+# ---------------------------------------------------------------------------
 # config validation
 
 

@@ -1,3 +1,4 @@
+import copy
 import csv
 import dataclasses
 import json
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taaclab import evaluation
 from taaclab.baselines import RandomTeamPolicy
 from taaclab.cli import main
 from taaclab.config import LeagueSettings
@@ -272,6 +274,37 @@ def test_random_vs_random_is_statistically_even():
 
 
 CRAMPED = EnvConfig(pitch_length=24.0, pitch_width=16.0, goal_width=6.0, steps_per_game=200)
+
+
+def test_the_trail_gives_back_every_state_the_game_passed_through(monkeypatch):
+    """Each state that reset, step and respawn hand the game loop comes back from
+    ``trail.take`` field by field, rows after a respawn included; kicking stays
+    bool and scores int64, so the scores reach the logs as integers."""
+    seen = []
+
+    def recording(fn):
+        def wrapped(*args):
+            out = fn(*args)
+            seen.append(copy.deepcopy(out[0] if isinstance(out, tuple) else out))
+            return out
+        return wrapped
+
+    for name in ("reset", "step", "respawn"):
+        monkeypatch.setattr(evaluation, name, recording(getattr(evaluation, name)))
+    game = evaluation.play_game(RandomTeamPolicy(), RandomTeamPolicy(), CRAMPED, "random_spawns",
+                                *(np.random.default_rng(k) for k in range(3)))
+    assert game.trail.rows == len(seen) > CRAMPED.steps_per_game + 1  # a respawn at least
+    fields = ("player_pos", "player_vel", "kicking", "ball_pos", "ball_vel", "scores")
+    for row, state in enumerate(seen):
+        got = game.trail.take(row)
+        for name in fields:
+            np.testing.assert_array_equal(getattr(got, name), getattr(state, name), strict=True)
+    every = game.trail.take(np.arange(len(seen)))
+    assert every.kicking.dtype == bool and every.scores.dtype == np.int64
+    assert every.player_pos.shape == (len(seen), 6, 2) and every.ball_vel.shape == (len(seen), 2)
+    assert all(type(goals) is int for goals in game.scores.tolist())
+    assert all(type(goals) is int for goals in play_match(RandomTeamPolicy(), RandomTeamPolicy(),
+                                                          CRAMPED, 5, record_frames=False).score)
 
 
 @pytest.mark.parametrize("spawn_mode, seed", [("fixed_formation", 1), ("random_spawns", 5)])
