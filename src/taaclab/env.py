@@ -139,11 +139,12 @@ def team_players(team: int) -> range:
 # actions
 
 
-# per action id: the move length (1 for the still moves), unit move, and whether it stands still
+# per action id: the move length (1 for the still moves), unit move, whether it stands still or kicks
 _MOVE_DIVISORS = np.hypot(_MOVE_VECS[:, 0], _MOVE_VECS[:, 1])
 _MOVE_DIVISORS[_MOVE_DIVISORS == 0.0] = 1.0
 _MOVE_UNITS = _MOVE_VECS / _MOVE_DIVISORS[:, None]
 _STILL = np.arange(N_ACTIONS) % 9 == NOOP_ACTION
+_KICKS = np.arange(N_ACTIONS) >= 9
 
 
 def _action_ids(actions) -> np.ndarray:
@@ -368,12 +369,12 @@ def step(state: WorldState, actions: np.ndarray, cfg: EnvConfig) -> tuple[WorldS
     actions = _action_ids(actions)
 
     # one copy of the packed state, updated in place through views
-    s = WorldState.of(state.packed.copy(), actions >= 9, state.scores.copy(), state.t + 1, state.episode)
+    s = WorldState.of(state.packed.copy(), _KICKS[actions], state.scores.copy(), state.t + 1, state.episode)
     pos, vel = s.packed[_POS].reshape(N_PLAYERS, 2), s.packed[_VEL].reshape(N_PLAYERS, 2)
     ball, ball_vel = s.packed[_BALL], s.packed[_BALL_VEL]
 
-    # movement
-    np.divide(cfg.player_speed * _MOVE_VECS[actions], _MOVE_DIVISORS[actions, None], out=vel)
+    # movement; one-axis gathers (take) cost a third less than fancy indexing here
+    np.divide(cfg.player_speed * _MOVE_VECS.take(actions, 0), _MOVE_DIVISORS.take(actions)[:, None], out=vel)
     pos += vel
     _clamp_players(pos, cfg)
 
