@@ -19,7 +19,8 @@ flagged. Exits 0 only when every workload has a complete pair, every run
 finished with no failed call and every pair's digests are equal; a malformed
 or reversed ``--seeds`` range, a non-positive ``--seconds``, a revision that
 names no commit and a ``--workload`` that the change's BENCHMARK.json does not
-list are usage errors (exit 2), refused before any run. Uses the standard library and the git and tar commands only.
+list are usage errors (exit 2), refused before any run. Uses the standard
+library and the git and tar commands only.
 """
 
 from __future__ import annotations

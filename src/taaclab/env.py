@@ -102,10 +102,10 @@ class WorldState:
     player_pos, ball_pos = _field(_POS, (N_PLAYERS, 2)), _field(_BALL, (2,))
     ball_vel, player_vel = _field(_BALL_VEL, (2,)), _field(_VEL, (N_PLAYERS, 2))
 
-    def __init__(self, player_pos, player_vel, kicking, ball_pos, ball_vel, scores, t: int = 0, episode: int = 0):
+    def __init__(self, player_pos, player_vel, kicking, ball_pos, ball_vel, scores, t=0, episode=0):
         self.packed = np.zeros(np.shape(player_pos)[:-2] + (STATE_WIDTH,))
-        self.player_pos, self.player_vel, self.ball_pos, self.ball_vel = player_pos, player_vel, ball_pos, ball_vel
-        self.kicking, self.scores, self.t, self.episode = kicking, scores, t, episode
+        self.player_pos, self.player_vel, self.kicking = player_pos, player_vel, kicking
+        self.ball_pos, self.ball_vel, self.scores, self.t, self.episode = ball_pos, ball_vel, scores, t, episode
 
     @classmethod
     def of(cls, packed, kicking, scores, t: int = 0, episode: int = 0) -> WorldState:
@@ -194,9 +194,9 @@ _OBS_PLUS, _OBS_MINUS = _obs_gather()
 
 
 def observe_team(state: WorldState, team: int, cfg: EnvConfig) -> np.ndarray:
-    """One egocentric observation row per player of one team, in id order:
-    relative teammate/opponent/ball/goal vectors, ball velocity, and N/E/W/S
-    raycast distances to the boundary."""
+    """One egocentric observation row per player of one team, in id order: relative
+    teammate/opponent/ball/goal vectors, ball velocity, and N/E/W/S raycast distances to
+    the boundary, gathered from ``state.packed`` after writing its pitch slots."""
     if team not in (0, 1):
         raise ValueError(f"team id {team} out of range")
     src = state.packed
