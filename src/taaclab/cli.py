@@ -75,11 +75,10 @@ def build_parser() -> _Parser:
 
 
 def _cmd_train(args) -> int:
-    from .config import echo_config, parse_config
+    from .config import parse_config
     from .learner import run_curriculum
 
     cfg = parse_config(args.config, args.seed)
-    echo_config(cfg)
     result = run_curriculum(cfg, resume=not args.fresh)
     print(f"trained {result.games_done} games; final snapshot version {result.final_version}")
     print(f"log: {result.log_path}")

@@ -32,9 +32,8 @@ class LearnerSettings:
     critic_lr: float = 1e-3
     grad_clip: float = 5.0
     entropy_coef: float = 0.01
-    conformity_scale: float = 0.05
+    conformity_scale: float = 0.05   # 0 switches the penalty off
     conformity_floor: float = 0.3
-    conformity_enabled: bool = True
     advantage_mode: str = "mc"       # mc: return - baseline; coma: Q - baseline
     critic_target: str = "mc"        # mc: observed return; td: one-step bootstrap
     games_per_update: int = 1
@@ -46,8 +45,9 @@ class LearnerSettings:
         for name in ("actor_lr", "critic_lr", "grad_clip"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.entropy_coef < 0:
-            raise ValueError(f"entropy_coef must be nonnegative, got {self.entropy_coef}")
+        for name in ("entropy_coef", "conformity_scale"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if not -1.0 <= self.conformity_floor <= 1.0:
             raise ValueError(f"conformity_floor must lie in [-1, 1], got {self.conformity_floor}")
         if self.advantage_mode not in ("mc", "coma"):

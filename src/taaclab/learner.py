@@ -6,8 +6,10 @@ random spawns, (2) uniformly random opponents with random spawns,
 (4) the same league opponents with fixed kickoff formations. Snapshots are
 saved on a fixed game cadence, plus a closing one when the last game is off
 the cadence, and double as both resume points and the self-play opponent
-pool. A resume cuts the log back to the updates the last snapshot holds and
-reads no snapshot newer than the saved state. Every policy kind updates and
+pool. A resume refuses a config other than the saved run's (the schedule
+and output directory aside), cuts the log back to the updates the last
+snapshot holds and reads no snapshot newer than the saved state. Every
+policy kind updates and
 logs every ``games_per_update`` games, and once more for the games after the
 last full buffer when training ends.
 
@@ -15,7 +17,9 @@ All per-game randomness is derived statelessly from (run seed, game index),
 so a fixed seed yields identical training logs and interrupted runs can
 resume from the last snapshot without replaying earlier games. Games run
 through ``evaluation.play_game``, the loop match play uses;
-``play_training_game`` derives rewards and transitions from its record.
+``play_training_game`` cuts team 0's episodes out of its record as
+``Trajectory`` arrays (observations, actions, rewards), which every update
+reads as they are.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .baselines import PpoTeamPolicy, TaacTeamPolicy, build_policy, policy_from_snapshot
-from .config import RunConfig
+from .config import ConfigError, RunConfig, config_to_dict, echo_config
 # perfbench patches the game loop's env calls (step, observe_team, reset, respawn) here too
 from .env import TEAM_SIZE, observe_team, reset, respawn, reward_components, step
 from .evaluation import play_game
@@ -74,33 +78,44 @@ def check_finite_grads(params, context: str, dump_payload: Optional[Callable[[],
 
 @dataclass
 class Transition:
+    """One step of a hand-built episode; ``Trajectory`` stacks a list of them."""
+
     obs: np.ndarray        # (n, obs_width)
     actions: np.ndarray    # (n,)
     rewards: np.ndarray    # (n,)
-    next_obs: np.ndarray   # (n, obs_width)
+    next_obs: np.ndarray   # (n, obs_width), unread: the next step's obs
     done: bool
     t: int
 
 
 @dataclass
 class Trajectory:
-    transitions: list
-    returns: Optional[np.ndarray] = None  # (len, n), cached by compute_returns
+    """One episode of team 0: ``obs`` (T, n, obs_width), ``actions`` (T, n) and
+    ``rewards`` (T, n), or a list of ``Transition``s passed as ``obs``, stacked once."""
+
+    obs: np.ndarray
+    actions: Optional[np.ndarray] = None
+    rewards: Optional[np.ndarray] = None
+    returns: Optional[np.ndarray] = None  # (T, n), cached by compute_returns
+
+    def __post_init__(self):
+        if self.actions is None:
+            steps = self.obs
+            self.obs, self.actions, self.rewards = (
+                np.stack([getattr(tr, name) for tr in steps]) for name in ("obs", "actions", "rewards"))
 
     def __len__(self) -> int:
-        return len(self.transitions)
+        return len(self.actions)
 
 
 def compute_returns(traj: Trajectory, gamma: float) -> np.ndarray:
     """Per-agent discounted reward-to-go by backward recursion over the episode."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    T = len(traj.transitions)
-    n = traj.transitions[0].rewards.shape[0]
-    G = np.zeros((T, n))
-    tail = np.zeros(n)
-    for t in range(T - 1, -1, -1):
-        tail = traj.transitions[t].rewards + gamma * tail
+    G = np.zeros(traj.rewards.shape)
+    tail = np.zeros(traj.rewards.shape[1])
+    for t in range(len(traj) - 1, -1, -1):
+        tail = traj.rewards[t] + gamma * tail
         G[t] = tail
     traj.returns = G
     return G
@@ -108,17 +123,8 @@ def compute_returns(traj: Trajectory, gamma: float) -> np.ndarray:
 
 def _trajectory_payload(batch: list) -> dict:
     """JSON form of a batch, written next to a NaN abort; ``obs`` replays the forward pass."""
-    return {
-        "trajectories": [
-            {
-                "obs": [tr.obs.tolist() for tr in traj.transitions],
-                "actions": [tr.actions.tolist() for tr in traj.transitions],
-                "rewards": [tr.rewards.tolist() for tr in traj.transitions],
-                "steps": [tr.t for tr in traj.transitions],
-            }
-            for traj in batch
-        ]
-    }
+    return {"trajectories": [{"obs": traj.obs.tolist(), "actions": traj.actions.tolist(),
+                              "rewards": traj.rewards.tolist()} for traj in batch]}
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +174,14 @@ class Adam:
 
 def _stacked(batch: list, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Observations (T, n, obs_width), actions (T, n) and returns (T, n) of every
-    transition in a nonempty batch, in order; missing returns are computed."""
+    step in a nonempty batch, in order; missing returns are computed."""
     if not batch:
         raise ValueError("an update needs a nonempty batch")
     for traj in batch:
         if traj.returns is None:
             compute_returns(traj, gamma)
-    transitions = [tr for traj in batch for tr in traj.transitions]
-    return (np.stack([tr.obs for tr in transitions]), np.stack([tr.actions for tr in transitions]),
-            np.concatenate([traj.returns for traj in batch]))
+    return tuple(np.concatenate([getattr(traj, name) for traj in batch])
+                 for name in ("obs", "actions", "returns"))
 
 
 def actor_update(batch: list, policy: TaacTeamPolicy, opt: Adam, learner_cfg) -> dict:
@@ -188,7 +193,7 @@ def actor_update(batch: list, policy: TaacTeamPolicy, opt: Adam, learner_cfg) ->
     minimized objective. Reports the component values and mean advantage.
     """
     obs_stack, act_stack, returns = _stacked(batch, learner_cfg.gamma)
-    use_conformity = learner_cfg.conformity_enabled and policy.actor.attn is not None
+    use_conformity = learner_cfg.conformity_scale != 0 and policy.actor.attn is not None
     logp_all, emb = policy.actor.forward(obs_stack, log_probs=True)  # (T, n, A), (T, n, e)
     baselines = counterfactual_baselines_batch(obs_stack, act_stack, np.exp(logp_all.data), policy.critic)
     if learner_cfg.advantage_mode == "coma":
@@ -239,12 +244,11 @@ def critic_update(batch: list, policy: TaacTeamPolicy, opt: Adam, learner_cfg) -
 def _critic_targets(traj: Trajectory, policy: TaacTeamPolicy, learner_cfg) -> np.ndarray:
     if learner_cfg.critic_target == "mc":
         return traj.returns
-    # one-step bootstrapped target along the stored action sequence, one stacked pass
-    trs = traj.transitions
-    targets = np.stack([tr.rewards for tr in trs])
-    if len(trs) > 1:
-        q_next = policy.critic.q_np(np.stack([tr.next_obs for tr in trs[:-1]]),
-                                    np.stack([tr.actions for tr in trs[1:]]))
+    # one-step bootstrapped target along the stored action sequence, one stacked pass;
+    # inside an episode, step t's next observation is step t + 1's
+    targets = traj.rewards.copy()
+    if len(traj) > 1:
+        q_next = policy.critic.q_np(traj.obs[1:], traj.actions[1:])
         targets[:-1] = targets[:-1] + learner_cfg.gamma * q_next
     return targets
 
@@ -262,16 +266,13 @@ def play_training_game(team0, team1, env_cfg, rng: np.random.Generator,
     and after states; they equal one call per step.
     """
     game = play_game(team0, team1, env_cfg, spawn_mode, rng, rng, rng)
-    trail, after, obs0 = game.trail, game.after, game.obs0
+    trail, after = game.trail, game.after
     rewards = reward_components(trail.take(after - 1), game.actions, trail.take(after), env_cfg).sum(axis=-1)
-    trajs: list[Trajectory] = []
-    current: list[Transition] = []
-    for t, ev in enumerate(game.events):
-        current.append(Transition(obs0[after[t] - 1], game.actions[t, :TEAM_SIZE], rewards[t, :TEAM_SIZE],
-                                  obs0[after[t]], ev.episode_done, t))
-        if ev.episode_done:
-            trajs.append(Trajectory(current))
-            current = []
+    # an episode's steps run from trail row after[start] - 1 up to row after[end - 1], one row each
+    ends = [t + 1 for t, ev in enumerate(game.events) if ev.episode_done]
+    trajs = [Trajectory(game.obs0[after[start] - 1:after[end - 1]], game.actions[start:end, :TEAM_SIZE],
+                        rewards[start:end, :TEAM_SIZE])
+             for start, end in zip([0] + ends[:-1], ends)]
     goals_for, goals_against = game.scores.tolist()
     return trajs, {"goals_for": goals_for, "goals_against": goals_against, "episodes": len(trajs)}
 
@@ -293,13 +294,14 @@ class PpoBatch:
 
 def gae_advantages(rewards: np.ndarray, values: np.ndarray, gamma: float,
                    lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """GAE over one episode stream; terminal bootstrap is zero.
+    """GAE over one episode; terminal bootstrap is zero.
 
-    ``rewards`` has shape (T,), ``values`` shape (T,). Returns
-    (advantages, value targets) each of shape (T,).
+    ``rewards`` and ``values`` have shape (T,) for one agent's stream or
+    (T, n) for a team's, one column per agent. Returns (advantages, value
+    targets) of the same shape.
     """
     T = rewards.shape[0]
-    adv = np.zeros(T)
+    adv = np.zeros(rewards.shape)
     last = 0.0
     for t in range(T - 1, -1, -1):
         next_v = values[t + 1] if t + 1 < T else 0.0
@@ -309,36 +311,26 @@ def gae_advantages(rewards: np.ndarray, values: np.ndarray, gamma: float,
     return adv, adv + values
 
 
+def _agent_major(a: np.ndarray) -> np.ndarray:
+    """(T, n, ...) -> (n * T, ...) rows: agent 0's whole episode, then agent 1's."""
+    return a.swapaxes(0, 1).reshape(-1, *a.shape[2:])
+
+
 def build_ppo_batch(batch: list, policy: PpoTeamPolicy, learner_cfg, policy_cfg) -> PpoBatch:
     """Flatten trajectories into per-agent streams with GAE advantages."""
-    obs_rows, act_rows, logp_rows, adv_rows, target_rows = [], [], [], [], []
+    parts = []
     for traj in batch:
-        obs = np.stack([tr.obs for tr in traj.transitions])          # (T, n, ow)
-        acts = np.stack([tr.actions for tr in traj.transitions])     # (T, n)
-        rews = np.stack([tr.rewards for tr in traj.transitions])     # (T, n)
-        values = policy.values_np(obs)                               # (T, n)
-        probs = policy.probs_np(obs)                                 # (T, n, A)
-        T, n = acts.shape
-        taken = np.take_along_axis(probs, acts[..., None], axis=-1)[..., 0]
-        for i in range(n):
-            adv, targets = gae_advantages(rews[:, i], values[:, i],
-                                          learner_cfg.gamma, policy_cfg.gae_lambda)
-            obs_rows.append(obs[:, i])
-            act_rows.append(acts[:, i])
-            logp_rows.append(np.log(np.maximum(taken[:, i], 1e-300)))
-            adv_rows.append(adv)
-            target_rows.append(targets)
-    adv = np.concatenate(adv_rows)
+        values = policy.values_np(traj.obs)                          # (T, n)
+        probs = policy.probs_np(traj.obs)                            # (T, n, A)
+        taken = np.take_along_axis(probs, traj.actions[..., None], axis=-1)[..., 0]
+        adv, targets = gae_advantages(traj.rewards, values, learner_cfg.gamma, policy_cfg.gae_lambda)
+        parts.append([_agent_major(a) for a in (traj.obs, traj.actions, np.log(np.maximum(taken, 1e-300)),
+                                                adv, targets)])
+    obs, actions, logps, adv, targets = (np.concatenate(column) for column in zip(*parts))
     std = adv.std()
     if std > 1e-8:
         adv = (adv - adv.mean()) / std
-    return PpoBatch(
-        obs=np.concatenate(obs_rows),
-        actions=np.concatenate(act_rows),
-        behavior_logps=np.concatenate(logp_rows),
-        advantages=adv,
-        value_targets=np.concatenate(target_rows),
-    )
+    return PpoBatch(obs=obs, actions=actions, behavior_logps=logps, advantages=adv, value_targets=targets)
 
 
 def _ppo_payload(batch: PpoBatch) -> dict:
@@ -473,18 +465,21 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
     init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
     policy = build_policy(cfg.policy.kind, net_cfg, init_rng, cfg.policy.ablation())
 
-    os.makedirs(os.path.join(cfg.out_dir, "snapshots"), exist_ok=True)
     log_path = os.path.join(cfg.out_dir, "training_log.jsonl")
     state_path = os.path.join(cfg.out_dir, "train_state.json")
+    saved = None
+    if resume and os.path.exists(state_path):
+        with open(state_path) as fh:
+            saved = json.load(fh)
+        _check_same_run(saved.get("config"), cfg)
+    echo_config(cfg)
 
     league: list[PolicySnapshot] = []
     games_done = 0
     version = 0
     update_idx = 0
     saved_at = None  # games_done of the latest snapshot
-    if resume and os.path.exists(state_path):
-        with open(state_path) as fh:
-            saved = json.load(fh)
+    if saved is not None:
         games_done = saved_at = int(saved["games_done"])
         version = int(saved["version"])
         update_idx = int(saved.get("updates", 0))
@@ -501,6 +496,7 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
                 os.remove(path)
         if league:
             policy.load_snapshot(league[-1])
+    os.makedirs(os.path.join(cfg.out_dir, "snapshots"), exist_ok=True)
     update = _update_step(policy, lrn, cfg.policy)
 
     def save_version(v: int) -> None:
@@ -508,7 +504,7 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
         save_snapshot(snap, _snapshot_path(cfg.out_dir, v))
         league.append(snap)
         write_text_atomic(state_path, json.dumps({"games_done": games_done, "version": v,
-                                                  "updates": update_idx}))
+                                                  "updates": update_idx, "config": config_to_dict(cfg)}))
 
     stage_bounds = np.cumsum([s.games for s in stages])
     buffer: list[Trajectory] = []
@@ -544,6 +540,30 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
         save_version(version)
     return TrainResult(policy=policy, league=league, games_done=games_done,
                        out_dir=cfg.out_dir, log_path=log_path, final_version=version)
+
+
+def _check_same_run(saved: Optional[dict], cfg: RunConfig) -> None:
+    """Refuse to resume a run under another config; only the schedule and the
+    output directory may change."""
+    if saved is None:
+        raise ConfigError("train_state.json holds no config to resume against; use --fresh")
+
+    def key_paths(doc: dict, prefix: str = "") -> dict:
+        flat = {}
+        for key, value in doc.items():
+            path = prefix + key
+            if isinstance(value, dict):
+                flat.update(key_paths(value, path + "."))
+            elif path not in ("out_dir", "curriculum.stage_games"):
+                flat[path] = value
+        return flat
+
+    old, new = key_paths(saved), key_paths(config_to_dict(cfg))
+    missing = object()
+    for path in [*new, *(p for p in old if p not in new)]:
+        if old.get(path, missing) != new.get(path, missing):
+            raise ConfigError(f"{path} differs from the run being resumed "
+                              f"({old.get(path)!r} -> {new.get(path)!r}); use --fresh or another out_dir")
 
 
 def _update_step(policy, lrn, policy_cfg) -> Callable[[list], dict]:

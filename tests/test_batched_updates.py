@@ -1,8 +1,10 @@
-"""The batched actor/critic updates against the per-transition objective they replaced.
+"""The batched updates against the per-transition and per-agent code they replaced.
 
 ``per_transition_actor_objective`` and ``per_transition_critic_loss`` build
 one small graph per transition, as the updates used to; the batched
 updates must give the same losses and gradients within 1e-10 relative.
+``per_agent_ppo_batch`` runs GAE once per agent column, as
+``build_ppo_batch`` used to; the batch must equal it bit for bit.
 """
 
 import functools
@@ -12,8 +14,8 @@ import pytest
 
 from taaclab import autodiff as ad
 from taaclab.autodiff import Tensor
-from taaclab.baselines import TaacTeamPolicy
-from taaclab.config import LearnerSettings
+from taaclab.baselines import PpoTeamPolicy, TaacTeamPolicy
+from taaclab.config import LearnerSettings, PolicySettings
 from taaclab.env import TEAM_SIZE
 from taaclab.learner import (
     Adam,
@@ -21,8 +23,10 @@ from taaclab.learner import (
     Transition,
     _critic_targets,
     actor_update,
+    build_ppo_batch,
     compute_returns,
     critic_update,
+    gae_advantages,
 )
 from taaclab.nets import ActorNet, CriticNet, TaacNetConfig, conformity_loss, counterfactual_baselines
 
@@ -53,26 +57,25 @@ def _sum(terms):
 
 def per_transition_actor_objective(batch, policy, lrn):
     """The actor objective with one graph per transition: (objective, pg, entropy, conformity)."""
-    transitions = [tr for traj in batch for tr in traj.transitions]
     returns = np.concatenate([compute_returns(traj, lrn.gamma) for traj in batch])
-    obs_stack = np.stack([tr.obs for tr in transitions])
-    act_stack = np.stack([tr.actions for tr in transitions])
+    obs_stack = np.concatenate([traj.obs for traj in batch])
+    act_stack = np.concatenate([traj.actions for traj in batch])
+    n_tr = len(act_stack)
     probs = policy.actor.probs_np(obs_stack)
     baselines = np.stack([counterfactual_baselines(obs_stack[t], act_stack[t], probs[t], policy.critic)
-                          for t in range(len(transitions))])
+                          for t in range(n_tr)])
     if lrn.advantage_mode == "coma":
         adv = policy.critic.q_np(obs_stack, act_stack) - baselines
     else:
         adv = returns - baselines
     pg_terms, ent_terms, conf_terms = [], [], []
-    for t, tr in enumerate(transitions):
-        logdists, emb = policy.actor.forward(tr.obs, log_probs=True)
+    for t in range(n_tr):
+        logdists, emb = policy.actor.forward(obs_stack[t], log_probs=True)
         dists = ad.exp(logdists)
-        logp = ad.gather(logdists, tr.actions)
+        logp = ad.gather(logdists, act_stack[t])
         pg_terms.append(ad.reduce_sum(ad.mul(logp, Tensor(adv[t]))))
         ent_terms.append(ad.scale(ad.neg(ad.reduce_sum(ad.mul(dists, logdists))), 1.0 / TEAM_SIZE))
         conf_terms.append(conformity_loss(emb, lrn.conformity_scale, lrn.conformity_floor))
-    n_tr = len(transitions)
     pg = ad.neg(ad.scale(_sum(pg_terms), 1.0 / n_tr))
     entropy = ad.scale(_sum(ent_terms), 1.0 / n_tr)
     conformity = ad.scale(_sum(conf_terms), 1.0 / n_tr)
@@ -81,13 +84,14 @@ def per_transition_actor_objective(batch, policy, lrn):
 
 
 def per_step_td_targets(traj, policy, gamma):
-    T = len(traj.transitions)
+    """Inside an episode, step t's next observation is step t + 1's."""
+    T = len(traj)
     targets = np.zeros((T, TEAM_SIZE))
-    for t, tr in enumerate(traj.transitions):
+    for t in range(T):
         if t + 1 < T:
-            targets[t] = tr.rewards + gamma * policy.critic.q_np(tr.next_obs, traj.transitions[t + 1].actions)
+            targets[t] = traj.rewards[t] + gamma * policy.critic.q_np(traj.obs[t + 1], traj.actions[t + 1])
         else:
-            targets[t] = tr.rewards
+            targets[t] = traj.rewards[t]
     return targets
 
 
@@ -96,8 +100,8 @@ def per_transition_critic_loss(batch, policy, lrn):
     for traj in batch:
         compute_returns(traj, lrn.gamma)
         targets = traj.returns if lrn.critic_target == "mc" else per_step_td_targets(traj, policy, lrn.gamma)
-        for t, tr in enumerate(traj.transitions):
-            err = ad.sub(policy.critic.forward(tr.obs, tr.actions), Tensor(targets[t]))
+        for t in range(len(traj)):
+            err = ad.sub(policy.critic.forward(traj.obs[t], traj.actions[t]), Tensor(targets[t]))
             terms.append(ad.reduce_sum(ad.mul(err, err)))
     return ad.scale(_sum(terms), 1.0 / (len(terms) * TEAM_SIZE))
 
@@ -196,3 +200,44 @@ def test_actor_update_finite_at_extreme_logits():
     report = actor_update(batch, policy, Adam(params, lr=1e-3), LearnerSettings(entropy_coef=0.01))
     assert np.isfinite(report["entropy"]) and np.isfinite(report["objective"])
     assert all(np.all(np.isfinite(p.grad)) for p in params)
+
+
+def per_agent_ppo_batch(batch, policy, gamma, lam):
+    """The PPO batch with GAE run once per agent column, rows agent-major within each trajectory."""
+    obs_rows, act_rows, logp_rows, adv_rows, target_rows = [], [], [], [], []
+    for traj in batch:
+        values = policy.values_np(traj.obs)
+        probs = policy.probs_np(traj.obs)
+        for i in range(TEAM_SIZE):
+            adv, targets = gae_advantages(traj.rewards[:, i], values[:, i], gamma, lam)
+            obs_rows.append(traj.obs[:, i])
+            act_rows.append(traj.actions[:, i])
+            logp_rows.append(np.log(np.maximum(probs[np.arange(len(traj)), i, traj.actions[:, i]], 1e-300)))
+            adv_rows.append(adv)
+            target_rows.append(targets)
+    adv = np.concatenate(adv_rows)
+    adv = (adv - adv.mean()) / adv.std()
+    return (np.concatenate(obs_rows), np.concatenate(act_rows), np.concatenate(logp_rows), adv,
+            np.concatenate(target_rows))
+
+
+@pytest.mark.parametrize("T", [1, 37])
+def test_gae_on_team_columns_equals_one_call_per_agent(T):
+    rng = np.random.default_rng(70 + T)
+    rewards, values = rng.normal(size=(2, T, TEAM_SIZE))
+    adv, targets = gae_advantages(rewards, values, 0.97, 0.9)
+    assert adv.shape == targets.shape == (T, TEAM_SIZE)
+    for i in range(TEAM_SIZE):
+        col_adv, col_targets = gae_advantages(rewards[:, i], values[:, i], 0.97, 0.9)
+        np.testing.assert_array_equal(adv[:, i], col_adv)
+        np.testing.assert_array_equal(targets[:, i], col_targets)
+
+
+@pytest.mark.parametrize("lengths", [[1], [37], [20, 17]], ids=["T1", "T37", "T37-two-trajs"])
+def test_ppo_batch_equals_the_per_agent_loop(lengths):
+    policy = PpoTeamPolicy(SMALL, np.random.default_rng(80 + sum(lengths)))
+    batch = make_batch(81 + len(lengths), lengths)
+    got = build_ppo_batch(batch, policy, LearnerSettings(gamma=0.9), PolicySettings(gae_lambda=0.8))
+    ref = per_agent_ppo_batch(batch, policy, 0.9, 0.8)
+    for arr, ref_arr in zip((got.obs, got.actions, got.behavior_logps, got.advantages, got.value_targets), ref):
+        np.testing.assert_array_equal(arr, ref_arr)

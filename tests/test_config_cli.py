@@ -154,6 +154,16 @@ def test_run_curriculum_validates_every_section(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key", ["entropy_coef", "conformity_scale"])
+def test_a_negative_loss_weight_is_refused_before_any_file(tmp_path, capsys, key):
+    # a negative conformity scale would reward agreeing embeddings instead of penalizing them
+    path = write_json(tmp_path / "cfg.json", {"learner": {key: -0.05}, "curriculum": {"stage_games": [0, 0, 0, 0]},
+                                              "out_dir": str(tmp_path / "out")})
+    assert main(["train", "--config", path]) == 2
+    assert f"learner: {key} must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_seed_override(tmp_path):
     path = write_json(tmp_path / "cfg.json", {"seed": 5, "out_dir": str(tmp_path / "o")})
     cfg = parse_config(path, override_seed=42)
@@ -244,6 +254,58 @@ def test_cli_train_league_eval_replay_pipeline(tmp_path, capsys):
     for column in ("t", "pairdist_0", "pairdist_1", "conn_0", "conn_1",
                    "swaps_0", "swaps_1"):
         assert column in header
+
+
+def _run_files(out):
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+TINY_NET = {"d_model": 16, "actor_heads": 2, "critic_heads": 2, "embed_hidden": 16, "post_hidden": 16}
+
+
+@pytest.mark.parametrize("change, key", [
+    ({"seed": 12}, "seed"),
+    ({"learner": {"snapshot_interval": 5, "actor_lr": 3e-3}}, "learner.actor_lr"),
+    ({"net": {**TINY_NET, "d_model": 8}}, "net.d_model"),
+    ({"policy": {"kind": "ppo"}}, "policy.kind"),
+], ids=["seed", "actor_lr", "d_model", "kind"])
+def test_a_resume_under_another_config_is_refused_before_any_write(tmp_path, capsys, change, key):
+    assert main(["train", "--config", tiny_config(tmp_path)]) == 0
+    out = tmp_path / "out"
+    before = _run_files(out)
+    assert {"config_echo.json", "training_log.jsonl", "train_state.json"} <= set(before)
+    capsys.readouterr()
+    longer = {"curriculum": {"stage_games": [2, 0, 0, 0]}}
+    assert main(["train", "--config", tiny_config(tmp_path, **longer, **change)]) == 2
+    assert f"validation failure: {key} differs" in capsys.readouterr().err
+    assert _run_files(out) == before
+    assert main(["train", "--fresh", "--config", tiny_config(tmp_path, **longer, **change)]) == 0
+
+
+def test_a_resume_may_change_only_the_schedule_and_the_output_directory(tmp_path):
+    import shutil
+
+    assert main(["train", "--config", tiny_config(tmp_path)]) == 0
+    moved = tmp_path / "moved"
+    shutil.copytree(tmp_path / "out", moved)
+    assert main(["train", "--config", tiny_config(tmp_path, out_dir=str(moved),
+                                                  curriculum={"stage_games": [2, 0, 0, 0]})]) == 0
+    with open(moved / "training_log.jsonl") as fh:
+        assert [json.loads(line)["games"] for line in fh] == [1, 2]
+    with open(moved / "config_echo.json") as fh:
+        assert json.load(fh)["curriculum"]["stage_games"] == [2, 0, 0, 0]
+
+
+def test_a_state_file_without_a_config_is_refused(tmp_path, capsys):
+    assert main(["train", "--config", tiny_config(tmp_path)]) == 0
+    state = tmp_path / "out" / "train_state.json"
+    doc = json.loads(state.read_text())
+    del doc["config"]
+    state.write_text(json.dumps(doc))
+    before = _run_files(tmp_path / "out")
+    assert main(["train", "--config", tiny_config(tmp_path)]) == 2
+    assert "holds no config" in capsys.readouterr().err
+    assert _run_files(tmp_path / "out") == before
 
 
 def test_cli_train_zero_games_snapshot_equals_initialization(tmp_path):

@@ -407,10 +407,10 @@ def test_training_rewards_equal_per_step_rewards(monkeypatch):
                                               np.random.default_rng(4), "random_spawns")
     assert len(calls) == 1
     assert stats["episodes"] > 1  # goals ended episodes, so respawns happened
-    transitions = [tr for traj in trajs for tr in traj.transitions]
-    assert len(transitions) == len(seen) == cfg.steps_per_game
-    for tr, (prev, actions, nxt) in zip(transitions, seen):
-        assert_same_bits(tr.rewards, env_mod.reward_components(prev, actions, nxt, cfg).sum(-1)[:3])
+    rewards = np.concatenate([traj.rewards for traj in trajs])
+    assert len(rewards) == len(seen) == cfg.steps_per_game
+    for row, (prev, actions, nxt) in zip(rewards, seen):
+        assert_same_bits(row, env_mod.reward_components(prev, actions, nxt, cfg).sum(-1)[:3])
 
 
 def test_step_rejects_out_of_range_ids_without_wrapping():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from taaclab import autodiff as ad
 from taaclab.baselines import InactiveTeamPolicy, PpoTeamPolicy, RandomTeamPolicy, TaacTeamPolicy
 from taaclab.config import CurriculumSettings, LearnerSettings, PolicySettings, RunConfig
-from taaclab.env import TEAM_SIZE, EnvConfig
+from taaclab.env import OBS_WIDTH, TEAM_SIZE, EnvConfig
 from taaclab.learner import (
     Adam,
     NumericFailure,
@@ -127,7 +127,7 @@ def test_actor_update_zero_advantage_has_zero_policy_gradient_term():
     policy = _taac(4)
     _zero_critic(policy)  # baseline 0 everywhere
     traj = make_traj(rng, rewards=np.zeros((4, 3)))  # returns 0 -> advantage 0
-    lrn = LearnerSettings(entropy_coef=0.01, conformity_enabled=True)
+    lrn = LearnerSettings(entropy_coef=0.01)  # the default conformity_scale keeps the penalty on
     before = [p.data.copy() for p in policy.actor.parameters()]
     opt = Adam(policy.actor_parameters(), 1e-3)
     report = actor_update([traj], policy, opt, lrn)
@@ -147,10 +147,10 @@ def test_actor_update_increases_probability_of_positive_advantage_action():
     acts = np.array([2, 4, 1])
     traj = Trajectory([Transition(obs, acts, np.ones(3), obs, True, 0)],
                       returns=np.ones((1, 3)))  # advantage exactly +1
-    lrn = LearnerSettings(entropy_coef=0.0, conformity_enabled=False)
+    lrn = LearnerSettings(entropy_coef=0.0, conformity_scale=0.0)  # a zero scale skips the penalty
     p_before = policy.actor.probs_np(obs)[np.arange(3), acts]
     opt = Adam(policy.actor_parameters(), 1e-3)
-    actor_update([traj], policy, opt, lrn)
+    assert actor_update([traj], policy, opt, lrn)["conformity"] is None
     p_after = policy.actor.probs_np(obs)[np.arange(3), acts]
     assert np.all(p_after > p_before)
 
@@ -176,8 +176,8 @@ def test_critic_update_zero_loss_when_targets_equal_predictions():
     rng = np.random.default_rng(7)
     policy = _taac(7)
     traj = make_traj(rng)
-    targets = np.stack([policy.critic.forward(tr.obs, tr.actions).data
-                        for tr in traj.transitions])
+    targets = np.stack([policy.critic.forward(obs, acts).data
+                        for obs, acts in zip(traj.obs, traj.actions)])
     traj.returns = targets
     opt = Adam(policy.critic_parameters(), 1e-3)
     report = critic_update([traj], policy, opt, LearnerSettings())
@@ -195,8 +195,8 @@ def test_critic_update_converges_to_constant_target():
     opt = Adam(policy.critic_parameters(), 3e-3)
     for _ in range(400):
         critic_update([traj], policy, opt, lrn)
-    for tr in traj.transitions:
-        np.testing.assert_allclose(policy.critic.q_np(tr.obs, tr.actions),
+    for obs, acts in zip(traj.obs, traj.actions):
+        np.testing.assert_allclose(policy.critic.q_np(obs, acts),
                                    np.full(3, 0.7), atol=1e-3)
 
 
@@ -222,7 +222,7 @@ def test_nan_gradient_aborts_update_and_dumps_batch():
     assert dump["trajectories"]
     obs = np.asarray(dump["trajectories"][0]["obs"])
     assert obs.shape == (len(traj), 3, 8)
-    np.testing.assert_array_equal(obs, np.stack([tr.obs for tr in traj.transitions]))
+    np.testing.assert_array_equal(obs, traj.obs)
     os.unlink(err.value.dump_path)
 
 
@@ -320,20 +320,20 @@ def test_play_training_game_episode_lengths_sum_to_T():
     assert sum(len(t) for t in trajs) == TINY_ENV.steps_per_game
     assert stats["episodes"] == len(trajs)
     for traj in trajs:
-        assert traj.transitions[-1].done
-        assert all(not tr.done for tr in traj.transitions[:-1])
+        T = len(traj)
+        assert T >= 1 and traj.obs.shape == (T, TEAM_SIZE, OBS_WIDTH)
+        assert traj.actions.shape == traj.rewards.shape == (T, TEAM_SIZE)
 
 
 def test_play_training_game_observes_each_state_once(monkeypatch):
     from taaclab import evaluation
 
-    terminal, calls = [], []
+    steps, calls = [], []
     real_step, real_observe = evaluation.step, evaluation.observe_team
 
     def step(state, actions, cfg):
         nxt, ev = real_step(state, actions, cfg)
-        if ev.episode_done:
-            terminal.append(nxt)
+        steps.append((state, nxt))
         return nxt, ev
 
     def observe_team(state, team, cfg):
@@ -347,11 +347,65 @@ def test_play_training_game_observes_each_state_once(monkeypatch):
                                   np.random.default_rng(5), "random_spawns")
     assert len(trajs) > 1  # goals ended episodes before the clock did
     assert len(calls) == 2 * env.steps_per_game + len(trajs)  # team 0 once per state
-    for traj, last in zip(trajs, terminal):
-        trs = traj.transitions
-        for tr, following in zip(trs, trs[1:]):
-            np.testing.assert_array_equal(tr.next_obs, following.obs)
-        np.testing.assert_array_equal(trs[-1].next_obs, real_observe(last, 0, env))
+    assert sum(len(traj) for traj in trajs) == len(steps)
+    start = 0
+    for traj in trajs:
+        # the td critic target reads step t's next observation as traj.obs[t + 1]
+        for t, (before, after) in enumerate(steps[start:start + len(traj)]):
+            np.testing.assert_array_equal(traj.obs[t], real_observe(before, 0, env))
+            if t + 1 < len(traj):
+                np.testing.assert_array_equal(traj.obs[t + 1], real_observe(after, 0, env))
+        start += len(traj)
+
+
+def _per_step_trajectories(game, rewards):
+    """A game's episodes as ``Transition`` lists, one object per step."""
+    trajs, current = [], []
+    for t, ev in enumerate(game.events):
+        current.append(Transition(game.obs0[game.after[t] - 1], game.actions[t, :TEAM_SIZE],
+                                  rewards[t, :TEAM_SIZE], game.obs0[game.after[t]], ev.episode_done, t))
+        if ev.episode_done:
+            trajs.append(Trajectory(current))
+            current = []
+    return trajs
+
+
+def _params_equal(a, b):
+    return all(np.array_equal(p.data, q.data) for p, q in zip(a, b))
+
+
+@pytest.mark.parametrize("critic_target", ["mc", "td"])
+def test_array_and_transition_trajectories_give_the_same_updates(critic_target):
+    from taaclab import evaluation
+    from taaclab.env import reward_components
+
+    env = EnvConfig(pitch_length=20.0, pitch_width=14.0, goal_width=10.0, steps_per_game=60)
+    arrays, _ = play_training_game(RandomTeamPolicy(), RandomTeamPolicy(), env,
+                                   np.random.default_rng(21), "random_spawns")
+    rng = np.random.default_rng(21)  # the same game again, through the shared loop
+    game = evaluation.play_game(RandomTeamPolicy(), RandomTeamPolicy(), env, "random_spawns", rng, rng, rng)
+    trail = game.trail
+    rewards = reward_components(trail.take(game.after - 1), game.actions, trail.take(game.after), env).sum(-1)
+    steps = _per_step_trajectories(game, rewards)
+    assert len(arrays) == len(steps) > 1
+
+    lrn = LearnerSettings(gamma=0.9, critic_target=critic_target)
+    net = TaacNetConfig(d_model=8, actor_heads=2, critic_heads=2, embed_hidden=8, post_hidden=8)
+    policies = [TaacTeamPolicy(net, np.random.default_rng(22)) for _ in range(2)]
+    reports = []
+    for policy, batch in zip(policies, (arrays, steps)):
+        critic_opt = Adam(policy.critic_parameters(), 1e-2)
+        actor_opt = Adam(policy.actor_parameters(), 1e-2)
+        reports.append({**critic_update(batch, policy, critic_opt, lrn),
+                        **actor_update(batch, policy, actor_opt, lrn)})
+    assert reports[0] == reports[1]
+    assert _params_equal(policies[0].actor.parameters(), policies[1].actor.parameters())
+    assert _params_equal(policies[0].critic.parameters(), policies[1].critic.parameters())
+
+    ppo = PpoTeamPolicy(net, np.random.default_rng(23))
+    got, ref = (build_ppo_batch(batch, ppo, lrn, PolicySettings()) for batch in (arrays, steps))
+    for name, arr in vars(got).items():
+        np.testing.assert_array_equal(arr, getattr(ref, name), err_msg=name)
 
 
 # ---------------------------------------------------------------------------
