@@ -542,10 +542,10 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
                        out_dir=cfg.out_dir, log_path=log_path, final_version=version)
 
 
-def _check_same_run(saved: Optional[dict], cfg: RunConfig) -> None:
+def _check_same_run(saved: object, cfg: RunConfig) -> None:
     """Refuse to resume a run under another config; only the schedule and the
     output directory may change."""
-    if saved is None:
+    if not isinstance(saved, dict):
         raise ConfigError("train_state.json holds no config to resume against; use --fresh")
 
     def key_paths(doc: dict, prefix: str = "") -> dict:

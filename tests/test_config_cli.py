@@ -296,11 +296,15 @@ def test_a_resume_may_change_only_the_schedule_and_the_output_directory(tmp_path
         assert json.load(fh)["curriculum"]["stage_games"] == [2, 0, 0, 0]
 
 
-def test_a_state_file_without_a_config_is_refused(tmp_path, capsys):
+@pytest.mark.parametrize("stored", [None, 5], ids=["missing", "not-an-object"])
+def test_a_state_file_without_a_config_is_refused(tmp_path, capsys, stored):
     assert main(["train", "--config", tiny_config(tmp_path)]) == 0
     state = tmp_path / "out" / "train_state.json"
     doc = json.loads(state.read_text())
-    del doc["config"]
+    if stored is None:
+        del doc["config"]
+    else:
+        doc["config"] = stored
     state.write_text(json.dumps(doc))
     before = _run_files(tmp_path / "out")
     assert main(["train", "--config", tiny_config(tmp_path)]) == 2
