@@ -34,8 +34,6 @@ class LearnerSettings:
     entropy_coef: float = 0.01
     conformity_scale: float = 0.05   # 0 switches the penalty off
     conformity_floor: float = 0.3
-    advantage_mode: str = "mc"       # mc: return - baseline; coma: Q - baseline
-    critic_target: str = "mc"        # mc: observed return; td: one-step bootstrap
     games_per_update: int = 1
     snapshot_interval: int = 500
 
@@ -50,10 +48,6 @@ class LearnerSettings:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if not -1.0 <= self.conformity_floor <= 1.0:
             raise ValueError(f"conformity_floor must lie in [-1, 1], got {self.conformity_floor}")
-        if self.advantage_mode not in ("mc", "coma"):
-            raise ValueError(f"advantage_mode must be 'mc' or 'coma', got {self.advantage_mode!r}")
-        if self.critic_target not in ("mc", "td"):
-            raise ValueError(f"critic_target must be 'mc' or 'td', got {self.critic_target!r}")
         for name in ("games_per_update", "snapshot_interval"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -54,7 +54,6 @@ class EnvConfig:
     theta_dist: float = 0.001
     theta_max: float = 20.0
     goal_reward: float = 10.0
-    seed: int = 0
 
     def validate(self) -> "EnvConfig":
         positives = (
@@ -247,12 +246,13 @@ def _fixed_positions(cfg: EnvConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reset(cfg: EnvConfig, mode: str, rng: Optional[np.random.Generator] = None) -> WorldState:
-    """Fresh game state; an inactive opponent is a policy that always no-ops."""
+    """Fresh game state; an inactive opponent is a policy that always no-ops.
+    ``random_spawns`` draws from ``rng``; ``fixed_formation`` needs none."""
     if mode not in SPAWN_MODES:
         raise ValueError(f"unknown spawn mode {mode!r}, expected one of {SPAWN_MODES}")
     if mode == "random_spawns":
         if rng is None:
-            rng = np.random.default_rng(cfg.seed)
+            raise ValueError("spawn mode 'random_spawns' needs a random generator")
         players, ball = _sample_positions(cfg, rng)
     else:
         players, ball = _fixed_positions(cfg)

@@ -196,10 +196,7 @@ def actor_update(batch: list, policy: TaacTeamPolicy, opt: Adam, learner_cfg) ->
     use_conformity = learner_cfg.conformity_scale != 0 and policy.actor.attn is not None
     logp_all, emb = policy.actor.forward(obs_stack, log_probs=True)  # (T, n, A), (T, n, e)
     baselines = counterfactual_baselines_batch(obs_stack, act_stack, np.exp(logp_all.data), policy.critic)
-    if learner_cfg.advantage_mode == "coma":
-        adv_stack = policy.critic.q_np(obs_stack, act_stack) - baselines
-    else:
-        adv_stack = returns - baselines
+    adv_stack = returns - baselines
 
     T = act_stack.shape[0]
     logp_rows = ad.reshape(logp_all, (-1, logp_all.shape[-1]))       # (T*n, A)
@@ -229,9 +226,8 @@ def actor_update(batch: list, policy: TaacTeamPolicy, opt: Adam, learner_cfg) ->
 
 
 def critic_update(batch: list, policy: TaacTeamPolicy, opt: Adam, learner_cfg) -> dict:
-    """Mean-squared-error regression of per-agent values onto their targets."""
-    obs_stack, act_stack, _ = _stacked(batch, learner_cfg.gamma)
-    targets = np.concatenate([_critic_targets(traj, policy, learner_cfg) for traj in batch])
+    """Mean-squared-error regression of per-agent values onto their observed returns."""
+    obs_stack, act_stack, targets = _stacked(batch, learner_cfg.gamma)
     err = ad.sub(policy.critic.forward(obs_stack, act_stack), Tensor(targets))
     loss = ad.scale(ad.reduce_sum(ad.mul(err, err)), 1.0 / targets.size)
     opt.zero_grad()
@@ -239,18 +235,6 @@ def critic_update(batch: list, policy: TaacTeamPolicy, opt: Adam, learner_cfg) -
     check_finite_grads(opt.params, "critic_update", lambda: _trajectory_payload(batch))
     opt.step()
     return {"critic_mse": loss.item(), "values": targets.size}
-
-
-def _critic_targets(traj: Trajectory, policy: TaacTeamPolicy, learner_cfg) -> np.ndarray:
-    if learner_cfg.critic_target == "mc":
-        return traj.returns
-    # one-step bootstrapped target along the stored action sequence, one stacked pass;
-    # inside an episode, step t's next observation is step t + 1's
-    targets = traj.rewards.copy()
-    if len(traj) > 1:
-        q_next = policy.critic.q_np(traj.obs[1:], traj.actions[1:])
-        targets[:-1] = targets[:-1] + learner_cfg.gamma * q_next
-    return targets
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +453,7 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
     state_path = os.path.join(cfg.out_dir, "train_state.json")
     saved = None
     if resume and os.path.exists(state_path):
-        with open(state_path) as fh:
-            saved = json.load(fh)
+        saved = _read_state(state_path)
         _check_same_run(saved.get("config"), cfg)
     echo_config(cfg)
 
@@ -480,9 +463,8 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
     update_idx = 0
     saved_at = None  # games_done of the latest snapshot
     if saved is not None:
-        games_done = saved_at = int(saved["games_done"])
-        version = int(saved["version"])
-        update_idx = int(saved.get("updates", 0))
+        games_done = saved_at = saved["games_done"]
+        version, update_idx = saved["version"], saved["updates"]
         # a crash after the last snapshot leaves log records that the resumed run writes again
         if os.path.exists(log_path):
             with open(log_path) as fh:
@@ -540,6 +522,21 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
         save_version(version)
     return TrainResult(policy=policy, league=league, games_done=games_done,
                        out_dir=cfg.out_dir, log_path=log_path, final_version=version)
+
+
+def _read_state(state_path: str) -> dict:
+    """The saved run state; ConfigError naming the first counter that is missing,
+    not an integer (``true`` included) or negative."""
+    with open(state_path) as fh:
+        saved = json.load(fh)
+    if not isinstance(saved, dict):
+        raise ConfigError("train_state.json is not an object; use --fresh")
+    for name in ("games_done", "version", "updates"):
+        value = saved.get(name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ConfigError(f"train_state.json: {name} must be a nonnegative integer, "
+                              f"got {value!r}; use --fresh")
+    return saved
 
 
 def _check_same_run(saved: object, cfg: RunConfig) -> None:

@@ -21,7 +21,6 @@ from taaclab.learner import (
     Adam,
     Trajectory,
     Transition,
-    _critic_targets,
     actor_update,
     build_ppo_batch,
     compute_returns,
@@ -64,10 +63,7 @@ def per_transition_actor_objective(batch, policy, lrn):
     probs = policy.actor.probs_np(obs_stack)
     baselines = np.stack([counterfactual_baselines(obs_stack[t], act_stack[t], probs[t], policy.critic)
                           for t in range(n_tr)])
-    if lrn.advantage_mode == "coma":
-        adv = policy.critic.q_np(obs_stack, act_stack) - baselines
-    else:
-        adv = returns - baselines
+    adv = returns - baselines
     pg_terms, ent_terms, conf_terms = [], [], []
     for t in range(n_tr):
         logdists, emb = policy.actor.forward(obs_stack[t], log_probs=True)
@@ -83,23 +79,10 @@ def per_transition_actor_objective(batch, policy, lrn):
     return objective, pg, entropy, conformity
 
 
-def per_step_td_targets(traj, policy, gamma):
-    """Inside an episode, step t's next observation is step t + 1's."""
-    T = len(traj)
-    targets = np.zeros((T, TEAM_SIZE))
-    for t in range(T):
-        if t + 1 < T:
-            targets[t] = traj.rewards[t] + gamma * policy.critic.q_np(traj.obs[t + 1], traj.actions[t + 1])
-        else:
-            targets[t] = traj.rewards[t]
-    return targets
-
-
 def per_transition_critic_loss(batch, policy, lrn):
     terms = []
     for traj in batch:
-        compute_returns(traj, lrn.gamma)
-        targets = traj.returns if lrn.critic_target == "mc" else per_step_td_targets(traj, policy, lrn.gamma)
+        targets = compute_returns(traj, lrn.gamma)
         for t in range(len(traj)):
             err = ad.sub(policy.critic.forward(traj.obs[t], traj.actions[t]), Tensor(targets[t]))
             terms.append(ad.reduce_sum(ad.mul(err, err)))
@@ -125,11 +108,10 @@ BATCH_IDS = ["T1", "T4", "T4-two-trajs", "T37", "T37-two-trajs"]
 
 @pytest.mark.parametrize("lengths", BATCHES, ids=BATCH_IDS)
 @pytest.mark.parametrize("floor", [1.0, -1.0], ids=["floor-active", "floor-inactive"])
-@pytest.mark.parametrize("mode", ["mc", "coma"])
-def test_batched_actor_update_matches_per_transition_objective(lengths, floor, mode):
+def test_batched_actor_update_matches_per_transition_objective(lengths, floor):
     policy = TaacTeamPolicy(SMALL, np.random.default_rng(len(lengths) * 100 + sum(lengths)))
     batch = make_batch(sum(lengths), lengths)
-    lrn = LearnerSettings(gamma=0.9, conformity_floor=floor, advantage_mode=mode)
+    lrn = LearnerSettings(gamma=0.9, conformity_floor=floor)
     params = policy.actor_parameters()
     report = actor_update(batch, policy, Adam(params, lr=0.0), lrn)  # lr 0 keeps the weights
     got = _grads(params)
@@ -146,11 +128,10 @@ def test_batched_actor_update_matches_per_transition_objective(lengths, floor, m
 
 
 @pytest.mark.parametrize("lengths", BATCHES, ids=BATCH_IDS)
-@pytest.mark.parametrize("target", ["mc", "td"])
-def test_batched_critic_update_matches_per_transition_loss(lengths, target):
+def test_batched_critic_update_matches_per_transition_loss(lengths):
     policy = TaacTeamPolicy(SMALL, np.random.default_rng(sum(lengths)))
     batch = make_batch(sum(lengths) + 1, lengths)
-    lrn = LearnerSettings(gamma=0.9, critic_target=target)
+    lrn = LearnerSettings(gamma=0.9)
     params = policy.critic_parameters()
     report = critic_update(batch, policy, Adam(params, lr=0.0), lrn)
     got = _grads(params)
@@ -161,16 +142,6 @@ def test_batched_critic_update_matches_per_transition_loss(lengths, target):
     _assert_close(report["critic_mse"], loss.item())
     assert report["values"] == sum(lengths) * TEAM_SIZE
     _assert_grads_close(got, _grads(params))
-
-
-@pytest.mark.parametrize("length", [1, 2, 37])
-def test_td_targets_match_per_step_loop(length):
-    policy = TaacTeamPolicy(SMALL, np.random.default_rng(30 + length))
-    (traj,) = make_batch(40 + length, [length])
-    compute_returns(traj, 0.9)
-    got = _critic_targets(traj, policy, LearnerSettings(gamma=0.9, critic_target="td"))
-    # a 1-column GEMM's rows are not bit-stable across row counts, hence not exact
-    np.testing.assert_allclose(got, per_step_td_targets(traj, policy, 0.9), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("cfg", [SMALL, SMOKE], ids=["small", "smoke"])

@@ -46,6 +46,10 @@ def test_unknown_key_rejected_with_path():
         build_config({"learner": {"gamm": 0.9}})
     with pytest.raises(ConfigError, match="unknown key"):
         build_config({"lerner": {}})
+    # removed knobs: one critic target, one advantage, and spawns drawn only from a passed generator
+    for section, key in (("learner", "critic_target"), ("learner", "advantage_mode"), ("env", "seed")):
+        with pytest.raises(ConfigError, match=f"^unknown key {section}.{key}$"):
+            build_config({section: {key: 0}})
 
 
 def test_type_mismatch_rejected_with_path():
@@ -296,19 +300,29 @@ def test_a_resume_may_change_only_the_schedule_and_the_output_directory(tmp_path
         assert json.load(fh)["curriculum"]["stage_games"] == [2, 0, 0, 0]
 
 
-@pytest.mark.parametrize("stored", [None, 5], ids=["missing", "not-an-object"])
-def test_a_state_file_without_a_config_is_refused(tmp_path, capsys, stored):
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_without("config"), "holds no config"),
+    (lambda doc: {**doc, "config": 5}, "holds no config"),
+    (_without("games_done"), "games_done must be a nonnegative integer, got None"),
+    (lambda doc: {**doc, "version": "1"}, "version must be a nonnegative integer, got '1'"),
+    (lambda doc: [1, 2], "train_state.json is not an object"),
+    # a run whose stored config holds a knob that no longer exists resumes only with --fresh
+    (lambda doc: {**doc, "config": {**doc["config"], "learner": {**doc["config"]["learner"],
+                                                                 "critic_target": "td"}}},
+     "learner.critic_target differs from the run being resumed ('td' -> None)"),
+], ids=["missing", "not-an-object", "no-games_done", "string-version", "top-level-list", "removed-key"])
+def test_a_state_file_without_a_config_is_refused(tmp_path, capsys, edit, message):
     assert main(["train", "--config", tiny_config(tmp_path)]) == 0
     state = tmp_path / "out" / "train_state.json"
-    doc = json.loads(state.read_text())
-    if stored is None:
-        del doc["config"]
-    else:
-        doc["config"] = stored
-    state.write_text(json.dumps(doc))
+    state.write_text(json.dumps(edit(json.loads(state.read_text()))))
     before = _run_files(tmp_path / "out")
+    capsys.readouterr()
     assert main(["train", "--config", tiny_config(tmp_path)]) == 2
-    assert "holds no config" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert _run_files(tmp_path / "out") == before
 
 

@@ -149,6 +149,14 @@ def test_random_spawn_without_room_raises_instead_of_hanging():
         reset(cfg, "random_spawns", np.random.default_rng(114))
 
 
+def test_random_spawns_without_a_generator_raise():
+    s = reset(CFG, "random_spawns", np.random.default_rng(8))
+    with pytest.raises(ValueError, match="'random_spawns' needs a random generator"):
+        reset(CFG, "random_spawns")
+    with pytest.raises(ValueError, match="'random_spawns' needs a random generator"):
+        respawn(s, CFG, "random_spawns")
+
+
 def test_respawn_preserves_score_and_clock():
     rng = np.random.default_rng(8)
     s = reset(CFG, "random_spawns", rng)
