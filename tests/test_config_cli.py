@@ -304,6 +304,11 @@ def _without(key):
     return lambda doc: {k: v for k, v in doc.items() if k != key}
 
 
+def _with_removed_knob(doc, section, key, value):
+    """A state file as a run started before ``section.key`` was removed left it."""
+    return {**doc, "config": {**doc["config"], section: {**doc["config"][section], key: value}}}
+
+
 @pytest.mark.parametrize("edit, message", [
     (_without("config"), "holds no config"),
     (lambda doc: {**doc, "config": 5}, "holds no config"),
@@ -314,7 +319,21 @@ def _without(key):
     (lambda doc: {**doc, "config": {**doc["config"], "learner": {**doc["config"]["learner"],
                                                                  "critic_target": "td"}}},
      "learner.critic_target differs from the run being resumed ('td' -> None)"),
-], ids=["missing", "not-an-object", "no-games_done", "string-version", "top-level-list", "removed-key"])
+    (_without("version"), "version must be a nonnegative integer, got None"),
+    (_without("updates"), "updates must be a nonnegative integer, got None"),
+    (lambda doc: {**doc, "games_done": -1}, "games_done must be a nonnegative integer, got -1"),
+    (lambda doc: {**doc, "version": -1}, "version must be a nonnegative integer, got -1"),
+    (lambda doc: {**doc, "games_done": False}, "games_done must be a nonnegative integer, got False"),
+    (lambda doc: {**doc, "updates": True}, "updates must be a nonnegative integer, got True"),
+    (lambda doc: {**doc, "version": 1.0}, "version must be a nonnegative integer, got 1.0"),
+    (lambda doc: {**doc, "updates": "0"}, "updates must be a nonnegative integer, got '0'"),
+    (lambda doc: _with_removed_knob(doc, "learner", "advantage_mode", "coma"),
+     "learner.advantage_mode differs from the run being resumed ('coma' -> None)"),
+    (lambda doc: _with_removed_knob(doc, "env", "seed", 0),
+     "env.seed differs from the run being resumed (0 -> None)"),
+], ids=["missing", "not-an-object", "no-games_done", "string-version", "top-level-list", "removed-key",
+        "no-version", "no-updates", "negative-games_done", "negative-version", "bool-games_done",
+        "bool-updates", "float-version", "string-updates", "removed-advantage_mode", "removed-env-seed"])
 def test_a_state_file_without_a_config_is_refused(tmp_path, capsys, edit, message):
     assert main(["train", "--config", tiny_config(tmp_path)]) == 0
     state = tmp_path / "out" / "train_state.json"
@@ -324,6 +343,34 @@ def test_a_state_file_without_a_config_is_refused(tmp_path, capsys, edit, messag
     assert main(["train", "--config", tiny_config(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert _run_files(tmp_path / "out") == before
+
+
+REMOVED_KNOBS = [("learner", "critic_target", "td"), ("learner", "advantage_mode", "coma"),
+                 ("env", "seed", 0)]
+REMOVED_KNOB_IDS = ["critic_target", "advantage_mode", "env-seed"]
+
+
+@pytest.mark.parametrize("section, key, value", REMOVED_KNOBS, ids=REMOVED_KNOB_IDS)
+def test_a_run_that_stored_a_removed_knob_starts_over_with_fresh(tmp_path, section, key, value):
+    assert main(["train", "--config", tiny_config(tmp_path)]) == 0
+    state = tmp_path / "out" / "train_state.json"
+    state.write_text(json.dumps(_with_removed_knob(json.loads(state.read_text()), section, key, value)))
+    assert main(["train", "--fresh", "--config", tiny_config(tmp_path)]) == 0
+    saved = json.loads(state.read_text())
+    assert key not in saved["config"][section]
+    assert saved["games_done"] == 1  # started over, not resumed
+    with open(tmp_path / "out" / "training_log.jsonl") as fh:
+        assert [json.loads(line)["games"] for line in fh] == [1]
+
+
+@pytest.mark.parametrize("section, key, value", REMOVED_KNOBS, ids=REMOVED_KNOB_IDS)
+def test_a_config_file_naming_a_removed_knob_exits_2_before_any_write(tmp_path, capsys, section, key,
+                                                                      value):
+    sections = {"learner": {"snapshot_interval": 5}, "env": {"steps_per_game": 40}}
+    cfg_path = tiny_config(tmp_path, **{section: {**sections[section], key: value}})
+    assert main(["train", "--config", cfg_path]) == 2
+    assert f"validation failure: unknown key {section}.{key}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_train_zero_games_snapshot_equals_initialization(tmp_path):

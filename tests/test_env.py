@@ -157,6 +157,19 @@ def test_random_spawns_without_a_generator_raise():
         respawn(s, CFG, "random_spawns")
 
 
+def test_fixed_formation_needs_no_generator():
+    rng = np.random.default_rng(9)
+    drawn = rng.bit_generator.state
+    a, b = reset(CFG, "fixed_formation"), reset(CFG, "fixed_formation", rng)
+    assert rng.bit_generator.state == drawn  # a passed generator is left undrawn
+    np.testing.assert_array_equal(a.player_pos, b.player_pos)
+    np.testing.assert_array_equal(a.ball_pos, b.ball_pos)
+    a.scores[:] = (1, 0)
+    a2 = respawn(a, CFG, "fixed_formation")
+    np.testing.assert_array_equal(a2.player_pos, b.player_pos)
+    assert tuple(a2.scores) == (1, 0) and a2.episode == a.episode + 1
+
+
 def test_respawn_preserves_score_and_clock():
     rng = np.random.default_rng(8)
     s = reset(CFG, "random_spawns", rng)
