@@ -12,8 +12,9 @@ of runs of ``perfbench/run.py --trace 0``, one in each copy; the parent goes
 first in the first seed's pairs and the sides take turns from seed to seed. One
 summary per workload gives, for every end-to-end metric that the change's
 BENCHMARK.json declares, each pair's values, each side's median and
-quartiles, the change's win count (ties count for neither side) and a
-no-regression verdict against the metric's ``bound`` (see ``verdict``). Digests
+quartiles, the change's win count (ties count for neither side), whether the
+pairs show a gain (see ``gain_shown``) and a no-regression verdict against the
+metric's ``bound`` (see ``verdict``). Digests
 that differ within a pair, failed calls and runs that did not finish are
 flagged. Exits 0 only when every workload has a complete pair, every run
 finished with no failed call and every pair's digests are equal; a malformed
@@ -119,6 +120,16 @@ def verdict(parent: list[float], change: list[float], parent_q: tuple[float, flo
     return "worse than bound" if worse_by > margin else "within bound"
 
 
+def gain_shown(wins: int, pairs: int, parent_q: tuple[float, float, float], change_med: float,
+               higher: bool) -> bool:
+    """Whether the change shows a gain: it wins at least 9 in 10 of the ``pairs`` complete
+    pairs (a tie counts for neither side), and its median beats the parent's by more
+    than the parent's quartile spread."""
+    pq1, pmed, pq3 = parent_q
+    gap = change_med - pmed if higher else pmed - change_med
+    return 10 * wins >= 9 * pairs and gap > pq3 - pq1
+
+
 def summarize(pairs: list[tuple[int, dict, dict]], end_to_end: list[dict]) -> tuple[list[str], bool]:
     """Report lines for ``(seed, parent result, change result)`` pairs, and whether all was clean."""
     lines, clean = [], True
@@ -161,6 +172,9 @@ def summarize(pairs: list[tuple[int, dict, dict]], end_to_end: list[dict]) -> tu
             stats[side] = q1, med, q3 = quartiles(values[side])
             lines.append(f"  {side} median {med:.6g} (quartiles {q1:.6g} / {q3:.6g})")
         (pq1, pmed, pq3), cmed = stats["parent"], stats["change"][1]
+        shown = gain_shown(wins, len(done), stats["parent"], cmed, higher)
+        lines.append(f"  gain: {'shown' if shown else 'not shown'} (needs at least 9 in 10 pairs won and a "
+                     f"median gap in the better direction over the parent quartile spread)")
         ratio = f"{cmed / pmed:.4f}" if pmed else "n/a"
         lines.append(f"  change/parent {ratio}; change wins {wins} of {len(done)} (ties {ties}); "
                      f"median gap {abs(cmed - pmed):.6g} vs parent quartile spread {pq3 - pq1:.6g}")

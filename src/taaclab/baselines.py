@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
-from typing import Protocol
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,18 +47,7 @@ class AblationConfig:
                    critic_V_fixed=bool(flags.get("critic_V_fixed", False)))
 
     def to_flags(self) -> dict:
-        return {
-            "actor_attention_off": self.actor_attention_off,
-            "critic_V_fixed": self.critic_V_fixed,
-        }
-
-
-class TeamPolicy(Protocol):
-    kind: str
-
-    def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Map (n, obs_width) observations to (n,) int64 action ids."""
-        ...
+        return asdict(self)
 
 
 def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -214,10 +214,9 @@ def build_config(data: dict) -> RunConfig:
     for name, cls in _SECTION_TYPES.items():
         if name in data:
             kwargs[name] = _build_section(cls, data[name], name)
-    if "seed" in data:
-        kwargs["seed"] = _coerce(data["seed"], 0, "seed")
-    if "out_dir" in data:
-        kwargs["out_dir"] = _coerce(data["out_dir"], "", "out_dir")
+    for name, default in (("seed", 0), ("out_dir", "")):
+        if name in data:
+            kwargs[name] = _coerce(data[name], default, name)
     cfg = RunConfig(**kwargs)
     if OUT_DIR_ENV in os.environ:
         cfg = dataclasses.replace(cfg, out_dir=os.environ[OUT_DIR_ENV])
@@ -228,16 +227,11 @@ def config_to_dict(cfg: RunConfig) -> dict:
     out = {}
     for name in _SECTION_TYPES:
         section = getattr(cfg, name)
-        out[name] = {f.name: _plain(getattr(section, f.name)) for f in dataclasses.fields(section)}
+        values = {f.name: getattr(section, f.name) for f in dataclasses.fields(section)}
+        out[name] = {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
     out["seed"] = cfg.seed
     out["out_dir"] = cfg.out_dir
     return out
-
-
-def _plain(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 def echo_config(cfg: RunConfig, directory: str | None = None) -> str:

@@ -10,6 +10,8 @@ overlapping players, resolve kicks and ball contact, integrate the ball
 (damping then position), then resolve wall and goal-box collisions. The
 shaped rewards are not part of the step: ``reward_components`` computes them
 from the before/after states, one transition or a whole game at once.
+Separation and ball contact are gated by squared-distance prefilters, with a
+margin that keeps the step's bits those of its exact ``np.hypot`` tests.
 
 A ``WorldState`` keeps its floats in one float64 array, ``packed``: along its
 last axis, 12 player coordinates, ball position, ball velocity and 7 pitch
@@ -78,6 +80,22 @@ class EnvConfig:
         """A packed state's pitch slots: west and east goal centers, pitch width and length, and 0."""
         L, W = self.pitch_length, self.pitch_width
         return np.array((0.0, W / 2.0, L, W / 2.0, W, L, 0.0))
+
+    @cached_property
+    def move_velocities(self) -> np.ndarray:
+        """Player velocity per action id, (18, 2): speed times the move, over its length."""
+        return self.player_speed * _MOVE_VECS / _MOVE_DIVISORS[:, None]
+
+    @cached_property
+    def step_limits(self) -> tuple[np.ndarray, float, float]:
+        """A player center's upper clamp bound (L - r, W - r), then the squared overlap and
+        contact distances (2 r)^2 and (r + ball_radius)^2 times 1 + 1e-9. While the squares
+        are normal floats (sizes within 1e-150..1e150), the margin dwarfs their rounding, so
+        a pair these limits pass but the hypot test does not only starts a separation pass
+        that moves nobody (it re-clamps clamped positions) or a contact loop that skips it."""
+        r = self.player_radius
+        return (np.array((self.pitch_length - r, self.pitch_width - r)),
+                *(d * d * (1.0 + 1e-9) for d in (2.0 * r, r + self.ball_radius)))
 
 
 # the packed state layout along the last axis (module docstring)
@@ -276,11 +294,23 @@ _PLAYER_TEAM = np.arange(N_PLAYERS) // TEAM_SIZE
 _PAIR_I, _PAIR_J = np.triu_indices(N_PLAYERS, k=1)  # all 15 player pairs, i < j
 _MATES = _PAIR_I // TEAM_SIZE == _PAIR_J // TEAM_SIZE
 _MATE_I, _MATE_J = _PAIR_I[_MATES], _PAIR_J[_MATES]  # team 0's three pairs, then team 1's
+# x offsets into a state's first 14 floats (players, then ball): the 15 player pairs, then player-ball
+_PAIR_XY = list(zip((2 * _PAIR_I).tolist(), (2 * _PAIR_J).tolist()))
+_BALL_XY = [(2 * i, 12) for i in range(N_PLAYERS)]
 
 
 def _clamp_players(pos: np.ndarray, cfg: EnvConfig) -> None:
-    r = cfg.player_radius
-    np.minimum(np.maximum(pos, r, out=pos), (cfg.pitch_length - r, cfg.pitch_width - r), out=pos)
+    np.minimum(np.maximum(pos, cfg.player_radius, out=pos), cfg.step_limits[0], out=pos)
+
+
+def _first_near(xy: list, pairs: list, limit_sq: float) -> int:
+    """The first k whose points xy[i:i+2] and xy[j:j+2], (i, j) = pairs[k], have a squared
+    distance under ``limit_sq``, else ``len(pairs)``."""
+    for k, (i, j) in enumerate(pairs):
+        dx, dy = xy[j] - xy[i], xy[j + 1] - xy[i + 1]
+        if dx * dx + dy * dy < limit_sq:
+            return k
+    return len(pairs)
 
 
 def _separate_players(pos: np.ndarray, cfg: EnvConfig) -> None:
@@ -304,13 +334,6 @@ def _separate_players(pos: np.ndarray, cfg: EnvConfig) -> None:
             break
 
 
-def _mouth_band(cfg: EnvConfig) -> tuple[float, float]:
-    """y-range in which the whole ball fits through a goal mouth."""
-    cy = cfg.pitch_width / 2.0
-    half = cfg.goal_width / 2.0 - cfg.ball_radius
-    return cy - half, cy + half
-
-
 def _resolve_ball_walls(state: WorldState, cfg: EnvConfig) -> Optional[int]:
     """Reflect the ball off walls/goal boxes; returns the scoring team or None.
 
@@ -323,7 +346,8 @@ def _resolve_ball_walls(state: WorldState, cfg: EnvConfig) -> Optional[int]:
     x, y, vx, vy = ball.tolist()  # IEEE doubles, same bits
     r, rest = cfg.ball_radius, cfg.wall_restitution
     L, W, depth = cfg.pitch_length, cfg.pitch_width, cfg.goal_depth
-    lo, hi = _mouth_band(cfg)
+    cy, half = W / 2.0, cfg.goal_width / 2.0 - r
+    lo, hi = cy - half, cy + half  # the y-range in which the whole ball fits through a goal mouth
 
     goal: Optional[int] = None
     if x < r:
@@ -373,23 +397,22 @@ def step(state: WorldState, actions: np.ndarray, cfg: EnvConfig) -> tuple[WorldS
     pos, vel = s.packed[_POS].reshape(N_PLAYERS, 2), s.packed[_VEL].reshape(N_PLAYERS, 2)
     ball, ball_vel = s.packed[_BALL], s.packed[_BALL_VEL]
 
-    # movement; one-axis gathers (take) cost a third less than fancy indexing here
-    np.divide(cfg.player_speed * _MOVE_VECS.take(actions, 0), _MOVE_DIVISORS.take(actions)[:, None], out=vel)
+    # movement; ids are checked, so the gather need not (clip mode writes out unbuffered)
+    cfg.move_velocities.take(actions, 0, out=vel, mode="clip")
     pos += vel
     _clamp_players(pos, cfg)
 
-    # player-player overlap: the order-dependent pass runs only if some pair overlaps
-    gap = pos[_PAIR_J] - pos[_PAIR_I]
-    if (np.hypot(gap[:, 0], gap[:, 1]) < 2.0 * cfg.player_radius).any():
+    # player-player overlap: the order-dependent pass runs only if some pair may overlap
+    _, overlap_sq, contact_sq = cfg.step_limits
+    xy = s.packed[:14].tolist()  # IEEE doubles, same bits
+    if _first_near(xy, _PAIR_XY, overlap_sq) < len(_PAIR_XY):
         _separate_players(pos, cfg)
+        xy = s.packed[:14].tolist()
 
     # kicks and ball contact (fixed ascending player order), from the first
-    # player in contact; each contact moves the ball for the players after it
-    contact = cfg.player_radius + cfg.ball_radius
-    to_ball = ball - pos
-    touching = np.hypot(to_ball[:, 0], to_ball[:, 1]) < contact
-    first, touches = int(touching.argmax()), []
-    for i in range(first if touching[first] else N_PLAYERS, N_PLAYERS):
+    # player that may touch; each contact moves the ball for the players after it
+    contact, touches = cfg.player_radius + cfg.ball_radius, []
+    for i in range(_first_near(xy, _BALL_XY, contact_sq), N_PLAYERS):
         d = ball - pos[i]
         dist = float(np.hypot(d[0], d[1]))
         if dist >= contact:

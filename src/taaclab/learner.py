@@ -137,12 +137,7 @@ class Adam:
     def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, clip_norm: Optional[float] = None):
         self.params = list(params)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.clip_norm = clip_norm
-        self.t = 0
+        self.lr, self.beta1, self.beta2, self.eps, self.clip_norm, self.t = lr, beta1, beta2, eps, clip_norm, 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
@@ -282,16 +277,17 @@ def gae_advantages(rewards: np.ndarray, values: np.ndarray, gamma: float,
 
     ``rewards`` and ``values`` have shape (T,) for one agent's stream or
     (T, n) for a team's, one column per agent. Returns (advantages, value
-    targets) of the same shape.
+    targets) of the same shape. Each stream runs backwards on Python floats,
+    in numpy's operation order, so the bits are those of numpy's rows.
     """
-    T = rewards.shape[0]
-    adv = np.zeros(rewards.shape)
-    last = 0.0
-    for t in range(T - 1, -1, -1):
-        next_v = values[t + 1] if t + 1 < T else 0.0
-        delta = rewards[t] + gamma * next_v - values[t]
-        last = delta + gamma * lam * last
-        adv[t] = last
+    streams = []
+    for r, v in zip(np.atleast_2d(rewards.T).tolist(), np.atleast_2d(values.T).tolist()):
+        adv, last, next_v = [0.0] * len(r), 0.0, 0.0
+        for t in range(len(r) - 1, -1, -1):
+            last = (r[t] + gamma * next_v - v[t]) + gamma * lam * last
+            adv[t], next_v = last, v[t]
+        streams.append(adv)
+    adv = np.ascontiguousarray(np.array(streams, dtype=np.float64).T).reshape(rewards.shape)
     return adv, adv + values
 
 

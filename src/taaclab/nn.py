@@ -11,6 +11,7 @@ parameters are float64 leaf tensors; ``nets`` owns their file format.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -174,6 +175,8 @@ class MultiHeadAttention:
         if any(w.shape != shape for h in heads for w in (h.wq, h.wk, h.wv)):
             raise ShapeError(f"every head's wq, wk and wv must share one shape, the first wq's {shape}")
         self.heads = heads
+        # every head's wq, then wk, then wv (the packed projection's column order); weights change via .data
+        self._projections = [h.wq for h in heads] + [h.wk for h in heads] + [h.wv for h in heads]
         self._packed_from: list[np.ndarray] = []  # the arrays ``_packed`` was built from
         self._packed: np.ndarray | None = None
 
@@ -196,10 +199,6 @@ class MultiHeadAttention:
     def out_width(self) -> int:
         return sum(h.wv.shape[1] for h in self.heads)
 
-    def _projections(self) -> list[Tensor]:
-        """Every head's wq, then wk, then wv: the column order of the packed projection."""
-        return [h.wq for h in self.heads] + [h.wk for h in self.heads] + [h.wv for h in self.heads]
-
     def forward(self, m: Tensor) -> tuple[Tensor, list[Tensor]]:
         """Returns (per-row concatenation of head outputs, per-head weights as
         constants) for an (n, d_model) matrix or a (T, n, d_model) stack.
@@ -208,7 +207,7 @@ class MultiHeadAttention:
         back into each head's wq, wk and wv. The projection is packed afresh,
         so an in-place edit of a weight array is seen.
         """
-        params = self._projections()
+        params = self._projections
         d_model = params[0].shape[0]
         if m.data.ndim not in (2, 3) or m.shape[-1] != d_model:
             raise ShapeError(f"attention input shape {m.shape} does not match head width {d_model}")
@@ -241,9 +240,9 @@ class MultiHeadAttention:
         the last build, as after ``Adam.step`` or ``restore_params``; an in-place
         edit of a weight array is not seen.
         """
-        arrays = [p.data for p in self._projections()]
+        arrays = [p.data for p in self._projections]
         # the arrays are held, not their ids: a freed array's id can come back
-        if self._packed is None or any(a is not b for a, b in zip(arrays, self._packed_from)):
+        if self._packed is None or not all(map(operator.is_, arrays, self._packed_from)):
             self._packed = np.concatenate(arrays, axis=1)
             self._packed_from = arrays
         return self._packed

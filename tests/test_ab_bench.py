@@ -102,6 +102,41 @@ def test_summary_prints_a_verdict_per_metric():
                         "  verdict: unresolved (bound 0.25 x parent median = 60)"]
 
 
+def gain_lines(parent_steps, change_steps):
+    """The ``gain:`` line of each metric for pairs with equal games/s and these step times."""
+    pairs = [(seed, result(10.0, p), result(10.0, c))
+             for seed, (p, c) in enumerate(zip(parent_steps, change_steps), 1)]
+    lines, _ = ab_bench.summarize(pairs, METRICS)
+    return [line.split(" (")[0] for line in lines if line.startswith("  gain: ")]
+
+
+def test_gain_is_shown_for_nine_wins_in_ten_with_a_gap_over_the_spread():
+    parent = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 90.0]
+    change = [95.0, 96.0, 94.0, 95.0, 97.0, 93.0, 95.0, 96.0, 94.0, 95.0]  # the last pair is lost
+    # games/s ties in every pair: no gain; steps: 9 wins, gap 5 over the spread 1.75
+    assert gain_lines(parent, change) == ["  gain: not shown", "  gain: shown"]
+    assert ab_bench.gain_shown(9, 10, ab_bench.quartiles(parent), 95.0, higher=False)
+
+
+def test_gain_is_not_shown_for_eight_wins_in_ten():
+    parent = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 90.0, 90.0]
+    change = [95.0, 96.0, 94.0, 95.0, 97.0, 93.0, 95.0, 96.0, 95.0, 95.0]
+    assert gain_lines(parent, change)[1] == "  gain: not shown"
+    # the gap alone would do: the win count is short
+    assert ab_bench.gain_shown(9, 10, ab_bench.quartiles(parent), 95.0, higher=False)
+
+
+def test_gain_is_not_shown_for_ten_wins_inside_the_parent_spread():
+    parent = [100.0, 110.0, 90.0, 105.0, 95.0, 100.0, 108.0, 92.0, 103.0, 97.0]
+    change = [p - 1.0 for p in parent]  # wins every pair, but the gap 1 is under the spread 9
+    assert gain_lines(parent, change)[1] == "  gain: not shown"
+    parent_q = ab_bench.quartiles(parent)  # 95.5 / 100 / 104.5
+    assert not ab_bench.gain_shown(10, 10, parent_q, 99.0, higher=False)
+    assert ab_bench.gain_shown(10, 10, parent_q, 89.0, higher=False)
+    assert ab_bench.gain_shown(10, 10, parent_q, 111.0, higher=True)
+    assert not ab_bench.gain_shown(10, 10, parent_q, 89.0, higher=True)  # a gap the wrong way
+
+
 @pytest.mark.parametrize("items", [["x"], ["5-x"], ["110-101"]])
 def test_parse_seeds_rejects_non_numbers(items):
     with pytest.raises(ValueError):

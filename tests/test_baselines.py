@@ -117,6 +117,30 @@ def test_gae_with_lambda_one_is_discounted_return_minus_value():
     np.testing.assert_allclose(adv, returns - values, atol=1e-12)
 
 
+def ref_gae_advantages(rewards, values, gamma, lam):
+    """The numpy-row loop ``gae_advantages`` replaced: one row op per step."""
+    T = rewards.shape[0]
+    adv = np.zeros(rewards.shape)
+    last = 0.0
+    for t in range(T - 1, -1, -1):
+        next_v = values[t + 1] if t + 1 < T else 0.0
+        delta = rewards[t] + gamma * next_v - values[t]
+        last = delta + gamma * lam * last
+        adv[t] = last
+    return adv, adv + values
+
+
+@pytest.mark.parametrize("shape", [(240, 3), (37, 2), (1, 3), (240,), (5,), (1,)])
+def test_gae_equals_the_numpy_row_loop_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    for gamma, lam in ((0.99, 0.95), (0.9, 1.0), (1.0, 0.0)):
+        rewards, values = rng.normal(size=shape) * 10.0, rng.normal(size=shape)
+        got, want = gae_advantages(rewards, values, gamma, lam), ref_gae_advantages(rewards, values, gamma, lam)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype and g.flags.c_contiguous
+            assert g.tobytes() == w.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # PPO update
 

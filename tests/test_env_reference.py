@@ -429,3 +429,70 @@ def test_observe_team_rejects_bad_team():
     for bad in (-1, 2):
         with pytest.raises(ValueError):
             observe_team(s, bad, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the squared-distance prefilters at their boundaries
+
+# radii whose distances, and the coordinates below, are exact in binary: every gap is exact
+EDGE = EnvConfig(pitch_length=40.0, pitch_width=24.0, goal_width=12.0, player_radius=1.25,
+                 ball_radius=1.25, steps_per_game=200).validate()
+JUST_UNDER = np.nextafter(2.5, 0.0)  # 2r and r + ball_radius are both 2.5
+FAR_PLAYERS = [(20.0, 4.0), (20.0, 20.0), (30.0, 4.0), (30.0, 20.0)]
+NOOP = env_mod.NOOP_ACTION
+
+
+def edge_state(players, ball):
+    return WorldState(np.array(players), np.zeros((N_PLAYERS, 2)), np.zeros(N_PLAYERS, dtype=bool),
+                      np.array(ball), np.zeros(2), np.zeros(2, dtype=np.int64))
+
+
+def step_both(state, actions, monkeypatch):
+    """``step`` and ``ref_step`` from ``state``, compared bit for bit; returns how often
+    ``step`` ran the separation pass and its events."""
+    separations = []
+    real_separate = env_mod._separate_players
+    monkeypatch.setattr(env_mod, "_separate_players",
+                        lambda pos, c: (separations.append(1), real_separate(pos, c)))
+    new, ev_new = step(state, actions, EDGE)
+    ref, _, ev_ref, _ = ref_step(state, actions, EDGE)
+    assert_same_state(new, ref)
+    assert ev_new == ev_ref
+    return len(separations), ev_new
+
+
+@pytest.mark.parametrize("gap, overlapping", [(2.5, False), (JUST_UNDER, True)], ids=["2r", "just-under"])
+def test_player_pair_at_the_overlap_boundary_steps_as_the_reference(gap, overlapping, monkeypatch):
+    p0 = (1.25, 10.0)  # on the west wall, so the clamp leaves it
+    p1 = (p0[0] + gap, p0[1])
+    assert p1[0] - p0[0] == gap and (np.hypot(p1[0] - p0[0], 0.0) < 2.5) == overlapping
+    state = edge_state([p0, p1] + FAR_PLAYERS, (10.0, 16.0))
+    separations, _ = step_both(state, np.full(N_PLAYERS, NOOP), monkeypatch)
+    assert separations == 1  # the prefilter passes both; only the overlapping pair moves
+    moved = step(state, np.full(N_PLAYERS, NOOP), EDGE)[0].player_pos[:2]
+    assert (moved.tobytes() != state.player_pos[:2].tobytes()) == overlapping
+
+
+@pytest.mark.parametrize("gap, touching", [(2.5, False), (JUST_UNDER, True)], ids=["contact", "just-under"])
+@pytest.mark.parametrize("kick", [False, True], ids=["still", "kick"])
+def test_ball_at_the_contact_boundary_steps_as_the_reference(gap, touching, kick, monkeypatch):
+    p0 = (1.25, 10.0)
+    ball = (p0[0] + gap, p0[1])
+    assert ball[0] - p0[0] == gap and (np.hypot(ball[0] - p0[0], 0.0) < 2.5) == touching
+    state = edge_state([p0, (10.0, 20.0)] + FAR_PLAYERS, ball)
+    actions = np.full(N_PLAYERS, NOOP + 9 if kick else NOOP)
+    separations, events = step_both(state, actions, monkeypatch)
+    assert separations == 0
+    assert events.ball_touches == ([(0, 0)] if touching else [])
+
+
+def test_separation_leaves_a_clamped_layout_without_overlap_bit_identical():
+    gen = np.random.default_rng(31)
+    layouts = [(EDGE, np.array([(1.25, 10.0), (3.75, 10.0)] + FAR_PLAYERS))]  # one pair exactly 2r apart
+    layouts += [(cfg, reset(cfg, "random_spawns", gen).player_pos) for cfg in (EDGE, SMALL, CRAMPED)
+                for _ in range(50)]
+    for cfg, pos in layouts:
+        env_mod._clamp_players(pos, cfg)
+        before = pos.tobytes()
+        env_mod._separate_players(pos, cfg)
+        assert pos.tobytes() == before

@@ -330,3 +330,41 @@ def test_attention_node_matches_the_op_composition(n_heads, lead):
     want = _grads(lambda: ad.reduce_sum(ad.mul(ref.multihead_forward(mha, m)[0], c)), params)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_packed_projection_is_kept_until_a_weight_array_is_replaced(n_heads):
+    from taaclab.learner import Adam
+    from taaclab.nets import restore_params
+
+    rng = np.random.default_rng(30 + n_heads)
+    mha = MultiHeadAttention.create(8, n_heads, rng)
+    m = rng.normal(size=(4, 3, 8))
+
+    def packed_as_a_fresh_module_runs():
+        fresh = MultiHeadAttention([AttentionHead(*(Tensor(w.data.copy()) for w in (h.wq, h.wk, h.wv)))
+                                    for h in mha.heads])
+        assert mha.forward_np(m).tobytes() == fresh.forward_np(m).tobytes()
+        return mha._packed_weights()
+
+    packed = packed_as_a_fresh_module_runs()
+    mha.forward(Tensor(m))  # the tape forward packs its own copy
+    assert mha._packed_weights() is packed
+
+    opt = Adam(mha.parameters(), 1e-2)
+    for p in mha.parameters():
+        p.grad = rng.normal(size=p.shape)
+    opt.step()
+    stepped = packed_as_a_fresh_module_runs()
+    assert stepped is not packed and mha._packed_weights() is stepped
+
+    other = MultiHeadAttention.create(8, n_heads, rng)
+    restore_params(mha.named_parameters("attn"),
+                   {path: t.data for path, t in other.named_parameters("attn").items()})
+    restored = packed_as_a_fresh_module_runs()
+    assert restored is not stepped and mha._packed_weights() is restored
+
+    last = mha.heads[-1].wv
+    last.data = last.data.copy()  # the same values in another array: the last column block rebuilds
+    assert mha._packed_weights() is not restored
+    assert mha._packed_weights().tobytes() == restored.tobytes()
