@@ -1,20 +1,18 @@
-"""Team policies behind one interface: attention actor-critic, its ablations,
-shared-policy independent PPO, uniform random, and a no-op (inactive) team.
+"""Team policies behind one interface: attention actor-critic, its MAAC-style
+ablation, shared-policy independent PPO, uniform random, and a no-op team.
 
 Every policy exposes ``act(obs_rows, rng) -> action ids`` so match play
 and the league harness stay algorithm-agnostic. ``build_policy`` is the one
-place a kind and its ablation flags become a policy. Every kind saves and
-loads through one snapshot codec whose header carries the kind, the ablation
-flags and an architecture hash; ``policy_from_snapshot`` rebuilds a policy
-from that header.
+place a kind becomes a policy; the kind is the whole policy identity. Every
+kind saves and loads through one snapshot codec whose header carries the
+kind, the ablation flags that kind fixes and an architecture hash;
+``policy_from_snapshot`` rebuilds a policy from the kind alone.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import asdict, dataclass
-
 import numpy as np
 
 from . import autodiff as ad
@@ -34,20 +32,6 @@ from .nn import Mlp
 
 POLICY_KINDS = ("taac", "taac_ablation", "ppo", "random")
 
-
-@dataclass(frozen=True)
-class AblationConfig:
-    actor_attention_off: bool = False
-    critic_V_fixed: bool = False
-
-    @classmethod
-    def from_flags(cls, flags: dict) -> "AblationConfig":
-        """The ablation a snapshot header's ``flags`` name; absent flags are off."""
-        return cls(actor_attention_off=bool(flags.get("actor_attention_off", False)),
-                   critic_V_fixed=bool(flags.get("critic_V_fixed", False)))
-
-    def to_flags(self) -> dict:
-        return asdict(self)
 
 
 def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -73,7 +57,7 @@ def random_action(n: int, rng: np.random.Generator, n_actions: int = N_ACTIONS) 
 
 class _SnapshotCodec:
     """Architecture hash and snapshot save/load shared by every policy kind.
-    Each provides ``kind`` and ``net_cfg``; a kind with ablation flags or
+    Each provides ``kind`` and ``net_cfg``; a kind with header flags or
     weights overrides ``flags`` or ``named_parameters``."""
 
     flags: dict = {}
@@ -126,19 +110,16 @@ class InactiveTeamPolicy(_SnapshotCodec):
 
 
 class TaacTeamPolicy(_SnapshotCodec):
-    """Actor-critic pair with attention; ablation flags carve out MAAC-style variants."""
+    """Actor-critic pair with attention. ``taac_ablation`` is the MAAC-style
+    variant: no actor attention and frozen critic value matrices."""
 
-    def __init__(self, net_cfg: TaacNetConfig, rng: np.random.Generator,
-                 ablation: AblationConfig | None = None):
+    def __init__(self, net_cfg: TaacNetConfig, rng: np.random.Generator, kind: str = "taac"):
         self.net_cfg = net_cfg
-        self.ablation = ablation or AblationConfig()
-        self.kind = "taac_ablation" if any(self.flags.values()) else "taac"
-        self.actor = ActorNet(net_cfg, rng, attention_off=self.ablation.actor_attention_off)
+        self.kind = kind
+        ablated = kind == "taac_ablation"
+        self.flags = {"actor_attention_off": ablated, "critic_V_fixed": ablated}
+        self.actor = ActorNet(net_cfg, rng, attention_off=ablated)
         self.critic = CriticNet(net_cfg, rng)
-
-    @property
-    def flags(self) -> dict:
-        return self.ablation.to_flags()
 
     def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return _sample_rows(self.actor.probs_np(obs), rng)
@@ -153,7 +134,7 @@ class TaacTeamPolicy(_SnapshotCodec):
 
     def critic_parameters(self) -> list[Tensor]:
         params = self.critic.parameters()
-        if self.ablation.critic_V_fixed:
+        if self.kind == "taac_ablation":
             frozen = {id(t) for t in self.critic.value_matrices()}
             params = [p for p in params if id(p) not in frozen]
         return params
@@ -201,31 +182,22 @@ class PpoTeamPolicy(_SnapshotCodec):
         return out
 
 
-def build_policy(kind: str, net_cfg: TaacNetConfig, rng: np.random.Generator,
-                 ablation: AblationConfig | None = None):
-    """The team policy of ``kind``: the one place a kind and its ablation flags
-    become a policy. ``taac_ablation`` needs at least one flag set (both when
-    ``ablation`` is None) and every other kind none; a contradiction raises
-    ValueError."""
+def build_policy(kind: str, net_cfg: TaacNetConfig, rng: np.random.Generator):
+    """The team policy of ``kind``: the one place a kind becomes a policy."""
     kinds = POLICY_KINDS + ("inactive",)
     if kind not in kinds:
         raise ValueError(f"unknown policy kind {kind!r}, expected one of {kinds}")
-    if ablation is None:
-        ablation = AblationConfig(True, True) if kind == "taac_ablation" else AblationConfig()
-    if any(ablation.to_flags().values()) != (kind == "taac_ablation"):
-        raise ValueError(f"policy kind {kind!r} contradicts ablation flags {ablation.to_flags()}: "
-                         "taac_ablation needs at least one flag set, every other kind none")
     if kind in ("taac", "taac_ablation"):
-        return TaacTeamPolicy(net_cfg, rng, ablation)
+        return TaacTeamPolicy(net_cfg, rng, kind)
     if kind == "ppo":
         return PpoTeamPolicy(net_cfg, rng)
     return (RandomTeamPolicy if kind == "random" else InactiveTeamPolicy)(net_cfg)
 
 
 def policy_from_snapshot(snapshot: PolicySnapshot, net_cfg: TaacNetConfig):
-    """The frozen policy a snapshot holds: built from its header, then loaded,
-    which checks the architecture hash and the parameter set."""
-    policy = build_policy(snapshot.kind, net_cfg, np.random.default_rng(0),  # weights are overwritten
-                          AblationConfig.from_flags(snapshot.flags))
+    """The frozen policy a snapshot holds: built from its kind, then loaded,
+    which checks the architecture hash (and so the header flags) and the
+    parameter set."""
+    policy = build_policy(snapshot.kind, net_cfg, np.random.default_rng(0))  # weights are overwritten
     policy.load_snapshot(snapshot)
     return policy

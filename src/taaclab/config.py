@@ -14,7 +14,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .baselines import POLICY_KINDS, AblationConfig
+from .baselines import POLICY_KINDS
 from .env import N_ACTIONS, OBS_WIDTH, SPAWN_MODES, EnvConfig
 from .nets import TaacNetConfig, write_text_atomic
 
@@ -69,8 +69,6 @@ class CurriculumSettings:
 @dataclass(frozen=True)
 class PolicySettings:
     kind: str = "taac"
-    actor_attention_off: bool = False
-    critic_V_fixed: bool = False
     ppo_clip: float = 0.2
     ppo_epochs: int = 4
     gae_lambda: float = 0.95
@@ -85,10 +83,6 @@ class PolicySettings:
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise ValueError(f"gae_lambda must lie in [0, 1], got {self.gae_lambda}")
         return self
-
-    def ablation(self) -> AblationConfig:
-        return AblationConfig(actor_attention_off=self.actor_attention_off,
-                              critic_V_fixed=self.critic_V_fixed)
 
 
 @dataclass(frozen=True)
@@ -111,6 +105,8 @@ class LeagueSettings:
             raise ValueError(f"teams_per_kind must be >= 1, got {self.teams_per_kind}")
         if not self.kinds or any(k not in POLICY_KINDS for k in self.kinds):
             raise ValueError(f"kinds must be drawn from {POLICY_KINDS}, got {self.kinds}")
+        if len(set(self.kinds)) < len(self.kinds):
+            raise ValueError(f"kinds must not repeat, got {max(self.kinds, key=self.kinds.count)!r} more than once")
         if self.teams_per_kind * len(self.kinds) < 2:
             raise ValueError("league needs at least 2 teams")
         if self.elo_k <= 0:

@@ -112,11 +112,14 @@ def compute_returns(traj: Trajectory, gamma: float) -> np.ndarray:
     """Per-agent discounted reward-to-go by backward recursion over the episode."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    G = np.zeros(traj.rewards.shape)
-    tail = np.zeros(traj.rewards.shape[1])
-    for t in range(len(traj) - 1, -1, -1):
-        tail = traj.rewards[t] + gamma * tail
-        G[t] = tail
+    streams = []
+    for r in traj.rewards.T.tolist():  # one agent's column on Python floats, numpy's operation order
+        g, tail = [0.0] * len(r), 0.0
+        for t in range(len(r) - 1, -1, -1):
+            tail = r[t] + gamma * tail
+            g[t] = tail
+        streams.append(g)
+    G = np.ascontiguousarray(np.array(streams, dtype=np.float64).T).reshape(traj.rewards.shape)
     traj.returns = G
     return G
 
@@ -443,7 +446,7 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
     total_games = sum(s.games for s in stages)
 
     init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-    policy = build_policy(cfg.policy.kind, net_cfg, init_rng, cfg.policy.ablation())
+    policy = build_policy(cfg.policy.kind, net_cfg, init_rng)
 
     log_path = os.path.join(cfg.out_dir, "training_log.jsonl")
     state_path = os.path.join(cfg.out_dir, "train_state.json")

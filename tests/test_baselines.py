@@ -7,7 +7,6 @@ import pytest
 from taaclab import autodiff as ad
 from taaclab.autodiff import Tensor
 from taaclab.baselines import (
-    AblationConfig,
     InactiveTeamPolicy,
     PpoTeamPolicy,
     TaacTeamPolicy,
@@ -19,7 +18,7 @@ from taaclab.baselines import (
 from taaclab.config import LearnerSettings, PolicySettings
 from taaclab.env import N_ACTIONS, NOOP_ACTION
 from taaclab.learner import Adam, PpoBatch, gae_advantages, ppo_update
-from taaclab.nets import TaacNetConfig, load_snapshot, save_snapshot
+from taaclab.nets import TaacNetConfig, architecture_hash, load_snapshot, save_snapshot
 
 SMALL = TaacNetConfig(obs_width=8, n_actions=6, d_model=8, actor_heads=2, critic_heads=2,
                       embed_hidden=8, post_hidden=8, obs_scale=1.0)
@@ -238,8 +237,7 @@ def test_build_policy_rejects_unknown_kind():
 
 def test_actor_attention_off_isolates_agents():
     rng = np.random.default_rng(6)
-    policy = build_policy("taac_ablation", SMALL, rng,
-                          AblationConfig(actor_attention_off=True))
+    policy = build_policy("taac_ablation", SMALL, rng)
     obs = rng.normal(size=(3, 8))
     base, _ = policy.actor.forward(obs)
     other = obs.copy()
@@ -252,8 +250,7 @@ def test_actor_attention_off_isolates_agents():
 
 def test_critic_v_fixed_freezes_value_matrices_only():
     rng = np.random.default_rng(7)
-    policy = build_policy("taac_ablation", SMALL, rng,
-                          AblationConfig(critic_V_fixed=True))
+    policy = build_policy("taac_ablation", SMALL, rng)
     frozen = {id(t) for t in policy.critic.value_matrices()}
     trainable = {id(t) for t in policy.critic_parameters()}
     everything = {id(t) for t in policy.critic.parameters()}
@@ -304,30 +301,24 @@ def test_policy_from_snapshot_round_trips_ppo():
 
 def test_snapshot_headers_carry_kind_and_flags():
     rng = np.random.default_rng(10)
-    ablation = AblationConfig(actor_attention_off=True, critic_V_fixed=False)
-    policy = build_policy("taac_ablation", SMALL, rng, ablation)
+    policy = build_policy("taac_ablation", SMALL, rng)
+    assert policy.flags == {"actor_attention_off": True, "critic_V_fixed": True}
     snap = policy.to_snapshot(version=2)
     assert snap.kind == "taac_ablation"
-    assert snap.flags == {"actor_attention_off": True, "critic_V_fixed": False}
+    assert snap.flags == {"actor_attention_off": True, "critic_V_fixed": True}
 
     restored = policy_from_snapshot(snap, SMALL)
     assert isinstance(restored, TaacTeamPolicy)
-    assert restored.ablation == ablation
+    assert (restored.kind, restored.flags) == (snap.kind, snap.flags)
+    assert restored.actor.attention_off
     obs = rng.normal(size=(3, 8))
     np.testing.assert_array_equal(restored.actor.probs_np(obs), policy.actor.probs_np(obs))
 
 
-@pytest.mark.parametrize("kind, ablation", [
-    ("taac", None),
-    ("taac_ablation", AblationConfig(actor_attention_off=True)),
-    ("taac_ablation", AblationConfig(critic_V_fixed=True)),
-    ("taac_ablation", AblationConfig(actor_attention_off=True, critic_V_fixed=True)),
-    ("ppo", None),
-    ("random", None),
-    ("inactive", None),
-], ids=["taac", "ablation_attention", "ablation_V", "ablation_both", "ppo", "random", "inactive"])
-def test_every_kind_round_trips_through_a_snapshot_file(tmp_path, kind, ablation):
-    policy = build_policy(kind, SMALL, np.random.default_rng(12), ablation)
+@pytest.mark.parametrize("kind", ["taac", "taac_ablation", "ppo", "random", "inactive"],
+                         ids=["taac", "ablation_both", "ppo", "random", "inactive"])
+def test_every_kind_round_trips_through_a_snapshot_file(tmp_path, kind):
+    policy = build_policy(kind, SMALL, np.random.default_rng(12))
     path = tmp_path / "snapshot.json"
     save_snapshot(policy.to_snapshot(3), path)
     snap = load_snapshot(path)
@@ -346,22 +337,34 @@ def test_every_kind_round_trips_through_a_snapshot_file(tmp_path, kind, ablation
         np.testing.assert_array_equal(restored.act(obs, rng_a), policy.act(obs, rng_b))
 
 
-@pytest.mark.parametrize("kind, ablation", [
-    ("taac", AblationConfig(actor_attention_off=True)),
-    ("taac", AblationConfig(critic_V_fixed=True)),
-    ("taac_ablation", AblationConfig()),
-    ("ppo", AblationConfig(critic_V_fixed=True)),
-    ("random", AblationConfig(actor_attention_off=True)),
-    ("inactive", AblationConfig(actor_attention_off=True, critic_V_fixed=True)),
-])
-def test_build_policy_refuses_a_kind_its_flags_contradict(kind, ablation):
-    with pytest.raises(ValueError, match=f"kind '{kind}' contradicts ablation flags"):
-        build_policy(kind, SMALL, np.random.default_rng(0), ablation)
+# the snapshot format: written by earlier versions, these must keep loading
+PINNED_CONFIG_HASHES = {
+    "taac": "af9d50a06d78b7ee33593c38bb1a760d17db69a08d32a778100bd99edbd67cab",
+    "taac_ablation": "e7a5501d36ce5d63c04921948792221c5e657ce3d352a6b4ae6df87387590378",
+    "ppo": "ca469ec8ce19430e8a99ad6bed73e98aef91a8eb52fcb2a20c383ca937398770",
+    "random": "22bb217dc830100d4f6727cb75d8091c6f56b5bd0f145c84c0aa09291b442aff",
+    "inactive": "7b5f4a3016cec32665e0a0efddcd62d529128569ead3a6eb2369cb3d4f33a5c3",
+}
 
 
-def test_build_policy_defaults_the_ablation_kind_to_both_flags():
-    policy = build_policy("taac_ablation", SMALL, np.random.default_rng(0))
-    assert policy.flags == {"actor_attention_off": True, "critic_V_fixed": True}
+@pytest.mark.parametrize("kind", sorted(PINNED_CONFIG_HASHES))
+def test_config_hash_of_each_kind_is_pinned_under_the_default_net(kind):
+    policy = build_policy(kind, ENV_NET, np.random.default_rng(0))
+    assert policy.config_hash == PINNED_CONFIG_HASHES[kind]
+    assert policy.config_hash == architecture_hash(kind, policy.flags, ENV_NET)
+
+
+def single_flag_ablation_snapshot(net):
+    """A ``taac_ablation`` snapshot with only the attention ablation, as earlier
+    versions could write one; its stored hash is the one its header implies."""
+    snap = build_policy("taac_ablation", net, np.random.default_rng(0)).to_snapshot(1)
+    flags = {"actor_attention_off": True, "critic_V_fixed": False}
+    return dataclasses.replace(snap, flags=flags, config_hash=architecture_hash(snap.kind, flags, net))
+
+
+def test_a_single_flag_ablation_snapshot_is_refused_by_its_architecture_hash():
+    with pytest.raises(ValueError, match="architecture hash"):
+        policy_from_snapshot(single_flag_ablation_snapshot(SMALL), SMALL)
 
 
 @pytest.mark.parametrize("kind", ["random", "inactive"])

@@ -46,8 +46,10 @@ def test_unknown_key_rejected_with_path():
         build_config({"learner": {"gamm": 0.9}})
     with pytest.raises(ConfigError, match="unknown key"):
         build_config({"lerner": {}})
-    # removed knobs: one critic target, one advantage, and spawns drawn only from a passed generator
-    for section, key in (("learner", "critic_target"), ("learner", "advantage_mode"), ("env", "seed")):
+    # removed knobs: one critic target, one advantage, spawns drawn only from a passed generator,
+    # and ablation flags that the policy kind fixes
+    for section, key in (("learner", "critic_target"), ("learner", "advantage_mode"), ("env", "seed"),
+                         ("policy", "actor_attention_off"), ("policy", "critic_V_fixed")):
         with pytest.raises(ConfigError, match=f"^unknown key {section}.{key}$"):
             build_config({section: {key: 0}})
 
@@ -331,9 +333,12 @@ def _with_removed_knob(doc, section, key, value):
      "learner.advantage_mode differs from the run being resumed ('coma' -> None)"),
     (lambda doc: _with_removed_knob(doc, "env", "seed", 0),
      "env.seed differs from the run being resumed (0 -> None)"),
+    (lambda doc: _with_removed_knob(doc, "policy", "actor_attention_off", False),
+     "policy.actor_attention_off differs from the run being resumed (False -> None)"),
 ], ids=["missing", "not-an-object", "no-games_done", "string-version", "top-level-list", "removed-key",
         "no-version", "no-updates", "negative-games_done", "negative-version", "bool-games_done",
-        "bool-updates", "float-version", "string-updates", "removed-advantage_mode", "removed-env-seed"])
+        "bool-updates", "float-version", "string-updates", "removed-advantage_mode", "removed-env-seed",
+        "removed-ablation-flag"])
 def test_a_state_file_without_a_config_is_refused(tmp_path, capsys, edit, message):
     assert main(["train", "--config", tiny_config(tmp_path)]) == 0
     state = tmp_path / "out" / "train_state.json"
@@ -346,8 +351,9 @@ def test_a_state_file_without_a_config_is_refused(tmp_path, capsys, edit, messag
 
 
 REMOVED_KNOBS = [("learner", "critic_target", "td"), ("learner", "advantage_mode", "coma"),
-                 ("env", "seed", 0)]
-REMOVED_KNOB_IDS = ["critic_target", "advantage_mode", "env-seed"]
+                 ("env", "seed", 0), ("policy", "actor_attention_off", False),
+                 ("policy", "critic_V_fixed", True)]
+REMOVED_KNOB_IDS = ["critic_target", "advantage_mode", "env-seed", "actor_attention_off", "critic_V_fixed"]
 
 
 @pytest.mark.parametrize("section, key, value", REMOVED_KNOBS, ids=REMOVED_KNOB_IDS)
@@ -366,7 +372,8 @@ def test_a_run_that_stored_a_removed_knob_starts_over_with_fresh(tmp_path, secti
 @pytest.mark.parametrize("section, key, value", REMOVED_KNOBS, ids=REMOVED_KNOB_IDS)
 def test_a_config_file_naming_a_removed_knob_exits_2_before_any_write(tmp_path, capsys, section, key,
                                                                       value):
-    sections = {"learner": {"snapshot_interval": 5}, "env": {"steps_per_game": 40}}
+    sections = {"learner": {"snapshot_interval": 5}, "env": {"steps_per_game": 40},
+                "policy": {"kind": "taac_ablation"}}
     cfg_path = tiny_config(tmp_path, **{section: {**sections[section], key: value}})
     assert main(["train", "--config", cfg_path]) == 2
     assert f"validation failure: unknown key {section}.{key}\n" in capsys.readouterr().err
@@ -507,18 +514,33 @@ def test_cli_league_rejects_a_text_format_snapshot(tmp_path, capsys):
     assert "text snapshots are no longer read" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("policy", [
-    {"kind": "taac", "actor_attention_off": True},
-    {"kind": "taac", "critic_V_fixed": True},
-    {"kind": "taac_ablation"},
-    {"kind": "ppo", "critic_V_fixed": True},
-    {"kind": "random", "actor_attention_off": True},
-], ids=["taac_attention_off", "taac_V_fixed", "ablation_no_flag", "ppo_flag", "random_flag"])
-def test_cli_train_refuses_a_kind_its_flags_contradict(tmp_path, capsys, policy):
-    cfg_path = tiny_config(tmp_path, policy=policy)
-    assert main(["train", "--config", cfg_path]) == 2
-    assert f"kind '{policy['kind']}' contradicts ablation flags" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "training_log.jsonl").exists()
+def test_a_bare_ablation_kind_trains_with_both_ablations(tmp_path):
+    from taaclab.baselines import build_policy
+    from taaclab.nets import load_snapshot
+
+    cfg_path = tiny_config(tmp_path, policy={"kind": "taac_ablation"})
+    assert main(["train", "--config", cfg_path]) == 0
+    out = tmp_path / "out"
+    with open(out / "training_log.jsonl") as fh:
+        assert [json.loads(line)["games"] for line in fh] == [1]  # one update ran
+    snap = load_snapshot(out / "snapshots" / sorted(os.listdir(out / "snapshots"))[-1])
+    assert snap.kind == "taac_ablation"
+    assert snap.flags == {"actor_attention_off": True, "critic_V_fixed": True}
+    initial = build_policy("taac_ablation", parse_config(cfg_path).net,
+                           np.random.default_rng(np.random.SeedSequence([11, 0])))
+    frozen = {id(t) for t in initial.critic.value_matrices()}
+    moved = {path: not np.array_equal(snap.params[path], t.data)
+             for path, t in initial.critic.named_parameters().items()}
+    assert frozen and not any(moved[path] for path, t in initial.critic.named_parameters().items()
+                              if id(t) in frozen)
+    assert any(moved.values())  # the update did reach the rest of the critic
+
+
+def test_cli_league_refuses_a_repeated_kind_before_any_write(tmp_path, capsys):
+    cfg_path = tiny_config(tmp_path, league={"kinds": ["taac", "taac"], "n_games": 1})
+    assert main(["league", "--config", cfg_path]) == 2
+    assert "league: kinds must not repeat, got 'taac' more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_eval_refuses_a_random_snapshot_with_a_wrong_hash(tmp_path, capsys):
@@ -530,6 +552,19 @@ def test_cli_eval_refuses_a_random_snapshot_with_a_wrong_hash(tmp_path, capsys):
                  str(tmp_path / "report.json")]) == 0
     bad = write_json(tmp_path / "bad.json", dict(doc, config_hash="0" * 64))
     assert main(["eval", "--a", bad, "--b", good, "--games", "1"]) == 2
+    assert "architecture hash" in capsys.readouterr().err
+
+
+def test_cli_eval_refuses_a_single_flag_ablation_snapshot(tmp_path, capsys):
+    from taaclab.baselines import build_policy
+    from taaclab.nets import TaacNetConfig, architecture_hash
+
+    # earlier versions could write a taac_ablation snapshot with one ablation; its hash is its header's
+    doc = build_policy("taac_ablation", TaacNetConfig(), np.random.default_rng(0)).to_snapshot(1).to_doc()
+    flags = {"actor_attention_off": True, "critic_V_fixed": False}
+    path = write_json(tmp_path / "single.json", dict(doc, flags=flags, config_hash=architecture_hash(
+        "taac_ablation", flags, TaacNetConfig())))
+    assert main(["eval", "--a", path, "--b", path, "--games", "1"]) == 2
     assert "architecture hash" in capsys.readouterr().err
 
 

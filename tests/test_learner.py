@@ -77,6 +77,29 @@ def test_returns_three_step_hand_case():
     np.testing.assert_allclose(G[:, 0], [2.75, 3.5, 3.0])
 
 
+def ref_compute_returns(rewards, gamma):
+    """The numpy-row loop ``compute_returns`` replaced: one row op per step."""
+    G = np.zeros(rewards.shape)
+    tail = np.zeros(rewards.shape[1])
+    for t in range(len(rewards) - 1, -1, -1):
+        tail = rewards[t] + gamma * tail
+        G[t] = tail
+    return G
+
+
+@pytest.mark.parametrize("shape, zero", [((240, 3), False), ((37, 2), False), ((1, 3), False),
+                                         ((240, 3), True)], ids=["240x3", "37x2", "1x3", "all-zero"])
+def test_returns_equal_the_numpy_row_loop_bit_for_bit(shape, zero):
+    rng = np.random.default_rng(sum(shape))
+    for gamma in (0.99, 0.9, 1.0, 0.0):
+        rewards = np.zeros(shape) if zero else rng.normal(size=shape) * 10.0
+        traj = Trajectory(np.zeros(shape + (2,)), np.zeros(shape, dtype=np.int64), rewards)
+        got, want = compute_returns(traj, gamma), ref_compute_returns(rewards, gamma)
+        assert got is traj.returns
+        assert got.shape == want.shape and got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
 @settings(max_examples=40, deadline=None)
 def test_returns_satisfy_recursion_exactly(seed, gamma):

@@ -75,3 +75,5 @@ def test_probes_see_one_game_event_per_game_and_one_step_event_per_step(name, tm
     if name == "train_taac":
         assert {"nn.attention_forward", "nets.actor_forward", "nets.critic_forward",
                 "nets.actor_probs_np"} <= spans
+    if name == "league_desk":  # the desk league's 3-argument build_policy plays the ablated team
+        assert {"baselines.act.taac", "baselines.act.taac_ablation"} <= spans
