@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+
 import numpy as np
 
 from . import autodiff as ad
@@ -31,7 +32,6 @@ from .nets import (
 from .nn import Mlp
 
 POLICY_KINDS = ("taac", "taac_ablation", "ppo", "random")
-
 
 
 def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
