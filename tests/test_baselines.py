@@ -354,17 +354,13 @@ def test_config_hash_of_each_kind_is_pinned_under_the_default_net(kind):
     assert policy.config_hash == architecture_hash(kind, policy.flags, ENV_NET)
 
 
-def single_flag_ablation_snapshot(net):
-    """A ``taac_ablation`` snapshot with only the attention ablation, as earlier
-    versions could write one; its stored hash is the one its header implies."""
-    snap = build_policy("taac_ablation", net, np.random.default_rng(0)).to_snapshot(1)
-    flags = {"actor_attention_off": True, "critic_V_fixed": False}
-    return dataclasses.replace(snap, flags=flags, config_hash=architecture_hash(snap.kind, flags, net))
-
-
 def test_a_single_flag_ablation_snapshot_is_refused_by_its_architecture_hash():
+    # earlier versions could write a taac_ablation snapshot with one ablation; its hash is its header's
+    snap = build_policy("taac_ablation", SMALL, np.random.default_rng(0)).to_snapshot(1)
+    flags = {"actor_attention_off": True, "critic_V_fixed": False}
+    single = dataclasses.replace(snap, flags=flags, config_hash=architecture_hash(snap.kind, flags, SMALL))
     with pytest.raises(ValueError, match="architecture hash"):
-        policy_from_snapshot(single_flag_ablation_snapshot(SMALL), SMALL)
+        policy_from_snapshot(single, SMALL)
 
 
 @pytest.mark.parametrize("kind", ["random", "inactive"])
