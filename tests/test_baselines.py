@@ -299,10 +299,14 @@ def test_policy_from_snapshot_round_trips_ppo():
     np.testing.assert_array_equal(restored.probs_np(obs), policy.probs_np(obs))
 
 
+def test_build_policy_defaults_the_ablation_kind_to_both_flags():
+    policy = build_policy("taac_ablation", SMALL, np.random.default_rng(0))
+    assert policy.flags == {"actor_attention_off": True, "critic_V_fixed": True}
+
+
 def test_snapshot_headers_carry_kind_and_flags():
     rng = np.random.default_rng(10)
     policy = build_policy("taac_ablation", SMALL, rng)
-    assert policy.flags == {"actor_attention_off": True, "critic_V_fixed": True}
     snap = policy.to_snapshot(version=2)
     assert snap.kind == "taac_ablation"
     assert snap.flags == {"actor_attention_off": True, "critic_V_fixed": True}
