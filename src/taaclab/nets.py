@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nn import Mlp, MultiHeadAttention
+from .nn import Mlp, MultiHeadAttention, _dense
 
 
 @dataclass(frozen=True)
@@ -61,6 +61,16 @@ def _stable_softmax_np(logits: np.ndarray) -> np.ndarray:
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
     return logits
+
+
+def _action_ids(actions, n_actions: int) -> np.ndarray:
+    """Action ids as int64; ValueError on a float or bool dtype or an id outside [0, n_actions)."""
+    actions = np.asarray(actions)
+    if actions.dtype.kind not in "iu":  # a cast would play 0.5 and -0.5 as 0
+        raise ValueError(f"action ids must be integers, got dtype {actions.dtype}")
+    if np.any(actions < 0) or np.any(actions >= n_actions):
+        raise ValueError(f"action ids out of range [0, {n_actions})")
+    return actions.astype(np.int64, copy=False)
 
 
 class ActorNet:
@@ -126,9 +136,7 @@ class CriticNet:
 
     def _inputs(self, obs: np.ndarray, actions: np.ndarray) -> np.ndarray:
         obs = np.asarray(obs, dtype=np.float64) / self.cfg.obs_scale
-        actions = np.asarray(actions, dtype=np.int64)
-        if np.any(actions < 0) or np.any(actions >= self.cfg.n_actions):
-            raise ValueError(f"action ids out of range [0, {self.cfg.n_actions})")
+        actions = _action_ids(actions, self.cfg.n_actions)
         onehot = np.zeros(obs.shape[:-1] + (self.cfg.n_actions,))
         np.put_along_axis(onehot, actions[..., None], 1.0, axis=-1)
         return np.concatenate([obs, onehot], axis=-1)
@@ -176,9 +184,7 @@ def counterfactual_baselines(obs: np.ndarray, actions: np.ndarray, probs: np.nda
     single-action substitutions. Never depends on actions[i].
     """
     obs = np.asarray(obs, dtype=np.float64)
-    actions = np.asarray(actions, dtype=np.int64)
-    n = obs.shape[0]
-    n_act = critic.cfg.n_actions
+    n, n_act = obs.shape[0], critic.cfg.n_actions
     act_stack = np.tile(actions, (n * n_act, 1))
     for i in range(n):
         act_stack[i * n_act:(i + 1) * n_act, i] = np.arange(n_act)
@@ -190,46 +196,61 @@ def counterfactual_baselines(obs: np.ndarray, actions: np.ndarray, probs: np.nda
     return b
 
 
-# substitution rows per pass of counterfactual_baselines_batch: a block's
-# intermediates stay in a 4 MiB L2 (8,192-row passes took ~1.6x as long)
+# substitution rows per pass of counterfactual_baselines_batch: a block's intermediates stay
+# in a 4 MiB L2 (8,192-row passes took ~1.6x as long). At n * A = 54 a block is 972 rows and
+# its workspace 284 columns on the smoke net (2.1 MiB), 476 on the default net (3.5 MiB)
 _CF_BLOCK_ROWS = 1024
 
 
 def counterfactual_baselines_batch(obs_stack: np.ndarray, act_stack: np.ndarray,
                                    probs_stack: np.ndarray, critic: CriticNet) -> np.ndarray:
-    """Baselines for a whole batch of transitions, computed from the critic's parts.
-
-    ``obs_stack`` is (T, n, obs_width), ``act_stack`` (T, n), ``probs_stack``
-    (T, n, A). Returns (T, n). Matches counterfactual_baselines applied per
-    transition. Each (agent, action) pair is embedded once. Substituting
-    agent i's action changes only agent i's key and value, and only agent
-    i's value is needed, so each substitution attends from one query row.
-    Blocks of at most ``_CF_BLOCK_ROWS`` substitutions (at least one
-    transition) run per pass.
+    """Baselines for (T, n, obs_width) observations, (T, n) integer action ids in [0, A)
+    and (T, n, A) distributions, from the critic's parts: (T, n), as counterfactual_baselines
+    per transition; other inputs raise ValueError before any block runs. Each (agent, action)
+    pair is embedded once. Substituting agent i's action changes only agent i's key and value,
+    and only agent i's value is needed, so each substitution attends from one query row.
+    Blocks of at most ``_CF_BLOCK_ROWS`` substitutions (at least one transition) write every
+    intermediate with ``out=`` into views of one workspace, ``min(T, step) * n * A`` rows by
+    the sum of the layer widths; the one-hot input columns are written once. One allocation,
+    not one per view: freed at the end of the call, it raises glibc's dynamic mmap threshold,
+    so the tape updates' transients are no longer trimmed from the heap and faulted in again.
     """
-    obs_stack = np.asarray(obs_stack, dtype=np.float64)
-    act_stack = np.asarray(act_stack, dtype=np.int64)
-    T, n = act_stack.shape
-    A = critic.cfg.n_actions
+    A, obs_width = critic.cfg.n_actions, critic.cfg.obs_width
+    act_stack = _action_ids(act_stack, A)
+    obs_stack, probs_stack = np.asarray(obs_stack, dtype=np.float64), np.asarray(probs_stack)
+    shape = act_stack.shape
+    if len(shape) != 2 or obs_stack.shape != shape + (obs_width,) or probs_stack.shape != shape + (A,):
+        raise ValueError(f"expected act_stack (T, n), obs_stack (T, n, {obs_width}) and probs_stack "
+                         f"(T, n, {A}); got {shape}, {obs_stack.shape} and {probs_stack.shape}")
+    T, n = shape
     step = max(1, _CF_BLOCK_ROWS // (n * A))
-    idx = np.arange(n)
-    out = np.empty((T, n))
+    heads, embed, post = critic.attn.heads, critic.embed.layers, critic.post.layers
+    d, d_k = heads[0].wq.shape
+    widths = [embed[0].w.shape[0], post[0].w.shape[0], d_k, d_k, d_k, n] + [lr.w.shape[1] for lr in embed + post]
+    rows = min(T, step) * n * A
+    parts = np.split(np.empty(rows * sum(widths)), np.cumsum(widths[:-1]) * rows)
+    x, post_in, q, k, v, s, *layer_out = (part.reshape(rows, w) for part, w in zip(parts, widths))
+    x.reshape(-1, n, A, x.shape[1])[..., obs_width:] = np.eye(A)  # row a: one-hot of action a
+    idx, out = np.arange(n), np.empty((T, n))
     for start in range(0, T, step):
         acts = act_stack[start:start + step]
-        x = critic._inputs(obs_stack[start:start + step], acts)  # checks the action ids
-        x = np.repeat(x[:, :, None], A, axis=2)                  # (t, n, A, in)
-        x[..., -A:] = np.eye(A)                                   # row a: one-hot of action a
-        m = critic.embed.forward_np(x)                            # (t, n, A, d)
-        t, taken = m.shape[0], acts[:, :, None, None]
-        heads = [m]
-        for head in critic.attn.heads:  # per-head GEMMs: slices of one packed GEMM slow what follows
-            q, k, v = ((m.reshape(-1, m.shape[-1]) @ w.data).reshape(t, n, A, -1)
-                       for w in (head.wq, head.wk, head.wv))
-            k_act = np.take_along_axis(k, taken, axis=2)[:, :, 0]  # keys of the taken actions
-            v_act = np.take_along_axis(v, taken, axis=2)[:, :, 0]
-            scores = (q.reshape(t, n * A, -1) @ np.swapaxes(k_act, 1, 2)).reshape(t, n, A, n)
-            scores[:, idx, :, idx] = (q * k).sum(axis=-1).transpose(1, 0, 2)
-            scores /= math.sqrt(k.shape[-1])
+        t, r = len(acts), len(acts) * n * A
+        np.divide(obs_stack[start:start + step, :, None], critic.cfg.obs_scale,
+                  out=x[:r].reshape(t, n, A, -1)[..., :obs_width])
+        m = x[:r]
+        for layer, dest in zip(embed, layer_out):
+            m = _dense(m, layer, out=dest[:r])                    # (t * n * A, d)
+        post_in[:r, :d] = m
+        taken = np.arange(0, r, A) + acts.ravel()  # row (t * n + i) * A + a of each taken action
+        q4, k4, v4 = (buf[:r].reshape(t, n, A, d_k) for buf in (q, k, v))
+        scores = s[:r].reshape(t, n, A, n)
+        for h, head in enumerate(heads):  # per-head GEMMs: slices of one packed GEMM slow what follows
+            for w, buf in zip((head.wq, head.wk, head.wv), (q, k, v)):
+                np.matmul(m, w.data, out=buf[:r])
+            k_act, v_act = (buf[taken].reshape(t, n, d_k) for buf in (k, v))  # of the taken actions
+            np.matmul(q4.reshape(t, n * A, d_k), np.swapaxes(k_act, 1, 2), out=scores.reshape(t, n * A, n))
+            scores[:, idx, :, idx] = np.multiply(q4, k4, out=q4).sum(axis=-1).transpose(1, 0, 2)
+            scores /= math.sqrt(d_k)
             # softmax over the n keys from elementwise ops on the n key slices; the in-order
             # sum equals numpy's reduction over a last axis shorter than 8, bit for bit
             keys = [scores[..., j] for j in range(n)]
@@ -238,9 +259,13 @@ def counterfactual_baselines_batch(obs_stack: np.ndarray, act_stack: np.ndarray,
             scores /= functools.reduce(np.add, keys)[..., None]
             own = scores[:, idx, :, idx].transpose(1, 0, 2)[..., None]  # weight on the substituted row
             scores[:, idx, :, idx] = 0.0
-            heads.append((scores.reshape(t, n * A, n) @ v_act).reshape(v.shape) + own * v)
-        q_sub = critic.post.forward_np(np.concatenate(heads, axis=-1))[..., 0]  # (t, n, A)
-        out[start:start + step] = np.einsum("tia,tia->ti", probs_stack[start:start + step], q_sub)
+            np.matmul(scores.reshape(t, n * A, n), v_act, out=k4.reshape(t, n * A, d_k))  # q, k are spent
+            head_out = post_in[:r].reshape(t, n, A, -1)[..., d + h * d_k:d + (h + 1) * d_k]
+            np.add(k4, np.multiply(own, v4, out=q4), out=head_out)
+        y = post_in[:r]
+        for layer, dest in zip(post, layer_out[len(embed):]):
+            y = _dense(y, layer, out=dest[:r])
+        out[start:start + step] = np.einsum("tia,tia->ti", probs_stack[start:start + step], y.reshape(t, n, A))
     return out
 
 

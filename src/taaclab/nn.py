@@ -95,11 +95,11 @@ class Mlp:
         return out
 
 
-def _dense(x: np.ndarray, layer: DenseLayer, relu_preacts: list | None = None) -> np.ndarray:
-    """One layer over (rows, in) rows, into a fresh array. A one-column layer is a per-row
-    dot (einsum), so each row is bit-identical whatever the row count; BLAS gemv is not."""
+def _dense(x: np.ndarray, layer: DenseLayer, relu_preacts: list | None = None, out=None) -> np.ndarray:
+    """One layer over (rows, in) rows, into ``out`` or a fresh array. A one-column layer is a
+    per-row dot (einsum), so each row is bit-identical whatever the row count; BLAS gemv is not."""
     w = layer.w.data
-    y = np.einsum("ij,jk->ik", x, w) if w.shape[1] == 1 else x @ w
+    y = np.einsum("ij,jk->ik", x, w, out=out) if w.shape[1] == 1 else np.matmul(x, w, out=out)
     y += layer.b.data
     if layer.activation == "relu":
         if relu_preacts is not None:

@@ -1,14 +1,17 @@
 import json
 import os
+import re
 
+import baseline_reference
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taaclab import autodiff as ad
-from taaclab import nets
+from taaclab import learner, nets
 from taaclab.autodiff import Tensor, grad_check
+from taaclab.baselines import build_policy
 from taaclab.env import EnvConfig, observe_team, reset
 from taaclab.nets import (
     ActorNet,
@@ -27,6 +30,7 @@ from taaclab.nn import Mlp
 
 SMALL = TaacNetConfig(obs_width=8, n_actions=6, d_model=8, actor_heads=2, critic_heads=2,
                       embed_hidden=8, post_hidden=8, obs_scale=1.0)
+SMOKE = TaacNetConfig(d_model=32, actor_heads=2, critic_heads=2, embed_hidden=32, post_hidden=32)
 ENV_NET = TaacNetConfig()
 
 
@@ -291,6 +295,83 @@ def test_batched_baselines_reject_a_bad_action_id_in_the_last_block(bad):
     acts[-1, 2] = bad  # only the ragged third block holds it
     with pytest.raises(ValueError, match="action ids out of range"):
         counterfactual_baselines_batch(obs, acts, probs, critic)
+
+
+@pytest.mark.parametrize("acts", [lambda a: a + 0.5, lambda a: np.where(a == a[0, 0], -0.5, a),
+                                  lambda a: a.astype(float), lambda a: a > 2],
+                         ids=["plus-half", "minus-half", "float-valued-ints", "bool"])
+def test_batched_baselines_refuse_action_ids_that_are_not_integers(acts):
+    obs, ids, probs, critic = _baseline_batch(5)
+    with pytest.raises(ValueError, match="action ids must be integers"):
+        counterfactual_baselines_batch(obs, acts(ids), probs, critic)
+
+
+@pytest.mark.parametrize("probs_shape", [(5, 3, 1), (1, 3, 6), (5, 1, 6)])
+def test_batched_baselines_refuse_probs_that_would_broadcast(probs_shape):
+    obs, acts, _, critic = _baseline_batch(5)
+    with pytest.raises(ValueError, match=re.escape(f"got (5, 3), (5, 3, 8) and {probs_shape}")):
+        counterfactual_baselines_batch(obs, acts, np.full(probs_shape, 0.5), critic)
+
+
+@pytest.mark.parametrize("obs_shape", [(4, 3, 8), (5, 2, 8), (5, 3, 7), (5, 3)])
+def test_batched_baselines_refuse_observations_of_another_shape(obs_shape):
+    _, acts, probs, critic = _baseline_batch(5)
+    with pytest.raises(ValueError, match=re.escape(f"got (5, 3), {obs_shape} and (5, 3, 6)")):
+        counterfactual_baselines_batch(np.zeros(obs_shape), acts, probs, critic)
+
+
+def test_batched_baselines_refuse_actions_that_are_not_one_row_per_transition():
+    obs, acts, probs, critic = _baseline_batch(5)
+    with pytest.raises(ValueError, match=re.escape("expected act_stack (T, n)")):
+        counterfactual_baselines_batch(obs, acts.reshape(-1), probs, critic)
+
+
+@pytest.mark.parametrize("actions", [np.array([0.5, 1.0, 2.0]), np.array([-0.5, 1.0, 2.0]),
+                                     np.array([True, False, True])], ids=["plus-half", "minus-half", "bool"])
+def test_critic_refuses_action_ids_that_are_not_integers(actions):
+    critic = CriticNet(SMALL, np.random.default_rng(14))
+    with pytest.raises(ValueError, match="action ids must be integers"):
+        critic.q_np(np.zeros((3, 8)), actions)
+    with pytest.raises(ValueError, match="action ids must be integers"):
+        counterfactual_baselines(np.zeros((3, 8)), actions, np.full((3, 6), 1 / 6), critic)
+
+
+# T = 17 and 19 end in a ragged block on the 18-transition blocks of the 18-action
+# nets, 57 on the 56-transition blocks of SMALL; 480 runs 27 blocks
+ORACLE_T = (1, 17, 18, 19, 56, 57, 130, 240, 480)
+
+
+def _scaled_batch(cfg, T, rng):
+    """Observations at the net's scale, random ids and distributions over (T, 3) agents."""
+    obs = rng.normal(scale=cfg.obs_scale, size=(T, 3, cfg.obs_width))
+    probs = rng.random(size=(T, 3, cfg.n_actions))
+    return obs, rng.integers(0, cfg.n_actions, size=(T, 3)), probs / probs.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("kind", ["taac", "taac_ablation"])
+@pytest.mark.parametrize("cfg", [SMALL, SMOKE, ENV_NET], ids=["small", "smoke", "default"])
+def test_batched_baselines_equal_the_reference_kernel_bit_for_bit(cfg, kind):
+    critic = build_policy(kind, cfg, np.random.default_rng(15)).critic
+    rng = np.random.default_rng(16)
+    for T in ORACLE_T:
+        obs, acts, probs = _scaled_batch(cfg, T, rng)
+        np.testing.assert_array_equal(
+            counterfactual_baselines_batch(obs, acts, probs, critic),
+            baseline_reference.counterfactual_baselines_batch(obs, acts, probs, critic), err_msg=f"T={T}")
+
+
+def test_batched_baselines_equal_the_reference_kernel_on_three_concatenated_games():
+    policy = build_policy("taac", SMOKE, np.random.default_rng(17))
+    env_cfg = EnvConfig(steps_per_game=70)
+    rng = np.random.default_rng(18)
+    batch = [traj for _ in range(3)
+             for traj in learner.play_training_game(policy, build_policy("random", SMOKE, rng), env_cfg,
+                                                    rng, "random_spawns")[0]]
+    obs, acts, _ = learner._stacked(batch, 0.9)
+    assert len(batch) >= 3 and len(acts) == 210
+    probs = policy.actor.probs_np(obs)
+    np.testing.assert_array_equal(counterfactual_baselines_batch(obs, acts, probs, policy.critic),
+                                  baseline_reference.counterfactual_baselines_batch(obs, acts, probs, policy.critic))
 
 
 # ---------------------------------------------------------------------------

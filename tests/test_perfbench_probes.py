@@ -72,8 +72,9 @@ def test_probes_see_one_game_event_per_game_and_one_step_event_per_step(name, tm
     assert np.count_nonzero(kinds == instrument.GAME) == wl.games
     assert np.count_nonzero(kinds == instrument.STEP) == steps
     spans = {rec[instrument.NAME] for rec in tracer.spans}
-    if name == "train_taac":
+    if name == "train_taac":  # the baseline's span wraps learner.counterfactual_baselines_batch by name
         assert {"nn.attention_forward", "nets.actor_forward", "nets.critic_forward",
-                "nets.actor_probs_np"} <= spans
+                "nets.actor_probs_np", "nets.cf_baselines_batch", "learner.critic_update",
+                "learner.actor_update"} <= spans
     if name == "league_desk":  # the desk league's 3-argument build_policy plays the ablated team
         assert {"baselines.act.taac", "baselines.act.taac_ablation"} <= spans

@@ -45,20 +45,24 @@ DESK_LEAGUE_DIGESTS = {
     "matches.csv": "02774a832e34352f093220de19b4da382bce33d592318c22d99a89a03529d6aa",
 }
 
+# `train_taac` at seed 7 with 3 games of 60 steps and games_per_update = 3: one
+# update of 180 transitions, so the counterfactual baseline runs in several blocks
+MULTI_BLOCK_TRAIN_DIGEST = "db2d6f9f0d4d2ff39e9a22b2a5a280962dd1e39d5eae3de3ad7a690d537be66b"
+
 # `taaclab eval`'s report: taac against ppo, 4 games on the small pitch, seed 7
 HEAD_TO_HEAD_DIGEST = "60b24a04d8abedd71fe245b98daa1468b3c8b2516b116135e9d5ace873d18ea3"
 
 # Runs in a fresh interpreter: the BLAS thread count is read when numpy loads.
 _PROBE = r"""
-import contextlib, hashlib, io, json, os, sys, tempfile
+import contextlib, dataclasses, hashlib, io, json, os, sys, tempfile
 sys.path.insert(0, os.path.join(sys.argv[1], "perfbench"))
 import hostenv
 hostenv.prepare_process()
 import numpy as np
 import workloads
-from taaclab import cli
+from taaclab import cli, learner
 from taaclab.baselines import build_policy
-from taaclab.config import LeagueSettings
+from taaclab.config import CurriculumSettings, LeagueSettings
 from taaclab.env import EnvConfig
 from taaclab.evaluation import head_to_head, run_league
 
@@ -73,6 +77,17 @@ with tempfile.TemporaryDirectory() as tmp:
         run_dir = os.path.join(tmp, name)
         wl.call(run_dir)
         out["workloads"][name] = wl.digest(run_dir)
+
+    # one update over 3 games: the counterfactual baseline runs in several blocks
+    cfg = workloads.TrainTaac(7, "full").cfg
+    multi = dataclasses.replace(
+        cfg, env=workloads.smoke_env(60), out_dir=os.path.join(tmp, "multi"),
+        learner=dataclasses.replace(cfg.learner, games_per_update=3),
+        curriculum=CurriculumSettings(stage_games=(3, 0, 0, 0))).validate()
+    learner.run_curriculum(multi, resume=False)
+    with open(os.path.join(tmp, "multi", "training_log.jsonl")) as fh:
+        out["multi_block_transitions"] = [json.loads(line)["transitions"] for line in fh]
+    out["multi_block_train"] = sha(os.path.join(tmp, "multi", "training_log.jsonl"))
 
     # small pitch and short games, so goals and respawns happen
     env = EnvConfig(pitch_length=20.0, pitch_width=14.0, goal_width=10.0, steps_per_game=60)
@@ -129,6 +144,11 @@ def pinned_run() -> dict:
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_DIGESTS))
 def test_seed_7_workload_digest_is_pinned(pinned_run, workload):
     assert pinned_run["workloads"][workload] == WORKLOAD_DIGESTS[workload]
+
+
+def test_multi_block_train_taac_digest_is_pinned(pinned_run):
+    assert pinned_run["multi_block_transitions"] == [180]  # one update over all three games
+    assert pinned_run["multi_block_train"] == MULTI_BLOCK_TRAIN_DIGEST
 
 
 def test_league_report_matches_and_replays_are_pinned(pinned_run):
