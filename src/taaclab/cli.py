@@ -12,9 +12,7 @@ failure (NaN abort).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
 import os
 import sys
@@ -168,7 +166,7 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_replay(args) -> int:
     from .config import parse_config
     from .env import N_PLAYERS, team_of
-    from .evaluation import match_metrics, read_replay
+    from .evaluation import METRIC_COLUMNS, csv_text, match_metrics, metric_cell, read_replay
     from .nets import write_text_atomic
 
     cfg = parse_config(args.config)
@@ -201,15 +199,9 @@ def _cmd_replay(args) -> int:
     per_step = match_metrics(positions, touches, [frame.get("episode_done") for frame in frames],
                              cfg.env.player_radius, cfg.league.conn_d_min, cfg.league.conn_d_max)
     for k, row in enumerate(rows):
-        for team in range(2):
-            row[f"pairdist_{team}"] = f"{per_step['pairwise_distance'][team, k]:.6f}"
-            row[f"conn_{team}"] = f"{per_step['connectivity'][team, k]:.6f}"
-            row[f"swaps_{team}"] = int(per_step["possession_swaps"][team, k])
-    table = io.StringIO()
-    writer = csv.DictWriter(table, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-    write_text_atomic(args.out, table.getvalue())
+        row.update({f"{prefix}_{team}": metric_cell(per_step[metric][team, k])
+                    for team in range(2) for metric, prefix in METRIC_COLUMNS.items()})
+    write_text_atomic(args.out, csv_text(rows))
     print(f"wrote {len(rows)} frames to {args.out}")
     return EXIT_OK
 

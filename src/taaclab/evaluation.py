@@ -18,7 +18,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,22 +44,6 @@ def elo_update(r_a: float, r_b: float, outcome: str, k: float = 32.0) -> tuple[f
     expected_a = 1.0 / (1.0 + 10.0 ** ((r_b - r_a) / 400.0))
     delta = math.ldexp(round(math.ldexp(k * (scores[outcome] - expected_a), 20)), -20)
     return r_a + delta, r_b - delta
-
-
-@dataclass
-class EloTable:
-    k: float = 32.0
-    initial: float = 1200.0
-    ratings: dict = field(default_factory=dict)
-
-    def rating(self, name: str) -> float:
-        return self.ratings.get(name, self.initial)
-
-    def record(self, name_a: str, name_b: str, outcome: str) -> tuple[float, float]:
-        r_a, r_b = elo_update(self.rating(name_a), self.rating(name_b), outcome, self.k)
-        self.ratings[name_a] = r_a
-        self.ratings[name_b] = r_b
-        return r_a, r_b
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +119,15 @@ def count_possession_swaps(touches: Sequence[tuple[int, int]], team: int) -> int
 
 def match_metrics(positions: np.ndarray, touches: Sequence[Sequence], episode_done: Sequence[bool],
                   player_radius: float, d_min: float, d_max: float) -> dict[str, np.ndarray]:
-    """Both teams' collaboration metrics at each step of a game, as (2, T) arrays.
+    """Both teams' collaboration metrics at each step of a game, as (2, T) arrays,
+    keyed and ordered as ``METRIC_COLUMNS``.
 
     ``positions`` is the (T, 6, 2) player trajectory; ``touches`` and
     ``episode_done`` are each step's (player, team) ball touches and
-    episode-end flag. Possession swaps count from the first step, and the
-    possession chain does not bridge the respawn after an episode ends.
+    episode-end flag. A float metric is a per-step value, which a game
+    averages; an integer metric is a running count, whose last value is the
+    game's. Possession swaps count from the first step, and the possession
+    chain does not bridge the respawn after an episode ends.
     """
     gained = []
     head: list = []  # the episode's latest touch: who holds the ball
@@ -155,6 +142,24 @@ def match_metrics(positions: np.ndarray, touches: Sequence[Sequence], episode_do
                                   for idx in teams]),
         "possession_swaps": np.cumsum(gained, axis=0).T,
     }
+
+
+# each collaboration metric and the prefix of its columns in matches.csv and replay CSVs
+METRIC_COLUMNS = {"pairwise_distance": "pairdist", "connectivity": "conn", "possession_swaps": "swaps"}
+
+
+def metric_cell(value):
+    """A metric's CSV cell: an integer as is, a float to 6 decimal places."""
+    return f"{value:.6f}" if isinstance(value, float) else int(value)
+
+
+def csv_text(rows: Sequence[dict]) -> str:
+    """CSV text of ``rows``, with the first row's keys as the header."""
+    table = io.StringIO()
+    writer = csv.DictWriter(table, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    return table.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +278,8 @@ def play_match(team_a, team_b, cfg: EnvConfig, seed: int,
     episode_done = [ev.episode_done for ev in game.events]
     per_step = match_metrics(game.trail.take(game.after).player_pos, [ev.ball_touches for ev in game.events],
                              episode_done, cfg.player_radius, conn_d_min, conn_d_max)
-    metrics = {
-        str(team): {
-            "pairwise_distance": float(np.mean(per_step["pairwise_distance"][team])),
-            "connectivity": float(np.mean(per_step["connectivity"][team])),
-            "possession_swaps": int(per_step["possession_swaps"][team, -1]),
-        }
-        for team in range(2)
-    }
+    metrics = {str(team): {metric: float(np.mean(v[team])) if v.dtype.kind == "f" else int(v[team, -1])
+                           for metric, v in per_step.items()} for team in range(2)}
     return MatchRecord(team_a=name_a, team_b=name_b, score=tuple(game.scores.tolist()),
                        episode_lengths=np.diff(np.flatnonzero(episode_done) + 1, prepend=0).tolist(),
                        metrics=metrics, frames=_replay_frames(game) if record_frames else None)
@@ -331,8 +330,8 @@ def run_league(teams: Sequence[tuple[str, object]], env_cfg: EnvConfig, league_c
 
     n_games = league_cfg.n_games
     schedule_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    schedule = [tuple(schedule_rng.choice(len(teams), size=2, replace=False))
-                for _ in range(n_games)]
+    schedule = np.array([schedule_rng.choice(len(teams), size=2, replace=False)
+                         for _ in range(n_games)])  # (G, 2) team indices: first-listed, second
     match_seeds = schedule_rng.integers(0, 2**62, size=n_games)
 
     save_replays = bool(league_cfg.save_replays and out_dir)
@@ -342,59 +341,43 @@ def run_league(teams: Sequence[tuple[str, object]], env_cfg: EnvConfig, league_c
                             threads=league_cfg.threads, spawn_mode=league_cfg.spawn_mode,
                             record_frames=save_replays, conn_d_min=league_cfg.conn_d_min,
                             conn_d_max=league_cfg.conn_d_max)
+    diff = np.array([rec.goal_diff for rec in records])  # (G,) from the first-listed team's side
 
-    table = EloTable(k=league_cfg.elo_k, initial=league_cfg.elo_initial)
+    def tally(games: np.ndarray, weights=1) -> np.ndarray:
+        """(n, n) sums of ``weights`` at each game's (first, second) team indices."""
+        out = np.zeros((len(teams), len(teams)), dtype=np.asarray(weights).dtype)
+        np.add.at(out, tuple(games.T), weights)
+        return out
+
+    first_won, second_won, tied = (tally(schedule[games]) for games in (diff > 0, diff < 0, diff == 0))
+    pair_games = tally(schedule)
+    pair_games += pair_games.T
+    diff_sum = tally(schedule, diff.astype(np.float64))  # sums of integers: the same bits in any order
+    diff_matrix = np.where(pair_games > 0, (diff_sum - diff_sum.T) / np.maximum(pair_games, 1), 0.0)
+
+    ratings = dict.fromkeys(names, league_cfg.elo_initial)
     trajectories: dict[str, list] = {name: [] for name in names}
-    n = len(teams)
-    wins = np.zeros((n, n), dtype=np.int64)
-    ties = np.zeros((n, n), dtype=np.int64)
-    pair_games = np.zeros((n, n), dtype=np.int64)
-    diff_sum = np.zeros((n, n), dtype=np.float64)
-    collab: dict[str, dict] = {name: {"pairwise_distance": [], "connectivity": [],
-                                      "possession_swaps": []} for name in names}
+    collab = {name: {metric: [] for metric in METRIC_COLUMNS} for name in names}
     rows = []
-    # game outcomes from the first-listed team's perspective
-    totals = {"wins": 0, "losses": 0, "ties": 0}
-
-    for g, (rec, (i, j)) in enumerate(zip(records, schedule)):
-        r_a, r_b = table.record(rec.team_a, rec.team_b, rec.outcome)
-        trajectories[rec.team_a].append([g, r_a])
-        trajectories[rec.team_b].append([g, r_b])
-        if rec.outcome == "win_a":
-            wins[i, j] += 1
-            totals["wins"] += 1
-        elif rec.outcome == "win_b":
-            wins[j, i] += 1
-            totals["losses"] += 1
-        else:
-            ties[i, j] += 1
-            ties[j, i] += 1
-            totals["ties"] += 1
-        pair_games[i, j] += 1
-        pair_games[j, i] += 1
-        diff_sum[i, j] += rec.goal_diff
-        diff_sum[j, i] -= rec.goal_diff
-        for team, name in ((0, rec.team_a), (1, rec.team_b)):
-            for metric, value in rec.metrics[str(team)].items():
+    for g, rec in enumerate(records):
+        new = elo_update(ratings[rec.team_a], ratings[rec.team_b], rec.outcome, league_cfg.elo_k)
+        for team, name, rating in zip("01", (rec.team_a, rec.team_b), new):
+            ratings[name] = rating
+            trajectories[name].append([g, rating])
+            for metric, value in rec.metrics[team].items():
                 collab[name][metric].append(value)
         replay_path = ""  # relative to out_dir, so the bundle can move
         if save_replays:
             replay_path = f"replays/game_{g:05d}.jsonl"
             write_replay(rec.frames, os.path.join(out_dir, replay_path))
-        m_a, m_b = rec.metrics["0"], rec.metrics["1"]
         rows.append({
             "game": g, "team_a": rec.team_a, "team_b": rec.team_b,
             "score_a": rec.score[0], "score_b": rec.score[1],
             "outcome": rec.outcome, "goal_diff": rec.goal_diff,
-            "pairdist_a": f"{m_a['pairwise_distance']:.6f}",
-            "pairdist_b": f"{m_b['pairwise_distance']:.6f}",
-            "conn_a": f"{m_a['connectivity']:.6f}",
-            "conn_b": f"{m_b['connectivity']:.6f}",
-            "swaps_a": m_a["possession_swaps"], "swaps_b": m_b["possession_swaps"],
+            **{f"{prefix}_{side}": metric_cell(rec.metrics[team][metric])
+               for metric, prefix in METRIC_COLUMNS.items() for team, side in zip("01", "ab")},
             "replay": replay_path,
         })
-
-    diff_matrix = np.where(pair_games > 0, diff_sum / np.maximum(pair_games, 1), 0.0)
 
     report = {
         "teams": names,
@@ -402,12 +385,14 @@ def run_league(teams: Sequence[tuple[str, object]], env_cfg: EnvConfig, league_c
         "seed": seed,
         "elo_k": league_cfg.elo_k,
         "elo_initial": league_cfg.elo_initial,
-        "elo_final": {name: table.rating(name) for name in names},
+        "elo_final": ratings,
         "elo_trajectories": trajectories,
-        "win_matrix": wins.tolist(),
-        "tie_matrix": ties.tolist(),
+        "win_matrix": (first_won + second_won.T).tolist(),
+        "tie_matrix": (tied + tied.T).tolist(),
         "goal_diff_matrix": diff_matrix.tolist(),
-        "outcome_totals": totals,
+        # game outcomes from the first-listed team's perspective
+        "outcome_totals": {"wins": int(first_won.sum()), "losses": int(second_won.sum()),
+                           "ties": int(tied.sum())},
         "collaboration": {
             name: {
                 metric: ({"mean": float(np.mean(vals)), "std": float(np.std(vals))}
@@ -422,11 +407,7 @@ def run_league(teams: Sequence[tuple[str, object]], env_cfg: EnvConfig, league_c
         os.makedirs(out_dir, exist_ok=True)
         write_text_atomic(os.path.join(out_dir, "league_report.json"),
                           json.dumps(report, indent=2, sort_keys=True) + "\n")
-        table_csv = io.StringIO()
-        writer = csv.DictWriter(table_csv, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-        write_text_atomic(os.path.join(out_dir, "matches.csv"), table_csv.getvalue())
+        write_text_atomic(os.path.join(out_dir, "matches.csv"), csv_text(rows))
     return report
 
 

@@ -109,17 +109,11 @@ class Trajectory:
 
 
 def compute_returns(traj: Trajectory, gamma: float) -> np.ndarray:
-    """Per-agent discounted reward-to-go by backward recursion over the episode."""
+    """Per-agent discounted reward-to-go over the episode: GAE with zero values
+    and lambda 1, whose step ``(r + gamma * 0 - 0) + gamma * 1 * G`` has the bits of ``r + gamma * G``."""
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
-    streams = []
-    for r in traj.rewards.T.tolist():  # one agent's column on Python floats, numpy's operation order
-        g, tail = [0.0] * len(r), 0.0
-        for t in range(len(r) - 1, -1, -1):
-            tail = r[t] + gamma * tail
-            g[t] = tail
-        streams.append(g)
-    G = np.ascontiguousarray(np.array(streams, dtype=np.float64).T).reshape(traj.rewards.shape)
+    G = gae_advantages(traj.rewards, np.zeros_like(traj.rewards), gamma, 1.0)[0]
     traj.returns = G
     return G
 
@@ -454,6 +448,15 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
     if resume and os.path.exists(state_path):
         saved = _read_state(state_path)
         _check_same_run(saved.get("config"), cfg)
+        # the log keeps the records the state counts; a crash after the last snapshot
+        # leaves more, which the resumed run writes again
+        kept = []
+        if os.path.exists(log_path):
+            with open(log_path) as fh:
+                kept = fh.readlines()[:saved["updates"]]
+        if len(kept) < saved["updates"]:
+            raise ConfigError(f"train_state.json counts {saved['updates']} updates but training_log.jsonl "
+                              f"holds {len(kept)} of their records; use --fresh")
     echo_config(cfg)
 
     league: list[PolicySnapshot] = []
@@ -464,11 +467,7 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
     if saved is not None:
         games_done = saved_at = saved["games_done"]
         version, update_idx = saved["version"], saved["updates"]
-        # a crash after the last snapshot leaves log records that the resumed run writes again
-        if os.path.exists(log_path):
-            with open(log_path) as fh:
-                kept = fh.readlines()[:update_idx]
-            write_text_atomic(log_path, "".join(kept))
+        write_text_atomic(log_path, "".join(kept))
         # a crash between a snapshot's write and the state's leaves a newer snapshot behind
         for v, path in _existing_snapshots(cfg.out_dir):
             if v <= version:
@@ -513,6 +512,7 @@ def run_curriculum(cfg: RunConfig, resume: bool = True) -> TrainResult:
 
             if games_done % lrn.snapshot_interval == 0:
                 version += 1
+                log.flush()  # the state written next counts these records
                 save_version(version)
                 saved_at = games_done
 

@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -347,6 +350,68 @@ def test_a_state_file_without_a_config_is_refused(tmp_path, capsys, edit, messag
     capsys.readouterr()
     assert main(["train", "--config", tiny_config(tmp_path)]) == 2
     assert message in capsys.readouterr().err
+    assert _run_files(tmp_path / "out") == before
+
+
+# Trains with the config in argv[1] and dies, as a crash would, right after the
+# state file that counts 6 games is written.
+_DIE_AFTER_STATE_WRITE = r"""
+import json, os, sys
+from taaclab import learner
+from taaclab.cli import main
+
+write = learner.write_text_atomic
+
+def write_then_die(path, text):
+    write(path, text)
+    if path.endswith("train_state.json") and json.loads(text)["games_done"] == 6:
+        os._exit(9)
+
+learner.write_text_atomic = write_then_die
+main(["train", "--config", sys.argv[1]])
+"""
+
+
+@pytest.mark.parametrize("kind", ["random", "taac"])
+def test_a_crash_right_after_a_state_write_loses_no_log_record(tmp_path, kind):
+    run = {"env": {"steps_per_game": 24}, "learner": {"snapshot_interval": 3}, "policy": {"kind": kind},
+           "seed": 5}
+
+    def config(name, games):
+        return tiny_config(tmp_path, **run, curriculum={"stage_games": [games, 0, 0, 0]},
+                           out_dir=str(tmp_path / name))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "TAACLAB_OUT_DIR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _DIE_AFTER_STATE_WRITE, config("crashed", 9)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 9, proc.stderr
+    crashed = tmp_path / "crashed"
+    assert json.loads((crashed / "train_state.json").read_text())["updates"] == 6
+    assert len((crashed / "training_log.jsonl").read_text().splitlines()) == 6
+    assert main(["train", "--config", config("crashed", 9)]) == 0
+
+    # Adam's moments are not saved, so a TAAC run resumed at game 6 updates as
+    # one stopped cleanly there; a random team has no updates and equals a straight run
+    if kind == "taac":
+        assert main(["train", "--config", config("reference", 6)]) == 0
+    assert main(["train", "--config", config("reference", 9)]) == 0
+    log = (crashed / "training_log.jsonl").read_bytes()
+    assert log == (tmp_path / "reference" / "training_log.jsonl").read_bytes()
+    assert len(log.splitlines()) == 9
+
+
+def test_a_log_shorter_than_the_state_is_refused(tmp_path, capsys):
+    config = tiny_config(tmp_path, learner={"snapshot_interval": 1}, curriculum={"stage_games": [3, 0, 0, 0]})
+    assert main(["train", "--config", config]) == 0
+    log = tmp_path / "out" / "training_log.jsonl"
+    log.write_text(log.read_text().splitlines(keepends=True)[0])
+    before = _run_files(tmp_path / "out")
+    capsys.readouterr()
+    assert main(["train", "--config", config]) == 2
+    assert ("train_state.json counts 3 updates but training_log.jsonl holds 1 of their records"
+            in capsys.readouterr().err)
     assert _run_files(tmp_path / "out") == before
 
 

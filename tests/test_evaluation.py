@@ -15,7 +15,6 @@ from taaclab.cli import main
 from taaclab.config import LeagueSettings
 from taaclab.env import EnvConfig
 from taaclab.evaluation import (
-    EloTable,
     connectivity_from_positions,
     count_possession_swaps,
     elo_update,
@@ -79,12 +78,6 @@ def test_elo_monotonicity(r_a, r_b, k):
 def test_elo_rejects_unknown_outcome():
     with pytest.raises(ValueError):
         elo_update(1200.0, 1200.0, "draw-ish", 32.0)
-
-
-def test_elo_table_tracks_ratings():
-    table = EloTable(k=32.0, initial=1200.0)
-    table.record("a", "b", "win_a")
-    assert table.rating("a") == 1216.0 and table.rating("b") == 1184.0
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +372,90 @@ def test_run_league_reports_and_bookkeeping(tmp_path):
     for name in report["teams"]:
         assert name in report["collaboration"]
         assert "pairwise_distance" in report["collaboration"][name]
+
+
+def _tables_from_rows(rows: list[dict], names: list, elo_k: float, elo_initial: float) -> dict:
+    """The league tables rebuilt with a plain loop over matches.csv's rows, in game order."""
+    index = {name: k for k, name in enumerate(names)}
+    n = len(names)
+    wins, ties, games = ([[0] * n for _ in range(n)] for _ in range(3))
+    diff_sum = [[0] * n for _ in range(n)]
+    totals = {"wins": 0, "losses": 0, "ties": 0}
+    ratings = {name: elo_initial for name in names}
+    trajectories = {name: [] for name in names}
+    for row in rows:
+        i, j = index[row["team_a"]], index[row["team_b"]]
+        score_a, score_b = int(row["score_a"]), int(row["score_b"])
+        outcome = "win_a" if score_a > score_b else "win_b" if score_b > score_a else "tie"
+        assert row["outcome"] == outcome and int(row["goal_diff"]) == score_a - score_b
+        if outcome == "win_a":
+            wins[i][j] += 1
+            totals["wins"] += 1
+        elif outcome == "win_b":
+            wins[j][i] += 1
+            totals["losses"] += 1
+        else:
+            ties[i][j] += 1
+            ties[j][i] += 1
+            totals["ties"] += 1
+        games[i][j] += 1
+        games[j][i] += 1
+        diff_sum[i][j] += score_a - score_b
+        diff_sum[j][i] -= score_a - score_b
+        r_a, r_b = elo_update(ratings[row["team_a"]], ratings[row["team_b"]], outcome, elo_k)
+        ratings[row["team_a"]], ratings[row["team_b"]] = r_a, r_b
+        trajectories[row["team_a"]].append([int(row["game"]), r_a])
+        trajectories[row["team_b"]].append([int(row["game"]), r_b])
+    return {
+        "win_matrix": wins,
+        "tie_matrix": ties,
+        "goal_diff_matrix": [[diff_sum[i][j] / games[i][j] if games[i][j] else 0.0 for j in range(n)]
+                             for i in range(n)],
+        "outcome_totals": totals,
+        "elo_final": ratings,
+        "elo_trajectories": trajectories,
+    }
+
+
+def _league_from_csv(tmp_path, n_teams: int, n_games: int, seed: int):
+    teams = [(f"rand-{i}", RandomTeamPolicy()) for i in range(n_teams)]
+    short = dataclasses.replace(CRAMPED, steps_per_game=60)
+    report = run_league(teams, short, _league_cfg(n_games=n_games, elo_k=24.0, elo_initial=1500.0),
+                        seed=seed, out_dir=str(tmp_path))
+    with open(tmp_path / "matches.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [int(row["game"]) for row in rows] == list(range(n_games))
+    assert report == json.loads((tmp_path / "league_report.json").read_text())
+    return report, rows, _tables_from_rows(rows, report["teams"], 24.0, 1500.0)
+
+
+@pytest.mark.parametrize("n_teams, n_games, seed", [(4, 12, 0), (3, 9, 5), (6, 20, 11)])
+def test_league_tables_equal_a_loop_over_matches_csv(tmp_path, n_teams, n_games, seed):
+    report, rows, want = _league_from_csv(tmp_path, n_teams, n_games, seed)
+    assert {key: report[key] for key in want} == want
+    assert 0 < report["outcome_totals"]["ties"] < n_games  # decisive games and ties both occur
+
+
+def test_a_team_that_never_plays_has_zero_rows_and_no_collaboration_stats(tmp_path):
+    report, rows, want = _league_from_csv(tmp_path, 5, 2, 3)
+    assert {key: report[key] for key in want} == want
+    idle = [k for k, name in enumerate(report["teams"])
+            if all(name not in (row["team_a"], row["team_b"]) for row in rows)]
+    assert idle
+    for k in idle:
+        name = report["teams"][k]
+        for key in ("win_matrix", "tie_matrix", "goal_diff_matrix"):
+            assert report[key][k] == [0] * 5 and [row[k] for row in report[key]] == [0] * 5
+        assert report["elo_final"][name] == 1500.0 and report["elo_trajectories"][name] == []
+        assert report["collaboration"][name] == {metric: {"mean": None, "std": None}
+                                                 for metric in evaluation.METRIC_COLUMNS}
+
+
+def test_league_tables_count_a_pair_played_in_both_orders(tmp_path):
+    report, rows, want = _league_from_csv(tmp_path, 2, 6, 2)
+    assert {(row["team_a"], row["team_b"]) for row in rows} == {("rand-0", "rand-1"), ("rand-1", "rand-0")}
+    assert {key: report[key] for key in want} == want
+    assert report["win_matrix"][0][1] + report["win_matrix"][1][0] + report["tie_matrix"][0][1] == 6
 
 
 def test_run_league_deterministic_across_thread_counts(tmp_path):

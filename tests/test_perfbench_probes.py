@@ -78,3 +78,6 @@ def test_probes_see_one_game_event_per_game_and_one_step_event_per_step(name, tm
                 "learner.actor_update"} <= spans
     if name == "league_desk":  # the desk league's 3-argument build_policy plays the ablated team
         assert {"baselines.act.taac", "baselines.act.taac_ablation"} <= spans
+        # the league's per-layer metrics wrap these module globals by name
+        assert {"evaluation.run_league", "evaluation.play_match", "evaluation.connectivity",
+                "evaluation.pairwise_distance"} <= spans
