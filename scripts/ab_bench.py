@@ -20,7 +20,10 @@ flagged. Exits 0 only when every workload has a complete pair, every run
 finished with no failed call and every pair's digests are equal; a malformed
 or reversed ``--seeds`` range, a non-positive ``--seconds``, a revision that
 names no commit and a ``--workload`` that the change's BENCHMARK.json does not
-list are usage errors (exit 2), refused before any run. Uses the standard
+list are usage errors (exit 2), refused before any run. ``--json PATH`` also
+writes the run as one JSON record: both revisions and their commits, the seeds
+and seconds, the runs' host records, and per workload every run's result and
+every number of its summary (see ``summary_record``). Uses the standard
 library and the git and tar commands only.
 """
 
@@ -61,6 +64,12 @@ def parse_run(stdout: str) -> dict:
             "attempted": result["attempted"], "failed": result["failed"], "digest": digest}
 
 
+def parse_host(stdout: str) -> dict | None:
+    """The host record a run printed on its ``host`` line, or None."""
+    return next((json.loads(line[len("host "):]) for line in stdout.splitlines()
+                 if line.startswith("host ")), None)
+
+
 def run_side(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -68,7 +77,7 @@ def run_side(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     try:
         if proc.returncode != 0:
             raise ValueError(f"exit {proc.returncode}")
-        return parse_run(proc.stdout)
+        return dict(parse_run(proc.stdout), host=parse_host(proc.stdout))
     except (ValueError, LookupError, TypeError) as exc:  # json.JSONDecodeError is a ValueError
         tail = proc.stderr.strip().splitlines()[-1:] or ["no output"]
         return {"error": f"{exc}: {tail[0]}"}
@@ -130,59 +139,90 @@ def gain_shown(wins: int, pairs: int, parent_q: tuple[float, float, float], chan
     return 10 * wins >= 9 * pairs and gap > pq3 - pq1
 
 
-def summarize(pairs: list[tuple[int, dict, dict]], end_to_end: list[dict]) -> tuple[list[str], bool]:
-    """Report lines for ``(seed, parent result, change result)`` pairs, and whether all was clean."""
-    lines, clean = [], True
+GAIN_RULE = "needs at least 9 in 10 pairs won and a median gap in the better direction over the parent quartile spread"
+
+
+def metric_record(done: list[tuple[int, dict, dict]], metric: dict) -> dict:
+    """One end-to-end metric over the complete pairs ``done``: each pair's values and
+    winner, the change's wins and ties, and, when a pair completed, each side's median
+    and quartiles, the gain, the change/parent ratio, the median gap, the parent's
+    quartile spread and the no-regression verdict with its margin."""
+    name, higher, bound = metric["name"], metric["better"] == "higher", metric["bound"]
+    rec = {"name": name, "unit": metric["unit"], "better": metric["better"], "bound": bound,
+           "pairs": [], "wins": 0, "ties": 0}
+    for seed, p, c in done:
+        pv, cv = p["metrics"][name], c["metrics"][name]
+        if pv == cv:
+            rec["ties"], better = rec["ties"] + 1, "tie"
+        elif (cv > pv) == higher:
+            rec["wins"], better = rec["wins"] + 1, "change"
+        else:
+            better = "parent"
+        rec["pairs"].append({"seed": seed, "parent": pv, "change": cv, "better": better})
+    if not done:
+        return rec
+    values, stats = {}, {}
+    for side in SIDES:
+        values[side] = [pair[side] for pair in rec["pairs"]]
+        stats[side] = quartiles(values[side])
+        rec[side] = dict(zip(("q1", "median", "q3"), stats[side]))
+    (pq1, pmed, pq3), cmed = stats["parent"], stats["change"][1]
+    rec["gain"] = "shown" if gain_shown(rec["wins"], len(done), stats["parent"], cmed, higher) else "not shown"
+    rec.update(ratio=cmed / pmed if pmed else None, median_gap=abs(cmed - pmed), parent_spread=pq3 - pq1,
+               margin=bound * abs(pmed),
+               verdict=verdict(values["parent"], values["change"], stats["parent"], cmed, bound, higher))
+    return rec
+
+
+def summary_record(pairs: list[tuple[int, dict, dict]], end_to_end: list[dict]) -> dict:
+    """Every number of one workload's summary: each pair's two results, the flags, the
+    digest count, one ``metric_record`` per end-to-end metric, and whether all was clean."""
+    flags = []
     for seed, *results in pairs:
         for side, res in zip(SIDES, results):
             if "error" in res:
-                lines.append(f"FLAG seed {seed}: {side} run did not finish ({res['error']})")
+                flags.append(f"FLAG seed {seed}: {side} run did not finish ({res['error']})")
             elif res["failed"]:
-                lines.append(f"FLAG seed {seed}: {side} failed {res['failed']} of {res['attempted']} calls")
-            else:
-                continue
-            clean = False
+                flags.append(f"FLAG seed {seed}: {side} failed {res['failed']} of {res['attempted']} calls")
         if all("error" not in r for r in results) and results[0]["digest"] != results[1]["digest"]:
-            lines.append(f"FLAG seed {seed}: digests differ, parent {results[0]['digest']} "
+            flags.append(f"FLAG seed {seed}: digests differ, parent {results[0]['digest']} "
                          f"change {results[1]['digest']}")
-            clean = False
     done = [(seed, p, c) for seed, p, c in pairs if "error" not in p and "error" not in c]
-    clean = clean and bool(done)  # no complete pair shows nothing
-    same = sum(p["digest"] == c["digest"] for _, p, c in done)
-    lines.append(f"digests equal in {same} of {len(done)} complete pairs")
-    for metric in end_to_end:
-        name, higher = metric["name"], metric["better"] == "higher"
-        lines.append(f"{name} ({metric['unit']}, {metric['better']} is better)")
-        wins = ties = 0
-        for seed, p, c in done:
-            pv, cv = p["metrics"][name], c["metrics"][name]
-            if pv == cv:
-                ties, better = ties + 1, "tie"
-            elif (cv > pv) == higher:
-                wins, better = wins + 1, "change"
-            else:
-                better = "parent"
-            lines.append(f"  seed {seed}: parent {pv:.6g} change {cv:.6g} -> {better}")
-        if not done:
+    return {
+        "runs": [{"seed": seed, "parent": p, "change": c} for seed, p, c in pairs],
+        "flags": flags,
+        "complete_pairs": len(done),
+        "digests_equal": sum(p["digest"] == c["digest"] for _, p, c in done),
+        "clean": not flags and bool(done),  # no complete pair shows nothing
+        "metrics": [metric_record(done, metric) for metric in end_to_end],
+    }
+
+
+def summarize(pairs: list[tuple[int, dict, dict]], end_to_end: list[dict]) -> tuple[list[str], bool]:
+    """Report lines for ``(seed, parent result, change result)`` pairs, and whether all was
+    clean: ``summary_record``, printed."""
+    record = summary_record(pairs, end_to_end)
+    lines = list(record["flags"])
+    lines.append(f"digests equal in {record['digests_equal']} of {record['complete_pairs']} complete pairs")
+    for rec in record["metrics"]:
+        lines.append(f"{rec['name']} ({rec['unit']}, {rec['better']} is better)")
+        for pair in rec["pairs"]:
+            lines.append(f"  seed {pair['seed']}: parent {pair['parent']:.6g} change {pair['change']:.6g} "
+                         f"-> {pair['better']}")
+        if not rec["pairs"]:
             lines.append("  no complete pair")
             continue
-        values, stats = {}, {}
-        for side, k in zip(SIDES, (1, 2)):
-            values[side] = [pair[k]["metrics"][name] for pair in done]
-            stats[side] = q1, med, q3 = quartiles(values[side])
-            lines.append(f"  {side} median {med:.6g} (quartiles {q1:.6g} / {q3:.6g})")
-        (pq1, pmed, pq3), cmed = stats["parent"], stats["change"][1]
-        shown = gain_shown(wins, len(done), stats["parent"], cmed, higher)
-        lines.append(f"  gain: {'shown' if shown else 'not shown'} (needs at least 9 in 10 pairs won and a "
-                     f"median gap in the better direction over the parent quartile spread)")
-        ratio = f"{cmed / pmed:.4f}" if pmed else "n/a"
-        lines.append(f"  change/parent {ratio}; change wins {wins} of {len(done)} (ties {ties}); "
-                     f"median gap {abs(cmed - pmed):.6g} vs parent quartile spread {pq3 - pq1:.6g}")
-        bound = metric["bound"]
-        label = verdict(values["parent"], values["change"], stats["parent"], cmed, bound, higher)
-        lines.append(f"  verdict: {label} "
-                     f"(bound {bound:g} x parent median = {bound * abs(pmed):.6g})")
-    return lines, clean
+        for side in SIDES:
+            lines.append(f"  {side} median {rec[side]['median']:.6g} "
+                         f"(quartiles {rec[side]['q1']:.6g} / {rec[side]['q3']:.6g})")
+        lines.append(f"  gain: {rec['gain']} ({GAIN_RULE})")
+        ratio = "n/a" if rec["ratio"] is None else f"{rec['ratio']:.4f}"
+        lines.append(f"  change/parent {ratio}; change wins {rec['wins']} of {len(rec['pairs'])} "
+                     f"(ties {rec['ties']}); median gap {rec['median_gap']:.6g} "
+                     f"vs parent quartile spread {rec['parent_spread']:.6g}")
+        lines.append(f"  verdict: {rec['verdict']} "
+                     f"(bound {rec['bound']:g} x parent median = {rec['margin']:.6g})")
+    return lines, record["clean"]
 
 
 def main(argv=None) -> int:
@@ -193,6 +233,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", nargs="+", required=True, help="one or more workload names")
     parser.add_argument("--seeds", nargs="+", required=True, help="seeds or inclusive ranges (101-110)")
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--json", metavar="PATH", help="also write the whole summary to PATH as JSON")
     args = parser.parse_args(argv)
     try:
         seeds = parse_seeds(args.seeds)
@@ -211,13 +252,23 @@ def main(argv=None) -> int:
         if unknown:
             parser.error(f"--workload {' '.join(unknown)}: the change's BENCHMARK.json lists only "
                          f"{', '.join(known)}")
-        return compare(dirs, args.workload, seeds, args.seconds, benchmark["end_to_end"])
+        revisions = {side: {"name": name, "commit": commit_of(name)}
+                     for side, name in zip(SIDES, (args.parent, args.change))}
+        return compare(dirs, args.workload, seeds, args.seconds, benchmark["end_to_end"],
+                       args.json, revisions)
+
+
+def commit_of(revision: str) -> str:
+    return subprocess.run(["git", "rev-parse", "--verify", f"{revision}^{{commit}}"],
+                          capture_output=True, text=True, check=True).stdout.strip()
 
 
 def compare(dirs: dict[str, str], workloads: list[str], seeds: list[int], seconds: float,
-            end_to_end: list[dict]) -> int:
+            end_to_end: list[dict], json_path: str | None = None, revisions: dict | None = None) -> int:
     """Runs the alternating pairs in the two copies, prints one summary per workload
-    and returns the exit code."""
+    and returns the exit code. With ``json_path``, also writes the revisions, seeds,
+    seconds, the distinct host records of the runs and every workload's
+    ``summary_record`` there."""
     pairs: dict[str, list] = {workload: [] for workload in workloads}
     for i, seed in enumerate(seeds):
         for workload, done in pairs.items():
@@ -235,6 +286,17 @@ def compare(dirs: dict[str, str], workloads: list[str], seeds: list[int], second
         all_clean = all_clean and clean
         print(f"workload {workload}, {len(done)} pairs, {seconds:g} s runs")
         print("\n".join(lines))
+    if json_path:
+        hosts = []
+        for res in (res for done in pairs.values() for _, *both in done for res in both):
+            if res.get("host") is not None and res["host"] not in hosts:
+                hosts.append(res["host"])
+        record = {"revisions": revisions, "seeds": seeds, "seconds": seconds, "hosts": hosts,
+                  "clean": all_clean,
+                  "workloads": {w: summary_record(done, end_to_end) for w, done in pairs.items()}}
+        with open(json_path, "w") as fh:
+            json.dump(record, fh, indent=1)
+            fh.write("\n")
     return 0 if all_clean else 1
 
 

@@ -11,8 +11,8 @@ kind, the ablation flags that kind fixes and an architecture hash;
 
 from __future__ import annotations
 
-import bisect
-import itertools
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 
@@ -43,10 +43,11 @@ def _sample_rows(probs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     n, k = probs.shape
     actions = []
     for row, u in zip(probs.tolist(), rng.random(n).tolist()):
-        cdf = list(itertools.accumulate(row))
-        # bisect needs a sorted cdf; a NaN makes the rest of it NaN, and NaN counts as > u
-        a = bisect.bisect_right(cdf, u) if cdf[-1] == cdf[-1] else sum(c <= u for c in cdf)
-        actions.append(min(a, k - 1))
+        cdf = list(accumulate(row))
+        # bisect needs a sorted cdf, and its hi bound is the cap; a NaN makes the rest of
+        # the cdf NaN, and NaN counts as > u
+        actions.append(bisect_right(cdf, u, 0, k - 1) if cdf[-1] == cdf[-1]
+                       else min(sum(c <= u for c in cdf), k - 1))
     return np.array(actions, dtype=np.int64)
 
 

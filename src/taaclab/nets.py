@@ -57,9 +57,9 @@ class TaacNetConfig:
 
 def _stable_softmax_np(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, computed in place: returns ``logits``, overwritten."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.maximum.reduce(logits, -1, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    logits /= np.add.reduce(logits, -1, keepdims=True)
     return logits
 
 
@@ -177,23 +177,12 @@ class CriticNet:
 
 def counterfactual_baselines(obs: np.ndarray, actions: np.ndarray, probs: np.ndarray,
                              critic: CriticNet) -> np.ndarray:
-    """Per-agent expected value over the agent's own action choices.
-
-    b_i = sum_a probs[i, a] * Q_i(obs, (a, actions of everyone else)),
-    evaluated with one stacked tape-free critic pass over all n * A
-    single-action substitutions. Never depends on actions[i].
-    """
-    obs = np.asarray(obs, dtype=np.float64)
-    n, n_act = obs.shape[0], critic.cfg.n_actions
-    act_stack = np.tile(actions, (n * n_act, 1))
-    for i in range(n):
-        act_stack[i * n_act:(i + 1) * n_act, i] = np.arange(n_act)
-    obs_stack = np.broadcast_to(obs, (n * n_act,) + obs.shape)
-    q = critic.q_np(obs_stack, act_stack)  # (n * n_act, n)
-    b = np.empty(n)
-    for i in range(n):
-        b[i] = probs[i] @ q[i * n_act:(i + 1) * n_act, i]
-    return b
+    """b_i = sum_a probs[i, a] * Q_i(obs, (a, actions of everyone else)) for one joint
+    (n, obs_width) observation, (n,) action ids and (n, A) distributions: the per-agent
+    expected value over the agent's own action choices, so it never depends on actions[i].
+    ``counterfactual_baselines_batch`` on one transition."""
+    stacks = (np.asarray(a)[None] for a in (obs, actions, probs))
+    return counterfactual_baselines_batch(*stacks, critic)[0]
 
 
 # substitution rows per pass of counterfactual_baselines_batch: a block's intermediates stay
@@ -205,8 +194,9 @@ _CF_BLOCK_ROWS = 1024
 def counterfactual_baselines_batch(obs_stack: np.ndarray, act_stack: np.ndarray,
                                    probs_stack: np.ndarray, critic: CriticNet) -> np.ndarray:
     """Baselines for (T, n, obs_width) observations, (T, n) integer action ids in [0, A)
-    and (T, n, A) distributions, from the critic's parts: (T, n), as counterfactual_baselines
-    per transition; other inputs raise ValueError before any block runs. Each (agent, action)
+    and (T, n, A) distributions, from the critic's parts: (T, n), as the per-transition
+    stacked ``q_np`` pass of tests/baseline_reference.py; other inputs raise ValueError before
+    any block runs. Each (agent, action)
     pair is embedded once. Substituting agent i's action changes only agent i's key and value,
     and only agent i's value is needed, so each substitution attends from one query row.
     Blocks of at most ``_CF_BLOCK_ROWS`` substitutions (at least one transition) write every

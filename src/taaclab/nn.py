@@ -75,11 +75,10 @@ class Mlp:
         When ``relu_preacts`` is given, a copy of every relu layer's
         pre-activation array is appended to it (used to screen kink proximity).
         """
-        lead = x.shape[:-1]
-        x = x.reshape(-1, x.shape[-1])  # collapse to one GEMM per layer
+        rows = x if x.ndim == 2 else x.reshape(-1, x.shape[-1])  # one GEMM per layer
         for layer in self.layers:
-            x = _dense(x, layer, relu_preacts)
-        return x.reshape(lead + (x.shape[-1],))
+            rows = _dense(rows, layer, relu_preacts)
+        return rows if x.ndim == 2 else rows.reshape(x.shape[:-1] + rows.shape[1:])
 
     def parameters(self) -> list[Tensor]:
         out = []
@@ -99,7 +98,10 @@ def _dense(x: np.ndarray, layer: DenseLayer, relu_preacts: list | None = None, o
     """One layer over (rows, in) rows, into ``out`` or a fresh array. A one-column layer is a
     per-row dot (einsum), so each row is bit-identical whatever the row count; BLAS gemv is not."""
     w = layer.w.data
-    y = np.einsum("ij,jk->ik", x, w, out=out) if w.shape[1] == 1 else np.matmul(x, w, out=out)
+    if w.shape[1] == 1:
+        y = np.einsum("ij,jk->ik", x, w, out=out)
+    else:  # the operator skips the ufunc's keyword parsing
+        y = x @ w if out is None else np.matmul(x, w, out=out)
     y += layer.b.data
     if layer.activation == "relu":
         if relu_preacts is not None:
@@ -151,18 +153,17 @@ def _attend(m: np.ndarray, packed: np.ndarray, n_heads: int):
     One GEMM projects every head; the scores and outputs are stacked matmuls
     over (B, H, n, d_k) views of it, the views the backward uses.
     """
-    lead = m.shape[:-2]
     n, d_model = m.shape[-2:]
     d_k = packed.shape[1] // (3 * n_heads)
-    qkv = (m.reshape(-1, d_model) @ packed).reshape(-1, n, 3, n_heads, d_k)
-    q, k, v = qkv.transpose(2, 0, 3, 1, 4)
-    w = q @ k.swapaxes(-1, -2)
+    qkv = ((m if m.ndim == 2 else m.reshape(-1, d_model)) @ packed).reshape(-1, n, 3, n_heads, d_k)
+    heads = qkv.transpose(2, 0, 3, 1, 4)  # q, k, v: (B, H, n, d_k)
+    w = heads[0] @ qkv[:, :, 1].transpose(0, 2, 3, 1)
     w /= math.sqrt(d_k)
-    w -= w.max(axis=-1, keepdims=True)  # softmax in place
+    w -= np.maximum.reduce(w, -1, keepdims=True)  # softmax in place
     np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
-    out = (w @ v).transpose(0, 2, 1, 3)
-    return qkv, w, out.reshape(lead + (n, n_heads * d_k))
+    w /= np.add.reduce(w, -1, keepdims=True)
+    out = (w @ heads[2]).transpose(0, 2, 1, 3)
+    return qkv, w, out.reshape(m.shape[:-1] + (n_heads * d_k,))
 
 
 class MultiHeadAttention:

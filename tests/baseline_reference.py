@@ -1,4 +1,10 @@
-"""The counterfactual-baseline kernel that the one-workspace kernel in ``taaclab.nets`` replaced.
+"""The counterfactual-baseline kernels that ``taaclab.nets`` replaced.
+
+``counterfactual_baselines`` is the per-transition oracle: one stacked
+tape-free ``q_np`` pass over all n * A single-action substitutions of one
+transition. Tests hold the blocked kernel to it at rounding level.
+
+The one-workspace kernel in ``taaclab.nets`` replaced the blocked kernel below.
 
 ``counterfactual_baselines_batch`` below is that kernel verbatim: every block
 allocates its own intermediates (``np.repeat`` of the critic input,
@@ -15,6 +21,27 @@ import math
 import numpy as np
 
 from taaclab.nets import _CF_BLOCK_ROWS, CriticNet
+
+
+def counterfactual_baselines(obs: np.ndarray, actions: np.ndarray, probs: np.ndarray,
+                             critic: CriticNet) -> np.ndarray:
+    """Per-agent expected value over the agent's own action choices.
+
+    b_i = sum_a probs[i, a] * Q_i(obs, (a, actions of everyone else)),
+    evaluated with one stacked tape-free critic pass over all n * A
+    single-action substitutions. Never depends on actions[i].
+    """
+    obs = np.asarray(obs, dtype=np.float64)
+    n, n_act = obs.shape[0], critic.cfg.n_actions
+    act_stack = np.tile(actions, (n * n_act, 1))
+    for i in range(n):
+        act_stack[i * n_act:(i + 1) * n_act, i] = np.arange(n_act)
+    obs_stack = np.broadcast_to(obs, (n * n_act,) + obs.shape)
+    q = critic.q_np(obs_stack, act_stack)  # (n * n_act, n)
+    b = np.empty(n)
+    for i in range(n):
+        b[i] = probs[i] @ q[i * n_act:(i + 1) * n_act, i]
+    return b
 
 
 def counterfactual_baselines_batch(obs_stack: np.ndarray, act_stack: np.ndarray,

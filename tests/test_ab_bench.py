@@ -1,7 +1,9 @@
 import importlib.util
 import json
+import math
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import textwrap
@@ -257,3 +259,81 @@ def test_main_fails_when_no_pair_completed(two_commits, monkeypatch, capsys):
     assert "  no complete pair" in capsys.readouterr().out.splitlines()
     lines, clean = ab_bench.summarize([], METRICS)
     assert not clean and "digests equal in 0 of 0 complete pairs" in lines
+
+
+def numbers(value):
+    """Every number in a JSON-like value, strings left out."""
+    if isinstance(value, dict):
+        return [n for v in value.values() for n in numbers(v)]
+    if isinstance(value, list):
+        return [n for v in value for n in numbers(v)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:e[+-]?\d+)?(?![\w.])")
+
+
+def assert_record_holds_the_printed_numbers(lines, record):
+    """Each number printed (``.6g``, or ``.4f`` for the ratio) rounds a number of the record."""
+    held = numbers(record)
+    for line in lines:
+        for token in NUMBER.findall(line.replace(ab_bench.GAIN_RULE, "")):
+            places = len(token.partition(".")[2]) if "e" not in token else 0
+            assert any(math.isclose(float(token), n, rel_tol=1e-5)
+                       or (places and abs(float(token) - n) <= 0.5 * 10.0 ** -places)
+                       for n in held), (token, line)
+
+
+def test_summary_record_holds_every_number_the_summary_printed():
+    pairs = [
+        (1, result(10.0, 200.0), result(12.0, 190.0)),
+        (2, result(11.0, 180.0), result(11.0, 185.0)),
+        (3, result(9.0, 210.0), result(13.0, 210.0, digest="d2")),
+        (4, result(10.0, 200.0, failed=2), result(12.0, 195.0)),
+        (5, {"error": "exit 1: boom"}, result(12.0, 190.0)),
+    ]
+    lines, clean = ab_bench.summarize(pairs, METRICS)
+    record = ab_bench.summary_record(pairs, METRICS)
+    assert_record_holds_the_printed_numbers(lines, record)
+    assert record["clean"] is clean is False
+    assert record["flags"] == [line for line in lines if line.startswith("FLAG")]
+    assert (record["complete_pairs"], record["digests_equal"]) == (4, 3)
+    games, steps = record["metrics"]
+    assert games["parent"] == {"q1": 9.75, "median": 10.0, "q3": 10.25}
+    assert (games["wins"], games["ties"], games["ratio"]) == (3, 1, 1.2)
+    for rec in record["metrics"]:
+        assert f"  gain: {rec['gain']} ({ab_bench.GAIN_RULE})" in lines
+        assert any(line.startswith(f"  verdict: {rec['verdict']} (") for line in lines)
+    assert [pair["better"] for pair in steps["pairs"]] == ["change", "parent", "tie", "change"]
+
+
+def test_main_writes_the_json_record_of_the_run(two_commits, monkeypatch, capsys, tmp_path):
+    host = {"cpu_count": 2, "blas": "b"}
+
+    def fake_run_side(checkout, workload, seed, seconds):
+        side = os.path.basename(checkout)
+        return dict(result(10.0 + seed + (side == "change"), 200.0 - seed), host=host)
+
+    monkeypatch.setattr(ab_bench, "run_side", fake_run_side)
+    path = tmp_path / "bench.json"
+    assert ab_bench.main(["HEAD~1", "HEAD", "--workload", "wa", "wb", "--seeds", "1-3",
+                          "--seconds", "5", "--json", str(path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    record = json.loads(path.read_text())
+    heads = [subprocess.run(["git", "rev-parse", rev], capture_output=True, text=True,
+                            check=True).stdout.strip() for rev in ("HEAD~1", "HEAD")]
+    assert record["revisions"] == {"parent": {"name": "HEAD~1", "commit": heads[0]},
+                                   "change": {"name": "HEAD", "commit": heads[1]}}
+    assert (record["seeds"], record["seconds"], record["hosts"], record["clean"]) == ([1, 2, 3], 5, [host], True)
+    assert list(record["workloads"]) == ["wa", "wb"]
+    first, second = printed.index("workload wa, 3 pairs, 5 s runs"), printed.index("workload wb, 3 pairs, 5 s runs")
+    for workload, lines in (("wa", printed[first + 1:second]), ("wb", printed[second + 1:])):
+        wl = record["workloads"][workload]
+        assert_record_holds_the_printed_numbers(lines, dict(wl, seconds=5))
+        assert [run["seed"] for run in wl["runs"]] == [1, 2, 3]
+        assert wl["metrics"][0]["change"]["median"] == 13.0
+
+
+def test_parse_host_reads_the_host_line():
+    assert ab_bench.parse_host('calls 3\nhost {"cpu_count": 2}\ndigest x\n') == {"cpu_count": 2}
+    assert ab_bench.parse_host("digest x\n") is None

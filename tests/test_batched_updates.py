@@ -11,6 +11,7 @@ import functools
 
 import numpy as np
 import pytest
+from baseline_reference import counterfactual_baselines
 
 from taaclab import autodiff as ad
 from taaclab.autodiff import Tensor
@@ -27,7 +28,7 @@ from taaclab.learner import (
     critic_update,
     gae_advantages,
 )
-from taaclab.nets import ActorNet, CriticNet, TaacNetConfig, conformity_loss, counterfactual_baselines
+from taaclab.nets import ActorNet, CriticNet, TaacNetConfig, conformity_loss
 
 SMALL = TaacNetConfig(obs_width=8, n_actions=6, d_model=8, actor_heads=2, critic_heads=2,
                       embed_hidden=8, post_hidden=8, obs_scale=1.0)

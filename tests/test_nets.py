@@ -284,7 +284,7 @@ def test_batched_baselines_match_per_transition():
         batch = counterfactual_baselines_batch(obs, acts, probs, critic)
         assert batch.shape == (T, 3)
         for t in range(T):
-            single = counterfactual_baselines(obs[t], acts[t], probs[t], critic)
+            single = baseline_reference.counterfactual_baselines(obs[t], acts[t], probs[t], critic)
             np.testing.assert_allclose(batch[t], single, atol=1e-12)
 
 

@@ -286,6 +286,28 @@ def test_tape_forward_sees_in_place_weight_edits():
     assert actor.forward(obs)[0].data.tobytes() != dists_before.tobytes()
 
 
+def test_in_place_edits_of_every_parameter_reach_the_tape_forwards_and_mlp_forward_np():
+    # checks.py's finite differences edit w.data and b.data in place, so no forward
+    # that they run may keep a copy of a weight keyed on the array object
+    rng = np.random.default_rng(12)
+    actor, critic, ppo = ActorNet(NET, rng), CriticNet(NET, rng), PpoTeamPolicy(NET, rng)
+    obs = rng.normal(size=(4, 3, 6))
+    acts = rng.integers(0, NET.n_actions, size=(4, 3))
+
+    def edited_changes(params, outputs):
+        for p in params:
+            data, before = p.data, [out().tobytes() for out in outputs]
+            data += rng.normal(size=data.shape)
+            assert p.data is data
+            assert all(out().tobytes() != b for out, b in zip(outputs, before)), p.shape
+
+    edited_changes(actor.parameters(), [lambda: actor.forward(obs)[0].data])
+    edited_changes(critic.parameters(), [lambda: critic.forward(obs, acts).data])
+    for mlp in (actor.embed, actor.post, critic.post, ppo.policy_net, ppo.value_net):
+        x = rng.normal(size=(4, 3, mlp.in_width))
+        edited_changes(mlp.parameters(), [lambda: mlp.forward(Tensor(x)).data, lambda: mlp.forward_np(x)])
+
+
 # ---------------------------------------------------------------------------
 # the one-node layers against the op compositions they replaced
 
