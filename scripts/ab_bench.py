@@ -83,9 +83,11 @@ def run_side(checkout: str, workload: str, seed: int, seconds: float) -> dict:
         return {"error": f"{exc}: {tail[0]}"}
 
 
-def is_commit(revision: str) -> bool:
-    return subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{revision}^{{commit}}"],
-                          capture_output=True).returncode == 0
+def commit_of(revision: str) -> str | None:
+    """The full hash of the commit ``revision`` names, or None."""
+    proc = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{revision}^{{commit}}"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 @contextlib.contextmanager
@@ -139,7 +141,8 @@ def gain_shown(wins: int, pairs: int, parent_q: tuple[float, float, float], chan
     return 10 * wins >= 9 * pairs and gap > pq3 - pq1
 
 
-GAIN_RULE = "needs at least 9 in 10 pairs won and a median gap in the better direction over the parent quartile spread"
+GAIN_RULE = ("needs at least 9 in 10 pairs won and a median gap in the better direction "
+             "over the parent quartile spread")
 
 
 def metric_record(done: list[tuple[int, dict, dict]], metric: dict) -> dict:
@@ -241,9 +244,11 @@ def main(argv=None) -> int:
         parser.error(f"--seeds: {exc}")
     if not args.seconds > 0:  # NaN too
         parser.error(f"--seconds must be positive, got {args.seconds:g}")
-    for revision in (args.parent, args.change):
-        if not is_commit(revision):
-            parser.error(f"{revision} names no commit of the repository here")
+    revisions = {side: {"name": name, "commit": commit_of(name)}
+                 for side, name in zip(SIDES, (args.parent, args.change))}
+    for rev in revisions.values():
+        if rev["commit"] is None:
+            parser.error(f"{rev['name']} names no commit of the repository here")
     with extracted({"parent": args.parent, "change": args.change}) as dirs:
         with open(os.path.join(dirs["change"], "BENCHMARK.json")) as fh:
             benchmark = json.load(fh)
@@ -252,15 +257,8 @@ def main(argv=None) -> int:
         if unknown:
             parser.error(f"--workload {' '.join(unknown)}: the change's BENCHMARK.json lists only "
                          f"{', '.join(known)}")
-        revisions = {side: {"name": name, "commit": commit_of(name)}
-                     for side, name in zip(SIDES, (args.parent, args.change))}
         return compare(dirs, args.workload, seeds, args.seconds, benchmark["end_to_end"],
                        args.json, revisions)
-
-
-def commit_of(revision: str) -> str:
-    return subprocess.run(["git", "rev-parse", "--verify", f"{revision}^{{commit}}"],
-                          capture_output=True, text=True, check=True).stdout.strip()
 
 
 def compare(dirs: dict[str, str], workloads: list[str], seeds: list[int], seconds: float,
@@ -288,9 +286,11 @@ def compare(dirs: dict[str, str], workloads: list[str], seeds: list[int], second
         print("\n".join(lines))
     if json_path:
         hosts = []
-        for res in (res for done in pairs.values() for _, *both in done for res in both):
-            if res.get("host") is not None and res["host"] not in hosts:
-                hosts.append(res["host"])
+        for done in pairs.values():
+            for _, *results in done:
+                for res in results:
+                    if res.get("host") is not None and res["host"] not in hosts:
+                        hosts.append(res["host"])
         record = {"revisions": revisions, "seeds": seeds, "seconds": seconds, "hosts": hosts,
                   "clean": all_clean,
                   "workloads": {w: summary_record(done, end_to_end) for w, done in pairs.items()}}

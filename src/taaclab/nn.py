@@ -156,8 +156,8 @@ def _attend(m: np.ndarray, packed: np.ndarray, n_heads: int):
     n, d_model = m.shape[-2:]
     d_k = packed.shape[1] // (3 * n_heads)
     qkv = ((m if m.ndim == 2 else m.reshape(-1, d_model)) @ packed).reshape(-1, n, 3, n_heads, d_k)
-    heads = qkv.transpose(2, 0, 3, 1, 4)  # q, k, v: (B, H, n, d_k)
-    w = heads[0] @ qkv[:, :, 1].transpose(0, 2, 3, 1)
+    heads = qkv.transpose(2, 0, 3, 1, 4)  # q, k, v: (B, H, n, d_k); indexed, not unpacked
+    w = heads[0] @ qkv[:, :, 1].transpose(0, 2, 3, 1)  # q @ k^T, k^T taken in one view
     w /= math.sqrt(d_k)
     w -= np.maximum.reduce(w, -1, keepdims=True)  # softmax in place
     np.exp(w, out=w)
