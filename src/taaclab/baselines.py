@@ -177,10 +177,41 @@ class PpoTeamPolicy(_SnapshotCodec):
     def act(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return _sample_rows(self.probs_np(obs), rng)
 
+    @classmethod
+    def stacked(cls, policies: list["PpoTeamPolicy"]) -> "PpoTeamPolicy":
+        """``policies``' policy nets side by side (``Mlp.stacked``), for ``probs_np`` only."""
+        pair = cls.__new__(cls)
+        pair.net_cfg, pair.policy_net = policies[0].net_cfg, Mlp.stacked([p.policy_net for p in policies])
+        return pair
+
     def named_parameters(self) -> dict[str, Tensor]:
         out = self.policy_net.named_parameters("ppo.policy")
         out.update(self.value_net.named_parameters("ppo.value"))
         return out
+
+
+def paired_act(team0, team1):
+    """Both teams' actions from one tape-free forward, or None for teams that do not pair.
+
+    Two ``TaacTeamPolicy`` or two ``PpoTeamPolicy`` objects of one kind on equal net configs
+    pair: their weights are stacked along a leading axis, so this is built once per game, in
+    which weights do not change. The returned ``act(obs, rng0, rng1)`` takes both teams'
+    (2, n, obs_width) observations and returns (team 0's ids from ``rng0``, team 1's from
+    ``rng1``), drawn in that order: each slot of the stacked forward has the bits of its
+    team's own ``probs_np``, so the ids equal two ``act`` calls.
+    """
+    cls = type(team0)
+    if (cls is not type(team1) or cls not in (TaacTeamPolicy, PpoTeamPolicy)
+            or team0.kind != team1.kind or team0.net_cfg != team1.net_cfg):
+        return None
+    probs_np = (ActorNet.stacked([team0.actor, team1.actor]) if cls is TaacTeamPolicy
+                else PpoTeamPolicy.stacked([team0, team1])).probs_np
+
+    def act(obs: np.ndarray, rng0: np.random.Generator, rng1: np.random.Generator):
+        probs = probs_np(obs)
+        return _sample_rows(probs[0], rng0), _sample_rows(probs[1], rng1)
+
+    return act
 
 
 def build_policy(kind: str, net_cfg: TaacNetConfig, rng: np.random.Generator):

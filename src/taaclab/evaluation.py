@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .baselines import paired_act
 from .env import (N_PLAYERS, OBS_WIDTH, STATE_WIDTH, TEAM_SIZE, EnvConfig, WorldState, frame_dict,
                   observe_team, reset, respawn, rowdot, step, team_players)
 from .nets import write_text_atomic
@@ -208,8 +209,12 @@ def play_game(team0, team1, cfg: EnvConfig, spawn_mode: str, env_rng: np.random.
               rng0: np.random.Generator, rng1: np.random.Generator) -> GameRecord:
     """Play one full game and record it. ``env_rng`` draws the spawns, ``rng0``
     and ``rng1`` the teams' actions (training passes one generator three
-    times). Team 0 is observed once per state, team 1 once per step."""
+    times). Team 0 is observed once per state, team 1 once per step. Two teams
+    that pair (``baselines.paired_act``) act from one forward over both
+    observations, with the ids and draws of two ``act`` calls."""
     T = cfg.steps_per_game
+    act_both = paired_act(team0, team1)
+    both = np.empty((2, TEAM_SIZE, OBS_WIDTH))  # both teams' observations of a paired step
     trail = _StateTrail(2 * T)  # each episode has at least one step
     obs0 = np.empty((2 * T, TEAM_SIZE, OBS_WIDTH))
     actions = np.empty((T, N_PLAYERS), dtype=np.int64)
@@ -220,8 +225,12 @@ def play_game(team0, team1, cfg: EnvConfig, spawn_mode: str, env_rng: np.random.
     obs0[row] = observe_team(state, 0, cfg)
     while True:
         t = state.t
-        a0 = team0.act(obs0[row], rng0)
-        a1 = team1.act(observe_team(state, 1, cfg), rng1)
+        if act_both is None:
+            a0 = team0.act(obs0[row], rng0)
+            a1 = team1.act(observe_team(state, 1, cfg), rng1)
+        else:
+            both[0], both[1] = obs0[row], observe_team(state, 1, cfg)
+            a0, a1 = act_both(both, rng0, rng1)
         state, ev = step(state, np.concatenate([a0, a1], out=actions[t]), cfg)
         events.append(ev)
         row = after[t] = trail.add(state)

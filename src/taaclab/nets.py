@@ -99,6 +99,17 @@ class ActorNet:
         logits = self.post.forward(e)
         return (ad.log_softmax(logits) if log_probs else ad.softmax_rows(logits)), e
 
+    @classmethod
+    def stacked(cls, actors: list["ActorNet"]) -> "ActorNet":
+        """``actors``, all of one config and attention flag, side by side for rollouts
+        (``Mlp.stacked``): ``probs_np`` maps (K, n, obs) observations to (K, n, A)
+        distributions, slot k with actor k's bits. Tape-free only."""
+        net = cls.__new__(cls)
+        net.cfg, net.attention_off = actors[0].cfg, actors[0].attention_off
+        net.embed, net.post = (Mlp.stacked([getattr(a, part) for a in actors]) for part in ("embed", "post"))
+        net.attn = None if net.attention_off else MultiHeadAttention.stacked([a.attn for a in actors])
+        return net
+
     def probs_np(self, obs: np.ndarray) -> np.ndarray:
         """Tape-free distributions for rollouts; supports stacked (..., n, obs) inputs."""
         x = np.asarray(obs, dtype=np.float64) / self.cfg.obs_scale

@@ -39,7 +39,7 @@ class Mlp:
 
     def __init__(self, layers: list[DenseLayer]):
         for prev, nxt in zip(layers, layers[1:]):
-            if prev.w.shape[1] != nxt.w.shape[0]:
+            if prev.w.shape[-1] != nxt.w.shape[-2]:
                 raise ShapeError(f"adjacent layer widths do not chain: {prev.w.shape} -> {nxt.w.shape}")
         for layer in layers:
             if layer.activation not in ACTIVATIONS:
@@ -57,9 +57,19 @@ class Mlp:
             layers.append(DenseLayer(w, b, act))
         return cls(layers)
 
+    @classmethod
+    def stacked(cls, mlps: Sequence["Mlp"]) -> "Mlp":
+        """``mlps``, all of one shape, side by side for rollouts: each weight (K, in, out), each
+        bias (K, 1, out). ``forward_np`` maps (K, rows, in) to (K, rows, out), slot k with mlp
+        k's bits: numpy's stacked matmul makes each slot's BLAS call as a lone mlp would.
+        Tape-free only."""
+        return cls([DenseLayer(Tensor(np.stack([m.layers[i].w.data for m in mlps])),
+                               Tensor(np.stack([m.layers[i].b.data for m in mlps])[:, None]), layer.activation)
+                    for i, layer in enumerate(mlps[0].layers)])
+
     @property
     def in_width(self) -> int:
-        return self.layers[0].w.shape[0]
+        return self.layers[0].w.shape[-2]
 
     def forward(self, x: Tensor) -> Tensor:
         """Forward for (rows, in_width) or stacked (..., in_width) inputs: one tape node per layer."""
@@ -74,11 +84,13 @@ class Mlp:
 
         When ``relu_preacts`` is given, a copy of every relu layer's
         pre-activation array is appended to it (used to screen kink proximity).
+        Stacked weights (``stacked``) take (K, rows, in_width), unfolded.
         """
-        rows = x if x.ndim == 2 else x.reshape(-1, x.shape[-1])  # one GEMM per layer
+        fold = x.ndim != 2 and self.layers[0].w.data.ndim == 2  # one GEMM per layer
+        rows = x.reshape(-1, x.shape[-1]) if fold else x
         for layer in self.layers:
             rows = _dense(rows, layer, relu_preacts)
-        return rows if x.ndim == 2 else rows.reshape(x.shape[:-1] + rows.shape[1:])
+        return rows.reshape(x.shape[:-1] + rows.shape[-1:]) if fold else rows
 
     def parameters(self) -> list[Tensor]:
         out = []
@@ -95,11 +107,12 @@ class Mlp:
 
 
 def _dense(x: np.ndarray, layer: DenseLayer, relu_preacts: list | None = None, out=None) -> np.ndarray:
-    """One layer over (rows, in) rows, into ``out`` or a fresh array. A one-column layer is a
-    per-row dot (einsum), so each row is bit-identical whatever the row count; BLAS gemv is not."""
+    """One layer over (rows, in) rows, or (K, rows, in) under stacked (K, in, out) weights, into
+    ``out`` or a fresh array. A one-column layer is a per-row dot (einsum), so each row is
+    bit-identical whatever the row count; BLAS gemv is not."""
     w = layer.w.data
-    if w.shape[1] == 1:
-        y = np.einsum("ij,jk->ik", x, w, out=out)
+    if w.shape[-1] == 1:
+        y = np.einsum("...ij,...jk->...ik", x, w, out=out)
     else:  # the operator skips the ufunc's keyword parsing
         y = x @ w if out is None else np.matmul(x, w, out=out)
     y += layer.b.data
@@ -146,7 +159,8 @@ def attention(m: Tensor, head: AttentionHead) -> tuple[Tensor, Tensor]:
 
 def _attend(m: np.ndarray, packed: np.ndarray, n_heads: int):
     """Attention of every head over the rows of each (n, d_model) matrix of ``m``
-    (..., n, d_model), from the packed projection (``_packed_weights``).
+    (..., n, d_model), from the packed projection (``_packed_weights``); a stacked
+    (K, d_model, 3 * H * d_k) projection takes (K, n, d_model), one slot per weight set.
 
     Returns ``(qkv, weights, out)``: the (B, n, 3, H, d_k) projections, the
     (B, H, n, n) weights and the (..., n, H * d_k) head outputs side by side.
@@ -154,8 +168,9 @@ def _attend(m: np.ndarray, packed: np.ndarray, n_heads: int):
     over (B, H, n, d_k) views of it, the views the backward uses.
     """
     n, d_model = m.shape[-2:]
-    d_k = packed.shape[1] // (3 * n_heads)
-    qkv = ((m if m.ndim == 2 else m.reshape(-1, d_model)) @ packed).reshape(-1, n, 3, n_heads, d_k)
+    d_k = packed.shape[-1] // (3 * n_heads)
+    rows = m if m.ndim == 2 or packed.ndim == 3 else m.reshape(-1, d_model)  # (K, ...) packs keep the slots
+    qkv = (rows @ packed).reshape(-1, n, 3, n_heads, d_k)
     heads = qkv.transpose(2, 0, 3, 1, 4)  # q, k, v: (B, H, n, d_k); indexed, not unpacked
     w = heads[0] @ qkv[:, :, 1].transpose(0, 2, 3, 1)  # q @ k^T, k^T taken in one view
     w /= math.sqrt(d_k)
@@ -196,9 +211,18 @@ class MultiHeadAttention:
         ]
         return cls(heads)
 
+    @classmethod
+    def stacked(cls, blocks: Sequence["MultiHeadAttention"]) -> "MultiHeadAttention":
+        """``blocks``, all of one shape, side by side for rollouts: each projection
+        (K, d_model, d_k). ``forward_np`` maps (K, n, d_model) to (K, n, H * d_k), slot k with
+        block k's bits. Tape-free only."""
+        return cls([AttentionHead(*(Tensor(np.stack([getattr(b.heads[h], name).data for b in blocks]))
+                                    for name in ("wq", "wk", "wv")))
+                    for h in range(len(blocks[0].heads))])
+
     @property
     def out_width(self) -> int:
-        return sum(h.wv.shape[1] for h in self.heads)
+        return sum(h.wv.shape[-1] for h in self.heads)
 
     def forward(self, m: Tensor) -> tuple[Tensor, list[Tensor]]:
         """Returns (per-row concatenation of head outputs, per-head weights as
@@ -235,7 +259,8 @@ class MultiHeadAttention:
         return record(out, (m, *params), bw), weights
 
     def _packed_weights(self) -> np.ndarray:
-        """Every head's wq, then wk, then wv side by side: (d_model, 3 * H * d_k).
+        """Every head's wq, then wk, then wv side by side: (d_model, 3 * H * d_k), with a
+        leading K axis for stacked weights.
 
         Rebuilt only when some head's ``.data`` is another array object than at
         the last build, as after ``Adam.step`` or ``restore_params``; an in-place
@@ -244,7 +269,7 @@ class MultiHeadAttention:
         arrays = [p.data for p in self._projections]
         # the arrays are held, not their ids: a freed array's id can come back
         if self._packed is None or not all(map(operator.is_, arrays, self._packed_from)):
-            self._packed = np.concatenate(arrays, axis=1)
+            self._packed = np.concatenate(arrays, axis=-1)
             self._packed_from = arrays
         return self._packed
 

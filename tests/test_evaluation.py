@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taaclab import evaluation
-from taaclab.baselines import RandomTeamPolicy
+from taaclab.baselines import RandomTeamPolicy, build_policy
 from taaclab.cli import main
 from taaclab.config import LeagueSettings
 from taaclab.env import EnvConfig
@@ -27,6 +27,7 @@ from taaclab.evaluation import (
     run_league,
     write_replay,
 )
+from taaclab.nets import TaacNetConfig
 
 CFG = EnvConfig(steps_per_game=120)
 
@@ -469,6 +470,21 @@ def test_run_league_deterministic_across_thread_counts(tmp_path):
     with open(tmp_path / "a" / "league_report.json", "rb") as f1, \
          open(tmp_path / "b" / "league_report.json", "rb") as f2:
         assert f1.read() == f2.read()
+
+    # same-kind fixtures play from one forward over both teams, whose stacked
+    # weights live inside the game, never on the policies the threads share
+    smoke = TaacNetConfig(d_model=32, actor_heads=2, critic_heads=2, embed_hidden=32, post_hidden=32)
+    teams = [(f"{kind}-{i}", build_policy(kind, smoke, np.random.default_rng([k, i])))
+             for k, kind in enumerate(("taac", "ppo")) for i in range(2)]
+    reports = []
+    for threads in (1, 3):
+        out = tmp_path / f"same-kind-{threads}"
+        run_league(teams, CFG, _league_cfg(threads=threads), seed=9, out_dir=str(out))
+        reports.append((out / "league_report.json").read_bytes())
+        with open(out / "matches.csv") as fh:
+            kinds = [(row["team_a"][:-2], row["team_b"][:-2]) for row in csv.DictReader(fh)]
+        assert {("taac", "taac"), ("ppo", "ppo")} <= set(kinds)  # both kinds pair
+    assert reports[0] == reports[1]
 
 
 def test_run_league_saves_replays_when_asked(tmp_path):

@@ -4,15 +4,17 @@ Every output is compared with ``np.array_equal(..., equal_nan=True)``: the
 same shape and the same value in every entry, NaN where the reference has
 NaN. Covers the smoke and default nets, one (3, 22) team of rows and stacked
 (T, 3, 22) observations, and logits rows that hold +-inf, NaN or one
-dominant entry.
+dominant entry. The forward over two teams' stacked weights holds each
+team's own bits, in one step and over whole games.
 """
 
 import forward_reference as ref
 import numpy as np
 import pytest
 
-from taaclab import baselines, nets, nn
-from taaclab.baselines import build_policy
+from taaclab import baselines, evaluation, nets, nn
+from taaclab.baselines import build_policy, paired_act
+from taaclab.env import EnvConfig
 from taaclab.nets import TaacNetConfig
 
 SMOKE = TaacNetConfig(d_model=32, actor_heads=2, critic_heads=2, embed_hidden=32, post_hidden=32)
@@ -115,3 +117,63 @@ def test_attention_and_dense_kernels_equal_the_reference_on_extreme_inputs(heads
     out, ref_out = np.empty((len(rows), 8)), np.empty((len(rows), 8))
     assert same(nn._dense(rows, mlp.layers[0], out=out), ref._dense(rows, mlp.layers[0], out=ref_out))
     assert same(out, ref_out)
+
+
+def stacked_probs(team0, team1, obs):
+    if team0.kind == "ppo":
+        return baselines.PpoTeamPolicy.stacked([team0, team1]).probs_np(obs)
+    return nets.ActorNet.stacked([team0.actor, team1.actor]).probs_np(obs)
+
+
+def lone_probs(team, obs):
+    return team.probs_np(obs) if team.kind == "ppo" else team.actor.probs_np(obs)
+
+
+@pytest.mark.parametrize("net", NETS, ids=str)
+@pytest.mark.parametrize("kind", ["taac", "taac_ablation", "ppo"])
+def test_each_slot_of_the_paired_forward_equals_its_teams_own(kind, net):
+    teams = [build_policy(kind, NETS[net], np.random.default_rng(seed)) for seed in (21, 22)]
+    act_both = paired_act(*teams)
+    for t in range(50):
+        obs = observations((2, 3), 200 + t)
+        probs = stacked_probs(*teams, obs)
+        assert probs.shape == (2, 3, 18)
+        for k, team in enumerate(teams):
+            assert same(probs[k], lone_probs(team, obs[k]))
+        draws = [np.random.default_rng(t + 1000 * (k % 2)) for k in range(4)]  # the pair's, then act's
+        a0, a1 = act_both(obs, draws[0], draws[1])
+        assert same(a0, teams[0].act(obs[0], draws[2])) and same(a1, teams[1].act(obs[1], draws[3]))
+        assert draws[0].random() == draws[2].random() and draws[1].random() == draws[3].random()
+
+
+class Delegate:
+    """Acts as the team it wraps, but is not of a class that pairs."""
+
+    def __init__(self, team):
+        self.team = team
+
+    def __getattr__(self, name):
+        return getattr(self.team, name)
+
+
+# a short pitch with a wide goal: goals and respawns happen within a game
+CRAMPED = EnvConfig(pitch_length=20.0, pitch_width=14.0, goal_width=10.0, steps_per_game=120)
+
+
+@pytest.mark.parametrize("kind", ["taac", "taac_ablation", "ppo"])
+def test_a_paired_game_equals_the_same_game_played_unpaired(kind):
+    teams = [build_policy(kind, SMOKE, np.random.default_rng(seed)) for seed in (31, 32)]
+    assert paired_act(*teams) is not None and paired_act(teams[0], Delegate(teams[1])) is None
+    games = []
+    for team1 in (teams[1], Delegate(teams[1])):
+        rng = np.random.default_rng(4)  # one generator for spawns and both teams, as in training
+        games.append(evaluation.play_game(teams[0], team1, CRAMPED, "random_spawns", rng, rng, rng))
+    paired, unpaired = games
+    assert sum(ev.goal_scored is not None for ev in unpaired.events) > 0
+    assert sum(ev.episode_done for ev in unpaired.events) > 1  # a respawn at least
+    assert same(paired.obs0, unpaired.obs0) and same(paired.actions, unpaired.actions)
+    assert same(paired.after, unpaired.after) and paired.trail.rows == unpaired.trail.rows
+    rows = paired.trail.rows
+    for name in ("packed", "kicking", "scores"):
+        assert same(getattr(paired.trail, name)[:rows], getattr(unpaired.trail, name)[:rows])
+    assert paired.events == unpaired.events
