@@ -12,6 +12,7 @@ kind, the ablation flags that kind fixes and an architecture hash;
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import asdict
 from itertools import accumulate
 
 import numpy as np
@@ -29,7 +30,7 @@ from .nets import (
     restore_params,
     snapshot_params,
 )
-from .nn import Mlp
+from .nn import Mlp, check_stackable
 
 POLICY_KINDS = ("taac", "taac_ablation", "ppo", "random")
 
@@ -179,7 +180,9 @@ class PpoTeamPolicy(_SnapshotCodec):
 
     @classmethod
     def stacked(cls, policies: list["PpoTeamPolicy"]) -> "PpoTeamPolicy":
-        """``policies``' policy nets side by side (``Mlp.stacked``), for ``probs_np`` only."""
+        """``policies``' policy nets side by side (``Mlp.stacked``), for ``probs_np`` only.
+        Unequal net configs raise ValueError."""
+        check_stackable("ppo policies", [asdict(p.net_cfg) for p in policies])
         pair = cls.__new__(cls)
         pair.net_cfg, pair.policy_net = policies[0].net_cfg, Mlp.stacked([p.policy_net for p in policies])
         return pair
@@ -193,16 +196,16 @@ class PpoTeamPolicy(_SnapshotCodec):
 def paired_act(team0, team1):
     """Both teams' actions from one tape-free forward, or None for teams that do not pair.
 
-    Two ``TaacTeamPolicy`` or two ``PpoTeamPolicy`` objects of one kind on equal net configs
-    pair: their weights are stacked along a leading axis, so this is built once per game, in
-    which weights do not change. The returned ``act(obs, rng0, rng1)`` takes both teams'
-    (2, n, obs_width) observations and returns (team 0's ids from ``rng0``, team 1's from
-    ``rng1``), drawn in that order: each slot of the stacked forward has the bits of its
+    Two ``TaacTeamPolicy`` objects (``taac``, ``taac_ablation`` or one of each) or two
+    ``PpoTeamPolicy`` objects on equal net configs pair: their weights are stacked along a
+    leading axis (``ActorNet.stacked``, ``PpoTeamPolicy.stacked``), so this is built once per
+    game, in which weights do not change. The returned ``act(obs, rng0, rng1)`` takes both
+    teams' (2, n, obs_width) observations and returns (team 0's ids from ``rng0``, team 1's
+    from ``rng1``), drawn in that order: each slot of the stacked forward has the bits of its
     team's own ``probs_np``, so the ids equal two ``act`` calls.
     """
     cls = type(team0)
-    if (cls is not type(team1) or cls not in (TaacTeamPolicy, PpoTeamPolicy)
-            or team0.kind != team1.kind or team0.net_cfg != team1.net_cfg):
+    if cls is not type(team1) or cls not in (TaacTeamPolicy, PpoTeamPolicy) or team0.net_cfg != team1.net_cfg:
         return None
     probs_np = (ActorNet.stacked([team0.actor, team1.actor]) if cls is TaacTeamPolicy
                 else PpoTeamPolicy.stacked([team0, team1])).probs_np

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .nn import Mlp, MultiHeadAttention, _dense
+from .nn import Mlp, MultiHeadAttention, _dense, check_stackable
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,21 @@ def _action_ids(actions, n_actions: int) -> np.ndarray:
     return actions.astype(np.int64, copy=False)
 
 
+class _AttendingSlots:
+    """The attention of a stack of actors of which only some attend (``ActorNet.stacked``).
+    ``forward_np`` overwrites those slots' embeddings with the stacked attention's output,
+    of the same width, and leaves the other slots' to go straight to ``post``, as in an
+    ablated net."""
+
+    def __init__(self, attn: MultiHeadAttention, slots: list[int]):
+        run = slice(slots[0], slots[-1] + 1)  # a view: indexing by a list copies, ~4 µs a step
+        self.attn, self.slots = attn, run if run.stop - run.start == len(slots) else slots
+
+    def forward_np(self, m: np.ndarray) -> np.ndarray:
+        m[self.slots] = self.attn.forward_np(m[self.slots])
+        return m
+
+
 class ActorNet:
     """Shared-parameter policy producing one action distribution per agent."""
 
@@ -101,13 +116,21 @@ class ActorNet:
 
     @classmethod
     def stacked(cls, actors: list["ActorNet"]) -> "ActorNet":
-        """``actors``, all of one config and attention flag, side by side for rollouts
-        (``Mlp.stacked``): ``probs_np`` maps (K, n, obs) observations to (K, n, A)
-        distributions, slot k with actor k's bits. Tape-free only."""
+        """``actors``, all of one config, side by side for rollouts (``Mlp.stacked``):
+        ``probs_np`` maps (K, n, obs) observations to (K, n, A) distributions, slot k with
+        actor k's bits. ``embed`` and ``post`` stack over every slot and attention over the
+        slots that attend, so ``taac`` and ``taac_ablation`` actors stack together: when only
+        some slots attend, ``attn`` is an ``_AttendingSlots``, chosen here, and ``probs_np``
+        is the lone net's. Unequal configs raise ValueError. Tape-free only."""
+        check_stackable("actors", [asdict(a.cfg) for a in actors])
         net = cls.__new__(cls)
-        net.cfg, net.attention_off = actors[0].cfg, actors[0].attention_off
+        net.cfg = actors[0].cfg
         net.embed, net.post = (Mlp.stacked([getattr(a, part) for a in actors]) for part in ("embed", "post"))
-        net.attn = None if net.attention_off else MultiHeadAttention.stacked([a.attn for a in actors])
+        attending = [k for k, a in enumerate(actors) if a.attn is not None]
+        net.attention_off = not attending
+        net.attn = MultiHeadAttention.stacked([actors[k].attn for k in attending]) if attending else None
+        if 0 < len(attending) < len(actors):
+            net.attn = _AttendingSlots(net.attn, attending)
         return net
 
     def probs_np(self, obs: np.ndarray) -> np.ndarray:

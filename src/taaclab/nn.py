@@ -34,6 +34,17 @@ class DenseLayer:
     activation: str
 
 
+def check_stackable(what: str, layouts: Sequence[dict]) -> None:
+    """ValueError naming the first entry in which the parts of a stack differ; ``layouts``
+    holds one {name: value} dict per part, and a name a part lacks reads as None."""
+    first = layouts[0]
+    for k, layout in enumerate(layouts[1:], 1):
+        for name in dict.fromkeys([*first, *layout]):
+            if layout.get(name) != first.get(name):
+                raise ValueError(f"cannot stack {what}: {name} is {layout.get(name)!r} in part {k} "
+                                 f"but {first.get(name)!r} in part 0")
+
+
 class Mlp:
     """Chain of affine layers with per-layer activation tags."""
 
@@ -62,7 +73,11 @@ class Mlp:
         """``mlps``, all of one shape, side by side for rollouts: each weight (K, in, out), each
         bias (K, 1, out). ``forward_np`` maps (K, rows, in) to (K, rows, out), slot k with mlp
         k's bits: numpy's stacked matmul makes each slot's BLAS call as a lone mlp would.
+        Unequal weight shapes or activations raise ValueError (``check_stackable``).
         Tape-free only."""
+        check_stackable("mlps", [{f"layer {i} {key}": value for i, layer in enumerate(m.layers)
+                                  for key, value in (("weight shape", layer.w.shape), ("activation", layer.activation))}
+                                 for m in mlps])
         return cls([DenseLayer(Tensor(np.stack([m.layers[i].w.data for m in mlps])),
                                Tensor(np.stack([m.layers[i].b.data for m in mlps])[:, None]), layer.activation)
                     for i, layer in enumerate(mlps[0].layers)])
@@ -215,7 +230,10 @@ class MultiHeadAttention:
     def stacked(cls, blocks: Sequence["MultiHeadAttention"]) -> "MultiHeadAttention":
         """``blocks``, all of one shape, side by side for rollouts: each projection
         (K, d_model, d_k). ``forward_np`` maps (K, n, d_model) to (K, n, H * d_k), slot k with
-        block k's bits. Tape-free only."""
+        block k's bits. Unequal head counts or shapes raise ValueError. Tape-free only."""
+        check_stackable("attention blocks", [{f"head {h} {name} shape": getattr(head, name).shape
+                                              for h, head in enumerate(b.heads) for name in ("wq", "wk", "wv")}
+                                             for b in blocks])
         return cls([AttentionHead(*(Tensor(np.stack([getattr(b.heads[h], name).data for b in blocks]))
                                     for name in ("wq", "wk", "wv")))
                     for h in range(len(blocks[0].heads))])

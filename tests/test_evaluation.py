@@ -471,11 +471,11 @@ def test_run_league_deterministic_across_thread_counts(tmp_path):
          open(tmp_path / "b" / "league_report.json", "rb") as f2:
         assert f1.read() == f2.read()
 
-    # same-kind fixtures play from one forward over both teams, whose stacked
-    # weights live inside the game, never on the policies the threads share
+    # fixtures of two TAAC (either kind) or two PPO teams play from one forward over both
+    # teams, whose stacked weights live inside the game, never on the policies the threads share
     smoke = TaacNetConfig(d_model=32, actor_heads=2, critic_heads=2, embed_hidden=32, post_hidden=32)
     teams = [(f"{kind}-{i}", build_policy(kind, smoke, np.random.default_rng([k, i])))
-             for k, kind in enumerate(("taac", "ppo")) for i in range(2)]
+             for k, kind in enumerate(("taac", "ppo", "taac_ablation")) for i in range(2)]
     reports = []
     for threads in (1, 3):
         out = tmp_path / f"same-kind-{threads}"
@@ -484,6 +484,7 @@ def test_run_league_deterministic_across_thread_counts(tmp_path):
         with open(out / "matches.csv") as fh:
             kinds = [(row["team_a"][:-2], row["team_b"][:-2]) for row in csv.DictReader(fh)]
         assert {("taac", "taac"), ("ppo", "ppo")} <= set(kinds)  # both kinds pair
+        assert {("taac", "taac_ablation"), ("taac_ablation", "taac")} & set(kinds)  # a mixed TAAC pair
     assert reports[0] == reports[1]
 
 

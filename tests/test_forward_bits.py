@@ -5,7 +5,8 @@ same shape and the same value in every entry, NaN where the reference has
 NaN. Covers the smoke and default nets, one (3, 22) team of rows and stacked
 (T, 3, 22) observations, and logits rows that hold +-inf, NaN or one
 dominant entry. The forward over two teams' stacked weights holds each
-team's own bits, in one step and over whole games.
+team's own bits, in one step and over whole games, for two teams of one kind
+and for a taac and a taac_ablation team in either order.
 """
 
 import forward_reference as ref
@@ -129,10 +130,18 @@ def lone_probs(team, obs):
     return team.probs_np(obs) if team.kind == "ppo" else team.actor.probs_np(obs)
 
 
+# two teams of one kind, then a taac and a taac_ablation team in both orders
+PAIRS = [("taac",) * 2, ("taac_ablation",) * 2, ("ppo",) * 2, ("taac", "taac_ablation"), ("taac_ablation", "taac")]
+
+
+def pair_id(kinds) -> str:
+    return kinds[0] if kinds[0] == kinds[1] else "+".join(kinds)
+
+
 @pytest.mark.parametrize("net", NETS, ids=str)
-@pytest.mark.parametrize("kind", ["taac", "taac_ablation", "ppo"])
-def test_each_slot_of_the_paired_forward_equals_its_teams_own(kind, net):
-    teams = [build_policy(kind, NETS[net], np.random.default_rng(seed)) for seed in (21, 22)]
+@pytest.mark.parametrize("kinds", PAIRS, ids=pair_id)
+def test_each_slot_of_the_paired_forward_equals_its_teams_own(kinds, net):
+    teams = [build_policy(kind, NETS[net], np.random.default_rng(seed)) for kind, seed in zip(kinds, (21, 22))]
     act_both = paired_act(*teams)
     for t in range(50):
         obs = observations((2, 3), 200 + t)
@@ -160,9 +169,9 @@ class Delegate:
 CRAMPED = EnvConfig(pitch_length=20.0, pitch_width=14.0, goal_width=10.0, steps_per_game=120)
 
 
-@pytest.mark.parametrize("kind", ["taac", "taac_ablation", "ppo"])
-def test_a_paired_game_equals_the_same_game_played_unpaired(kind):
-    teams = [build_policy(kind, SMOKE, np.random.default_rng(seed)) for seed in (31, 32)]
+@pytest.mark.parametrize("kinds", PAIRS, ids=pair_id)
+def test_a_paired_game_equals_the_same_game_played_unpaired(kinds):
+    teams = [build_policy(kind, SMOKE, np.random.default_rng(seed)) for kind, seed in zip(kinds, (31, 32))]
     assert paired_act(*teams) is not None and paired_act(teams[0], Delegate(teams[1])) is None
     games = []
     for team1 in (teams[1], Delegate(teams[1])):
@@ -177,3 +186,39 @@ def test_a_paired_game_equals_the_same_game_played_unpaired(kind):
     for name in ("packed", "kicking", "scores"):
         assert same(getattr(paired.trail, name)[:rows], getattr(unpaired.trail, name)[:rows])
     assert paired.events == unpaired.events
+
+
+SCALED = TaacNetConfig(**{**vars(SMOKE), "obs_scale": 50.0})  # SMOKE's shapes, another config
+
+
+@pytest.mark.parametrize("kinds, cfg1", [
+    (("taac", "ppo"), SMOKE), (("taac", "random"), SMOKE), (("taac", "inactive"), SMOKE),
+    (("taac_ablation", "ppo"), SMOKE), (("ppo", "random"), SMOKE), (("random", "random"), SMOKE),
+    (("taac", "taac"), SCALED), (("taac", "taac_ablation"), SCALED), (("ppo", "ppo"), SCALED),
+], ids=lambda v: "+".join(v) if isinstance(v, tuple) else ("scaled" if v is SCALED else "smoke"))
+def test_teams_of_different_classes_or_net_configs_do_not_pair(kinds, cfg1):
+    teams = [build_policy(kind, cfg, np.random.default_rng(seed))
+             for seed, (kind, cfg) in enumerate(zip(kinds, (SMOKE, cfg1)))]
+    assert paired_act(*teams) is None and paired_act(*teams[::-1]) is None
+
+
+def test_stacking_refuses_parts_that_differ_naming_the_difference():
+    taac = [build_policy("taac", cfg, np.random.default_rng(1)) for cfg in (SMOKE, SCALED)]
+    with pytest.raises(ValueError, match="cannot stack actors: obs_scale is 50.0 in part 1 but 100.0 in part 0"):
+        nets.ActorNet.stacked([t.actor for t in taac])
+    ppo = [build_policy("ppo", cfg, np.random.default_rng(1)) for cfg in (SMOKE, SCALED)]
+    with pytest.raises(ValueError, match="cannot stack ppo policies: obs_scale is 50.0"):
+        baselines.PpoTeamPolicy.stacked(ppo)
+    rng = np.random.default_rng(2)
+    mlp = nn.Mlp.create([4, 8, 2], ("relu", "identity"), rng)
+    cases = [(nn.Mlp.create([4, 8, 2], ("relu", "relu"), rng), "layer 1 activation is 'relu' in part 1 but 'identity'"),
+             (nn.Mlp.create([4, 6, 2], ("relu", "identity"), rng), r"layer 0 weight shape is \(4, 6\) in part 1"),
+             (nn.Mlp.create([4, 8], ("relu",), rng), "layer 1 weight shape is None in part 1")]
+    for other, message in cases:
+        with pytest.raises(ValueError, match="cannot stack mlps: " + message):
+            nn.Mlp.stacked([mlp, other])
+    attn = nn.MultiHeadAttention.create(8, 2, rng)
+    for other, message in [(nn.MultiHeadAttention.create(8, 4, rng), r"head 0 wq shape is \(8, 2\) in part 1"),
+                           (nn.MultiHeadAttention.create(8, 1, rng), r"head 0 wq shape is \(8, 8\) in part 1")]:
+        with pytest.raises(ValueError, match="cannot stack attention blocks: " + message):
+            nn.MultiHeadAttention.stacked([attn, other])

@@ -44,12 +44,19 @@ def _log(out_dir) -> list[dict]:
 def test_probes_see_one_game_event_per_game_and_one_step_event_per_step(name, tmp_path):
     wl = workloads.WORKLOADS[name](3, "tiny")
     probes, tracer = instrument.Probes(), instrument.Tracer()
-    matches = []
+    matches, pairings = [], []
 
     def keep_record(play_match):
         def wrapper(*args, **kwargs):
             matches.append(play_match(*args, **kwargs))
             return matches[-1]
+        return wrapper
+
+    def keep_pairing(paired_act):
+        def wrapper(team0, team1):
+            act_both = paired_act(team0, team1)
+            pairings.append((team0.kind, team1.kind, act_both is not None))
+            return act_both
         return wrapper
 
     with instrument.Patcher() as patcher:
@@ -58,6 +65,7 @@ def test_probes_see_one_game_event_per_game_and_one_step_event_per_step(name, tm
         probes.install(patcher, modules)
         tracer.install(patcher, modules)
         patcher.wrap(evaluation, "play_match", keep_record)
+        patcher.wrap(evaluation, "paired_act", keep_pairing)
         with tracer.tracing(0):
             wl.call(str(tmp_path))
 
@@ -77,7 +85,11 @@ def test_probes_see_one_game_event_per_game_and_one_step_event_per_step(name, tm
                 "nets.actor_probs_np", "nets.cf_baselines_batch", "learner.critic_update",
                 "learner.actor_update"} <= spans
     if name == "league_desk":  # the desk league's 3-argument build_policy plays the ablated team
-        assert {"baselines.act.taac", "baselines.act.taac_ablation"} <= spans
+        # a taac and a taac_ablation team pair: their steps run in the actor's own probs_np,
+        # never in either team's act
+        assert {tuple(sorted(kinds)) for *kinds, paired in pairings if paired} == {("taac", "taac_ablation")}
+        assert {"nets.actor_probs_np", "nn.attention_forward_np"} <= spans
+        assert not {"baselines.act.taac", "baselines.act.taac_ablation"} & spans
         # the league's per-layer metrics wrap these module globals by name
         assert {"evaluation.run_league", "evaluation.play_match", "evaluation.connectivity",
                 "evaluation.pairwise_distance"} <= spans
