@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .env import N_ACTIONS, NOOP_ACTION
+from .env import N_ACTIONS, NOOP_ACTION, TEAM_SIZE
 from .nets import (
     ActorNet,
     CriticNet,
@@ -193,25 +193,25 @@ class PpoTeamPolicy(_SnapshotCodec):
         return out
 
 
-def paired_act(team0, team1):
-    """Both teams' actions from one tape-free forward, or None for teams that do not pair.
-
-    Two ``TaacTeamPolicy`` objects (``taac``, ``taac_ablation`` or one of each) or two
-    ``PpoTeamPolicy`` objects on equal net configs pair: their weights are stacked along a
-    leading axis (``ActorNet.stacked``, ``PpoTeamPolicy.stacked``), so this is built once per
-    game, in which weights do not change. The returned ``act(obs, rng0, rng1)`` takes both
-    teams' (2, n, obs_width) observations and returns (team 0's ids from ``rng0``, team 1's
-    from ``rng1``), drawn in that order: each slot of the stacked forward has the bits of its
-    team's own ``probs_np``, so the ids equal two ``act`` calls.
+def joint_act(team0, team1):
+    """Both teams' ``act`` as one ``act(obs0, obs1, rng0, rng1)``, built once per game, in
+    which weights do not change. It returns (team 0's ids from ``rng0``, team 1's from
+    ``rng1``), drawn in that order: the ids two ``act`` calls give. Two ``TaacTeamPolicy``
+    objects (``taac``, ``taac_ablation`` or one of each) or two ``PpoTeamPolicy`` objects on
+    equal net configs act from one forward over their stacked weights (``ActorNet.stacked``,
+    ``PpoTeamPolicy.stacked``), each slot with the bits of its team's own ``probs_np``.
     """
     cls = type(team0)
     if cls is not type(team1) or cls not in (TaacTeamPolicy, PpoTeamPolicy) or team0.net_cfg != team1.net_cfg:
-        return None
+        act0, act1 = team0.act, team1.act
+        return lambda obs0, obs1, rng0, rng1: (act0(obs0, rng0), act1(obs1, rng1))
     probs_np = (ActorNet.stacked([team0.actor, team1.actor]) if cls is TaacTeamPolicy
                 else PpoTeamPolicy.stacked([team0, team1])).probs_np
+    both = np.empty((2, TEAM_SIZE, team0.net_cfg.obs_width))  # both teams' observations of a step
 
-    def act(obs: np.ndarray, rng0: np.random.Generator, rng1: np.random.Generator):
-        probs = probs_np(obs)
+    def act(obs0: np.ndarray, obs1: np.ndarray, rng0: np.random.Generator, rng1: np.random.Generator):
+        both[0], both[1] = obs0, obs1
+        probs = probs_np(both)
         return _sample_rows(probs[0], rng0), _sample_rows(probs[1], rng1)
 
     return act

@@ -2,11 +2,13 @@
 
 ``play_game`` is the one game loop (observe -> act -> step, respawning after
 goals) for training and match play alike; it returns a ``GameRecord`` of
-arrays. ``play_match`` and ``learner.play_training_game`` are two views of it.
+arrays, and ``baselines.joint_act`` alone decides how each step's actions are
+drawn. ``play_match`` and ``learner.play_training_game`` are two views of it.
 Matches are deterministic given (policies, seed). ``play_fixtures`` is the one
-match driver: the league runner plays its uniformly random pairings through it
-(optionally on a thread pool over immutable policies) and applies Elo updates
-serially in schedule order, and ``head_to_head`` plays its side-swapped games.
+match driver, yielding records in fixture order: the league runner plays its
+uniformly random pairings through it (optionally on a thread pool over
+immutable policies), applies Elo updates serially in schedule order and writes
+each replay as it arrives, and ``head_to_head`` plays its side-swapped games.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .baselines import paired_act
+from .baselines import joint_act
 from .env import (N_PLAYERS, OBS_WIDTH, STATE_WIDTH, TEAM_SIZE, EnvConfig, WorldState, frame_dict,
                   observe_team, reset, respawn, rowdot, step, team_players)
 from .nets import write_text_atomic
@@ -209,12 +211,10 @@ def play_game(team0, team1, cfg: EnvConfig, spawn_mode: str, env_rng: np.random.
               rng0: np.random.Generator, rng1: np.random.Generator) -> GameRecord:
     """Play one full game and record it. ``env_rng`` draws the spawns, ``rng0``
     and ``rng1`` the teams' actions (training passes one generator three
-    times). Team 0 is observed once per state, team 1 once per step. Two teams
-    that pair (``baselines.paired_act``) act from one forward over both
-    observations, with the ids and draws of two ``act`` calls."""
+    times). Team 0 is observed once per state, team 1 once per step. How a step's
+    actions are drawn is ``baselines.joint_act``'s to decide."""
     T = cfg.steps_per_game
-    act_both = paired_act(team0, team1)
-    both = np.empty((2, TEAM_SIZE, OBS_WIDTH))  # both teams' observations of a paired step
+    act = joint_act(team0, team1)
     trail = _StateTrail(2 * T)  # each episode has at least one step
     obs0 = np.empty((2 * T, TEAM_SIZE, OBS_WIDTH))
     actions = np.empty((T, N_PLAYERS), dtype=np.int64)
@@ -225,12 +225,7 @@ def play_game(team0, team1, cfg: EnvConfig, spawn_mode: str, env_rng: np.random.
     obs0[row] = observe_team(state, 0, cfg)
     while True:
         t = state.t
-        if act_both is None:
-            a0 = team0.act(obs0[row], rng0)
-            a1 = team1.act(observe_team(state, 1, cfg), rng1)
-        else:
-            both[0], both[1] = obs0[row], observe_team(state, 1, cfg)
-            a0, a1 = act_both(both, rng0, rng1)
+        a0, a1 = act(obs0[row], observe_team(state, 1, cfg), rng0, rng1)
         state, ev = step(state, np.concatenate([a0, a1], out=actions[t]), cfg)
         events.append(ev)
         row = after[t] = trail.add(state)
@@ -308,10 +303,11 @@ def read_replay(path: str) -> list[dict]:
 
 
 def play_fixtures(fixtures: Sequence, seeds: Sequence[int], env_cfg: EnvConfig,
-                  threads: int = 1, **match_kw) -> list[MatchRecord]:
-    """Play each ``((name_a, policy_a), (name_b, policy_b))`` fixture with its
-    seed and return the records in fixture order. ``threads > 1`` plays them on
-    a thread pool, which only reads the policies; ``match_kw`` are passed to ``play_match``."""
+                  threads: int = 1, **match_kw) -> Iterator[MatchRecord]:
+    """Play each ``((name_a, policy_a), (name_b, policy_b))`` fixture with its seed, one
+    game per record asked for, and yield the records in fixture order. ``threads > 1``
+    plays them on a thread pool, which only reads the policies and runs ahead of the
+    caller; ``match_kw`` are passed to ``play_match``."""
 
     def run_one(g: int) -> MatchRecord:
         (name_a, team_a), (name_b, team_b) = fixtures[g]
@@ -320,16 +316,18 @@ def play_fixtures(fixtures: Sequence, seeds: Sequence[int], env_cfg: EnvConfig,
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run_one, range(len(fixtures))))
-    return [run_one(g) for g in range(len(fixtures))]
+            yield from pool.map(run_one, range(len(fixtures)))
+    else:
+        yield from map(run_one, range(len(fixtures)))
 
 
 def run_league(teams: Sequence[tuple[str, object]], env_cfg: EnvConfig, league_cfg,
                seed: int, out_dir: Optional[str] = None) -> dict:
     """Round of uniformly random pairings with Elo scoring and collab metrics.
 
-    ``teams`` holds (name, policy) pairs. Writes league_report.json and
-    matches.csv (and per-game replays when enabled) under ``out_dir``.
+    ``teams`` holds (name, policy) pairs. Writes league_report.json and matches.csv
+    under ``out_dir``, and with replays enabled each game's replay once it is played
+    (``threads > 1`` plays ahead of the writer, holding the frames of games not written).
     """
     names = [name for name, _ in teams]
     if len(names) != len(set(names)):
@@ -346,29 +344,15 @@ def run_league(teams: Sequence[tuple[str, object]], env_cfg: EnvConfig, league_c
     save_replays = bool(league_cfg.save_replays and out_dir)
     if save_replays:
         os.makedirs(os.path.join(out_dir, "replays"), exist_ok=True)
-    records = play_fixtures([(teams[i], teams[j]) for i, j in schedule], match_seeds, env_cfg,
-                            threads=league_cfg.threads, spawn_mode=league_cfg.spawn_mode,
-                            record_frames=save_replays, conn_d_min=league_cfg.conn_d_min,
-                            conn_d_max=league_cfg.conn_d_max)
-    diff = np.array([rec.goal_diff for rec in records])  # (G,) from the first-listed team's side
-
-    def tally(games: np.ndarray, weights=1) -> np.ndarray:
-        """(n, n) sums of ``weights`` at each game's (first, second) team indices."""
-        out = np.zeros((len(teams), len(teams)), dtype=np.asarray(weights).dtype)
-        np.add.at(out, tuple(games.T), weights)
-        return out
-
-    first_won, second_won, tied = (tally(schedule[games]) for games in (diff > 0, diff < 0, diff == 0))
-    pair_games = tally(schedule)
-    pair_games += pair_games.T
-    diff_sum = tally(schedule, diff.astype(np.float64))  # sums of integers: the same bits in any order
-    diff_matrix = np.where(pair_games > 0, (diff_sum - diff_sum.T) / np.maximum(pair_games, 1), 0.0)
-
     ratings = dict.fromkeys(names, league_cfg.elo_initial)
     trajectories: dict[str, list] = {name: [] for name in names}
     collab = {name: {metric: [] for metric in METRIC_COLUMNS} for name in names}
     rows = []
-    for g, rec in enumerate(records):
+    records = play_fixtures([(teams[i], teams[j]) for i, j in schedule], match_seeds, env_cfg,
+                            threads=league_cfg.threads, spawn_mode=league_cfg.spawn_mode,
+                            record_frames=save_replays, conn_d_min=league_cfg.conn_d_min,
+                            conn_d_max=league_cfg.conn_d_max)
+    for g, rec in enumerate(records):  # each game's frames are written and dropped before the next
         new = elo_update(ratings[rec.team_a], ratings[rec.team_b], rec.outcome, league_cfg.elo_k)
         for team, name, rating in zip("01", (rec.team_a, rec.team_b), new):
             ratings[name] = rating
@@ -387,6 +371,19 @@ def run_league(teams: Sequence[tuple[str, object]], env_cfg: EnvConfig, league_c
                for metric, prefix in METRIC_COLUMNS.items() for team, side in zip("01", "ab")},
             "replay": replay_path,
         })
+    diff = np.array([row["goal_diff"] for row in rows])  # (G,) from the first-listed team's side
+
+    def tally(games: np.ndarray, weights=1) -> np.ndarray:
+        """(n, n) sums of ``weights`` at each game's (first, second) team indices."""
+        out = np.zeros((len(teams), len(teams)), dtype=np.asarray(weights).dtype)
+        np.add.at(out, tuple(games.T), weights)
+        return out
+
+    first_won, second_won, tied = (tally(schedule[games]) for games in (diff > 0, diff < 0, diff == 0))
+    pair_games = tally(schedule)
+    pair_games += pair_games.T
+    diff_sum = tally(schedule, diff.astype(np.float64))  # sums of integers: the same bits in any order
+    diff_matrix = np.where(pair_games > 0, (diff_sum - diff_sum.T) / np.maximum(pair_games, 1), 0.0)
 
     report = {
         "teams": names,
@@ -427,8 +424,8 @@ def head_to_head(policy_a, policy_b, env_cfg: EnvConfig, games: int, seed: int,
         raise ValueError(f"games must be >= 1, got {games}")
     seeds = np.random.SeedSequence([seed, 3]).generate_state(games, dtype=np.uint64) % (2**62)
     sides = (("a", policy_a), ("b", policy_b))
-    records = play_fixtures([sides[::-1] if g % 2 else sides for g in range(games)], seeds, env_cfg,
-                            spawn_mode=spawn_mode, record_frames=False)
+    records = list(play_fixtures([sides[::-1] if g % 2 else sides for g in range(games)], seeds, env_cfg,
+                                 spawn_mode=spawn_mode, record_frames=False))
     scores = [rec.score[::-1] if rec.team_a == "b" else rec.score for rec in records]
     goals_a, goals_b = map(sum, zip(*scores))
     return {

@@ -94,7 +94,6 @@ class ActorNet:
     def __init__(self, cfg: TaacNetConfig, rng: np.random.Generator, attention_off: bool = False):
         cfg.validate()
         self.cfg = cfg
-        self.attention_off = attention_off
         self.embed = Mlp.create([cfg.obs_width, cfg.embed_hidden, cfg.d_model], ("relu", "relu"), rng)
         self.attn: Optional[MultiHeadAttention] = (
             None if attention_off else MultiHeadAttention.create(cfg.d_model, cfg.actor_heads, rng)
@@ -127,7 +126,6 @@ class ActorNet:
         net.cfg = actors[0].cfg
         net.embed, net.post = (Mlp.stacked([getattr(a, part) for a in actors]) for part in ("embed", "post"))
         attending = [k for k, a in enumerate(actors) if a.attn is not None]
-        net.attention_off = not attending
         net.attn = MultiHeadAttention.stacked([actors[k].attn for k in attending]) if attending else None
         if 0 < len(attending) < len(actors):
             net.attn = _AttendingSlots(net.attn, attending)

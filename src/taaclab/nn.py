@@ -230,13 +230,17 @@ class MultiHeadAttention:
     def stacked(cls, blocks: Sequence["MultiHeadAttention"]) -> "MultiHeadAttention":
         """``blocks``, all of one shape, side by side for rollouts: each projection
         (K, d_model, d_k). ``forward_np`` maps (K, n, d_model) to (K, n, H * d_k), slot k with
-        block k's bits. Unequal head counts or shapes raise ValueError. Tape-free only."""
+        block k's bits. Unequal head counts or shapes raise ValueError. Tape-free only. The heads'
+        weights are column views of the stack's one copy, its packed projection (``_packed``)."""
         check_stackable("attention blocks", [{f"head {h} {name} shape": getattr(head, name).shape
                                               for h, head in enumerate(b.heads) for name in ("wq", "wk", "wv")}
                                              for b in blocks])
-        return cls([AttentionHead(*(Tensor(np.stack([getattr(b.heads[h], name).data for b in blocks]))
-                                    for name in ("wq", "wk", "wv")))
-                    for h in range(len(blocks[0].heads))])
+        packed = np.stack([np.concatenate([p.data for p in b._projections], axis=-1) for b in blocks])
+        n_heads = len(blocks[0].heads)
+        views = [Tensor(v) for v in np.split(packed, 3 * n_heads, axis=-1)]
+        stack = cls([AttentionHead(*views[h::n_heads]) for h in range(n_heads)])
+        stack._packed, stack._packed_from = packed, [p.data for p in stack._projections]
+        return stack
 
     @property
     def out_width(self) -> int:

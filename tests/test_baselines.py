@@ -314,7 +314,7 @@ def test_snapshot_headers_carry_kind_and_flags():
     restored = policy_from_snapshot(snap, SMALL)
     assert isinstance(restored, TaacTeamPolicy)
     assert (restored.kind, restored.flags) == (snap.kind, snap.flags)
-    assert restored.actor.attention_off
+    assert restored.actor.attn is None
     obs = rng.normal(size=(3, 8))
     np.testing.assert_array_equal(restored.actor.probs_np(obs), policy.actor.probs_np(obs))
 

@@ -498,6 +498,25 @@ def test_run_league_saves_replays_when_asked(tmp_path):
     assert len(frames) == CFG.steps_per_game
 
 
+def test_run_league_writes_each_replay_before_it_plays_the_next_game(tmp_path, monkeypatch):
+    calls = []
+    play_match, write_replay = evaluation.play_match, evaluation.write_replay
+
+    def logged_play(*args, **kwargs):
+        calls.append("play")
+        return play_match(*args, **kwargs)
+
+    def logged_write(frames, path):
+        calls.append(os.path.basename(path))
+        write_replay(frames, path)
+
+    monkeypatch.setattr(evaluation, "play_match", logged_play)
+    monkeypatch.setattr(evaluation, "write_replay", logged_write)
+    teams = [("a", RandomTeamPolicy()), ("b", RandomTeamPolicy())]
+    run_league(teams, CFG, _league_cfg(n_games=3, save_replays=True), seed=1, out_dir=str(tmp_path))
+    assert calls == ["play", "game_00000.jsonl", "play", "game_00001.jsonl", "play", "game_00002.jsonl"]
+
+
 def test_league_bundle_is_relocatable(tmp_path):
     teams = [("a", RandomTeamPolicy()), ("b", RandomTeamPolicy())]
     dirs = [tmp_path / "first", tmp_path / "elsewhere" / "second"]
@@ -567,7 +586,7 @@ def test_play_fixtures_returns_records_in_fixture_order():
     fixtures = [(("x", a), ("y", b)), (("y", b), ("x", a)), (("x", a), ("y", b))]
     seeds = [5, 6, 7]
     for threads in (1, 2):
-        records = play_fixtures(fixtures, seeds, CRAMPED, threads=threads, record_frames=False)
+        records = list(play_fixtures(fixtures, seeds, CRAMPED, threads=threads, record_frames=False))
         assert [(rec.team_a, rec.team_b) for rec in records] == [("x", "y"), ("y", "x"), ("x", "y")]
         for rec, (first, second), seed in zip(records, fixtures, seeds):
             assert rec == play_match(first[1], second[1], CRAMPED, seed, record_frames=False,

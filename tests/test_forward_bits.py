@@ -6,7 +6,8 @@ NaN. Covers the smoke and default nets, one (3, 22) team of rows and stacked
 (T, 3, 22) observations, and logits rows that hold +-inf, NaN or one
 dominant entry. The forward over two teams' stacked weights holds each
 team's own bits, in one step and over whole games, for two teams of one kind
-and for a taac and a taac_ablation team in either order.
+and for a taac and a taac_ablation team in either order; teams that do not
+pair build no stack, and a stacked attention holds one copy of its weights.
 """
 
 import forward_reference as ref
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from taaclab import baselines, evaluation, nets, nn
-from taaclab.baselines import build_policy, paired_act
+from taaclab.baselines import build_policy, joint_act
 from taaclab.env import EnvConfig
 from taaclab.nets import TaacNetConfig
 
@@ -142,15 +143,15 @@ def pair_id(kinds) -> str:
 @pytest.mark.parametrize("kinds", PAIRS, ids=pair_id)
 def test_each_slot_of_the_paired_forward_equals_its_teams_own(kinds, net):
     teams = [build_policy(kind, NETS[net], np.random.default_rng(seed)) for kind, seed in zip(kinds, (21, 22))]
-    act_both = paired_act(*teams)
+    act = joint_act(*teams)
     for t in range(50):
         obs = observations((2, 3), 200 + t)
         probs = stacked_probs(*teams, obs)
         assert probs.shape == (2, 3, 18)
         for k, team in enumerate(teams):
             assert same(probs[k], lone_probs(team, obs[k]))
-        draws = [np.random.default_rng(t + 1000 * (k % 2)) for k in range(4)]  # the pair's, then act's
-        a0, a1 = act_both(obs, draws[0], draws[1])
+        draws = [np.random.default_rng(t + 1000 * (k % 2)) for k in range(4)]  # joint_act's, then act's
+        a0, a1 = act(obs[0], obs[1], draws[0], draws[1])
         assert same(a0, teams[0].act(obs[0], draws[2])) and same(a1, teams[1].act(obs[1], draws[3]))
         assert draws[0].random() == draws[2].random() and draws[1].random() == draws[3].random()
 
@@ -165,18 +166,31 @@ class Delegate:
         return getattr(self.team, name)
 
 
+def count_stacks(monkeypatch) -> list:
+    """The part counts of every actor or ppo stack built from now on."""
+    built = []
+    for owner in (nets.ActorNet, baselines.PpoTeamPolicy):
+        def counting(parts, stacked=owner.stacked):
+            built.append(len(parts))
+            return stacked(parts)
+        monkeypatch.setattr(owner, "stacked", counting)
+    return built
+
+
 # a short pitch with a wide goal: goals and respawns happen within a game
 CRAMPED = EnvConfig(pitch_length=20.0, pitch_width=14.0, goal_width=10.0, steps_per_game=120)
 
 
 @pytest.mark.parametrize("kinds", PAIRS, ids=pair_id)
-def test_a_paired_game_equals_the_same_game_played_unpaired(kinds):
+def test_a_paired_game_equals_the_same_game_played_unpaired(kinds, monkeypatch):
     teams = [build_policy(kind, SMOKE, np.random.default_rng(seed)) for kind, seed in zip(kinds, (31, 32))]
-    assert paired_act(*teams) is not None and paired_act(teams[0], Delegate(teams[1])) is None
-    games = []
+    built = count_stacks(monkeypatch)
+    games, next_draws = [], []
     for team1 in (teams[1], Delegate(teams[1])):
         rng = np.random.default_rng(4)  # one generator for spawns and both teams, as in training
         games.append(evaluation.play_game(teams[0], team1, CRAMPED, "random_spawns", rng, rng, rng))
+        next_draws.append(rng.random())  # both games drew the same count of values
+    assert built == [2]  # the paired game stacked once, over both teams; the unpaired one not at all
     paired, unpaired = games
     assert sum(ev.goal_scored is not None for ev in unpaired.events) > 0
     assert sum(ev.episode_done for ev in unpaired.events) > 1  # a respawn at least
@@ -185,7 +199,7 @@ def test_a_paired_game_equals_the_same_game_played_unpaired(kinds):
     rows = paired.trail.rows
     for name in ("packed", "kicking", "scores"):
         assert same(getattr(paired.trail, name)[:rows], getattr(unpaired.trail, name)[:rows])
-    assert paired.events == unpaired.events
+    assert paired.events == unpaired.events and next_draws[0] == next_draws[1]
 
 
 SCALED = TaacNetConfig(**{**vars(SMOKE), "obs_scale": 50.0})  # SMOKE's shapes, another config
@@ -196,10 +210,41 @@ SCALED = TaacNetConfig(**{**vars(SMOKE), "obs_scale": 50.0})  # SMOKE's shapes, 
     (("taac_ablation", "ppo"), SMOKE), (("ppo", "random"), SMOKE), (("random", "random"), SMOKE),
     (("taac", "taac"), SCALED), (("taac", "taac_ablation"), SCALED), (("ppo", "ppo"), SCALED),
 ], ids=lambda v: "+".join(v) if isinstance(v, tuple) else ("scaled" if v is SCALED else "smoke"))
-def test_teams_of_different_classes_or_net_configs_do_not_pair(kinds, cfg1):
+def test_teams_of_different_classes_or_net_configs_do_not_pair(kinds, cfg1, monkeypatch):
+    """``joint_act`` builds no stack for them, and acts with the ids of two ``act`` calls."""
     teams = [build_policy(kind, cfg, np.random.default_rng(seed))
              for seed, (kind, cfg) in enumerate(zip(kinds, (SMOKE, cfg1)))]
-    assert paired_act(*teams) is None and paired_act(*teams[::-1]) is None
+    def refuse(parts):
+        raise AssertionError(f"built a stack of {len(parts)} teams")
+
+    for owner in (nets.ActorNet, baselines.PpoTeamPolicy):
+        monkeypatch.setattr(owner, "stacked", refuse)
+    for pair in (teams, teams[::-1], (teams[0], Delegate(teams[0]))):
+        act = joint_act(*pair)
+        for t in range(5):
+            obs = observations((2, 3), 300 + t)
+            draws = [np.random.default_rng(t + 1000 * (k % 2)) for k in range(4)]  # joint_act's, then act's
+            a0, a1 = act(obs[0], obs[1], draws[0], draws[1])
+            assert same(a0, pair[0].act(obs[0], draws[2])) and same(a1, pair[1].act(obs[1], draws[3]))
+            assert draws[0].random() == draws[2].random() and draws[1].random() == draws[3].random()
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_a_stacked_attention_holds_one_copy_of_its_weights(n_heads):
+    rng = np.random.default_rng(6)
+    blocks = [nn.MultiHeadAttention.create(8, n_heads, rng) for _ in range(2)]
+    stack = nn.MultiHeadAttention.stacked(blocks)
+    packed = stack._packed_weights()
+    assert packed is stack._packed and packed.shape == (2, 8, 3 * 8)
+    assert all(np.shares_memory(w.data, packed) for w in stack.parameters())
+    assert all(b._packed is None for b in blocks)  # no lone block built its own pack
+    for k, b in enumerate(blocks):
+        assert same(packed[k], np.concatenate([p.data for p in b._projections], axis=-1))
+    m = rng.normal(size=(2, 3, 8))
+    out = stack.forward_np(m)
+    assert stack._packed_weights() is packed
+    for k, b in enumerate(blocks):
+        assert same(out[k], b.forward_np(m[k]))
 
 
 def test_stacking_refuses_parts_that_differ_naming_the_difference():

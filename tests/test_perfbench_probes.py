@@ -44,19 +44,12 @@ def _log(out_dir) -> list[dict]:
 def test_probes_see_one_game_event_per_game_and_one_step_event_per_step(name, tmp_path):
     wl = workloads.WORKLOADS[name](3, "tiny")
     probes, tracer = instrument.Probes(), instrument.Tracer()
-    matches, pairings = [], []
+    matches = []
 
     def keep_record(play_match):
         def wrapper(*args, **kwargs):
             matches.append(play_match(*args, **kwargs))
             return matches[-1]
-        return wrapper
-
-    def keep_pairing(paired_act):
-        def wrapper(team0, team1):
-            act_both = paired_act(team0, team1)
-            pairings.append((team0.kind, team1.kind, act_both is not None))
-            return act_both
         return wrapper
 
     with instrument.Patcher() as patcher:
@@ -65,7 +58,6 @@ def test_probes_see_one_game_event_per_game_and_one_step_event_per_step(name, tm
         probes.install(patcher, modules)
         tracer.install(patcher, modules)
         patcher.wrap(evaluation, "play_match", keep_record)
-        patcher.wrap(evaluation, "paired_act", keep_pairing)
         with tracer.tracing(0):
             wl.call(str(tmp_path))
 
@@ -84,10 +76,12 @@ def test_probes_see_one_game_event_per_game_and_one_step_event_per_step(name, tm
         assert {"nn.attention_forward", "nets.actor_forward", "nets.critic_forward",
                 "nets.actor_probs_np", "nets.cf_baselines_batch", "learner.critic_update",
                 "learner.actor_update"} <= spans
+        assert {"baselines.act.taac", "baselines.act.inactive"} <= spans  # teams that do not pair act alone
+    if name == "selfplay_ppo":  # ppo meets random: each team acts through its own act
+        assert {"baselines.act.ppo", "baselines.act.random"} <= spans
     if name == "league_desk":  # the desk league's 3-argument build_policy plays the ablated team
-        # a taac and a taac_ablation team pair: their steps run in the actor's own probs_np,
-        # never in either team's act
-        assert {tuple(sorted(kinds)) for *kinds, paired in pairings if paired} == {("taac", "taac_ablation")}
+        # the tiny schedule plays taac vs taac_ablation only, and the two teams pair: their
+        # steps run in the stacked actor's probs_np, never in either team's act
         assert {"nets.actor_probs_np", "nn.attention_forward_np"} <= spans
         assert not {"baselines.act.taac", "baselines.act.taac_ablation"} & spans
         # the league's per-layer metrics wrap these module globals by name
