@@ -214,6 +214,7 @@ def test_teams_of_different_classes_or_net_configs_do_not_pair(kinds, cfg1, monk
     """``joint_act`` builds no stack for them, and acts with the ids of two ``act`` calls."""
     teams = [build_policy(kind, cfg, np.random.default_rng(seed))
              for seed, (kind, cfg) in enumerate(zip(kinds, (SMOKE, cfg1)))]
+
     def refuse(parts):
         raise AssertionError(f"built a stack of {len(parts)} teams")
 
@@ -234,8 +235,8 @@ def test_a_stacked_attention_holds_one_copy_of_its_weights(n_heads):
     rng = np.random.default_rng(6)
     blocks = [nn.MultiHeadAttention.create(8, n_heads, rng) for _ in range(2)]
     stack = nn.MultiHeadAttention.stacked(blocks)
-    packed = stack._packed_weights()
-    assert packed is stack._packed and packed.shape == (2, 8, 3 * 8)
+    packed = stack._packed  # seeded by stacked: the first forward builds nothing
+    assert packed.shape == (2, 8, 3 * 8) and stack._packed_weights() is packed
     assert all(np.shares_memory(w.data, packed) for w in stack.parameters())
     assert all(b._packed is None for b in blocks)  # no lone block built its own pack
     for k, b in enumerate(blocks):
